@@ -1,16 +1,12 @@
 //! Approximate constraint discovery ([`ic_discovery`]) on the
 //! near-constraint scenario: precision/recall against the planted ground
-//! truth across an epsilon grid, lattice throughput in rows/s, and the
-//! match-prior score-invariance contract.
+//! truth across an epsilon grid, and lattice throughput in rows/s.
 //!
 //! `inject_near_constraints` plants one composite key and two FDs, each
 //! violated by exactly `⌊rows · rate⌋` rows, then sprinkles labeled nulls.
-//! Acceptance criteria asserted before any timing:
-//!
-//! * **recall = 1.0** at the planted epsilon under the `Possible` gate —
-//!   nulls only lower `g3_min`, so no planted constraint may escape;
-//! * **priors never move scores**: a comparator primed with the discovered
-//!   keys scores bit-identically to an unprimed one.
+//! Acceptance criterion asserted before any timing: **recall = 1.0** at
+//! the planted epsilon under the `Possible` gate — nulls only lower
+//! `g3_min`, so no planted constraint may escape.
 //!
 //! Precision is reported, not asserted: the planted key genuinely implies
 //! `key → attr` FDs on the clean rows, so "extra" discoveries at loose
@@ -19,9 +15,8 @@
 //! Run: `cargo run -p ic-bench --release --bin bench_discovery`
 
 use ic_bench::harness::Suite;
-use ic_core::Comparator;
 use ic_datagen::{inject_near_constraints, NearConstraintParams};
-use ic_discovery::{discover, priors_from_keys, DiscoveryConfig};
+use ic_discovery::{discover, DiscoveryConfig};
 const ROWS: usize = 2048;
 
 fn main() {
@@ -84,28 +79,11 @@ fn main() {
         }
     }
 
-    // Prior contract: discovered keys fed back as match priors must leave
-    // the similarity score bit-identical.
+    // Throughput: full two-pass discovery at the planted epsilon.
     let cfg = DiscoveryConfig {
         epsilon: nc.epsilon,
         ..DiscoveryConfig::default()
     };
-    let found = discover(&nc.instance, &nc.catalog, &cfg).unwrap();
-    let plain = Comparator::new(&nc.catalog).build().unwrap();
-    let primed = Comparator::new(&nc.catalog)
-        .match_priors(priors_from_keys(&found.keys))
-        .build()
-        .unwrap();
-    let a = plain.signature(&nc.instance, &nc.instance).unwrap();
-    let b = primed.signature(&nc.instance, &nc.instance).unwrap();
-    assert_eq!(
-        a.best.score().to_bits(),
-        b.best.score().to_bits(),
-        "match priors changed the similarity score"
-    );
-    suite.set_meta("priors_score_identical", "true");
-
-    // Throughput: full two-pass discovery at the planted epsilon.
     suite.measure("discovery/discover", || {
         discover(&nc.instance, &nc.catalog, &cfg).unwrap().fds.len()
     });

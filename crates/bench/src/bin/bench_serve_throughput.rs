@@ -1,30 +1,24 @@
 //! Request throughput of the `ic-serve` serving layer over loopback TCP:
 //! signature compares against a fixed catalog, measured end to end
 //! (client encode → frame → server queue → worker → response decode)
-//! across a grid of concurrency levels, client modes, and runtimes:
+//! across a grid of concurrency levels and client modes:
 //!
 //! * 1 / 8 / 64 / 512 concurrent client connections,
 //! * sequential (one request in flight per connection) vs pipelined
-//!   (a window of up to 8 in flight per connection, matched by id),
-//! * the thread-per-connection runtime vs the epoll event-loop runtime
-//!   (the latter Linux-only).
+//!   (a window of up to 8 in flight per connection, matched by id).
 //!
 //! Each measured sample issues a fixed batch of requests split evenly
 //! across the connections. The derived requests-per-second figures are
-//! recorded as `rps_<runtime>_c<N>_<mode>` metadata in `BENCH_serve.json`
-//! alongside the harness's automatic `cores` count. Per the ROADMAP
-//! caveat, the cross-runtime sanity assertion only arms when more than
-//! one core is available — on a single core, relative throughput between
-//! two thread layouts is noise.
+//! recorded as `rps_event_c<N>_<mode>` metadata in `BENCH_serve.json`
+//! alongside the harness's automatic `cores` count.
 //!
 //! Run: `cargo run -p ic-bench --release --bin bench_serve_throughput`
 
-use ic_bench::harness::{available_cores, Suite};
+use ic_bench::harness::Suite;
 use ic_datagen::{mod_cell, Dataset};
 use ic_serve::{
-    Algo, Client, CompareOptions, Request, Response, Runtime, ServeCatalog, Server, ServerConfig,
+    Algo, Client, CompareOptions, Request, Response, ServeCatalog, Server, ServerConfig,
 };
-use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
 
@@ -98,75 +92,48 @@ fn main() {
     suite.set_meta("batch", &BATCH.to_string());
     suite.set_meta("depth", &DEPTH.to_string());
 
-    let mut runtimes = vec![("threaded", Runtime::Threaded)];
-    if cfg!(target_os = "linux") {
-        runtimes.push(("event", Runtime::EventLoop));
-    }
+    let server = Server::start(
+        Arc::clone(&catalog),
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 4,
+            // Deep enough that 512 pipelined connections never trip
+            // admission control: this bench measures throughput, not
+            // overload behavior.
+            queue_depth: 8192,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind an ephemeral loopback port");
+    let addr = server.local_addr();
 
-    let mut rps_by_cell: HashMap<String, f64> = HashMap::new();
-    for (rt_name, runtime) in runtimes {
-        let server = Server::start(
-            Arc::clone(&catalog),
-            "127.0.0.1:0",
-            ServerConfig {
-                runtime,
-                workers: 4,
-                // Deep enough that 512 pipelined connections never trip
-                // admission control: this bench measures throughput, not
-                // overload behavior.
-                queue_depth: 8192,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind an ephemeral loopback port");
-        let addr = server.local_addr();
-
-        for clients in CLIENTS {
-            let per_client = BATCH / clients;
-            // Connections are established once per cell and reused across
-            // samples and modes: the figure is request throughput, not
-            // connection setup.
-            let mut pool = connect_n(addr, clients);
-            for (mode, f) in [
-                ("seq", run_sequential as fn(&mut Client, usize)),
-                ("pipe8", run_pipelined as fn(&mut Client, usize)),
-            ] {
-                suite.measure(&format!("serve/{rt_name}/{mode}/clients{clients}"), || {
-                    std::thread::scope(|s| {
-                        for client in pool.iter_mut() {
-                            s.spawn(move || f(client, per_client));
-                        }
-                    })
-                });
-                let median = suite.records().last().expect("just measured").median;
-                let rps = BATCH as f64 / median.as_secs_f64();
-                let cell = format!("rps_{rt_name}_c{clients}_{mode}");
-                suite.set_meta(&cell, &format!("{rps:.0}"));
-                println!("{rt_name:>8} {mode:>5} c{clients:<4} {rps:>9.0} req/s");
-                rps_by_cell.insert(cell, rps);
-            }
-            drop(pool);
-        }
-        server.shutdown();
-    }
-
-    // Cross-runtime sanity, armed only with real parallelism available
-    // (the ROADMAP caveat: single-core relative numbers are noise): at 64
-    // connections the event loop must be in the same league as the
-    // threaded runtime — this guards against pathological regressions
-    // (e.g. an accidental busy-poll), not for a specific speedup.
-    if available_cores() > 1 {
-        if let (Some(event), Some(threaded)) = (
-            rps_by_cell.get("rps_event_c64_seq"),
-            rps_by_cell.get("rps_threaded_c64_seq"),
-        ) {
-            assert!(
-                event >= &(threaded * 0.25),
-                "event-loop throughput collapsed vs threaded at 64 clients: \
-                 {event:.0} vs {threaded:.0} req/s"
+    for clients in CLIENTS {
+        let per_client = BATCH / clients;
+        // Connections are established once per cell and reused across
+        // samples and modes: the figure is request throughput, not
+        // connection setup.
+        let mut pool = connect_n(addr, clients);
+        for (mode, f) in [
+            ("seq", run_sequential as fn(&mut Client, usize)),
+            ("pipe8", run_pipelined as fn(&mut Client, usize)),
+        ] {
+            suite.measure(&format!("serve/event/{mode}/clients{clients}"), || {
+                std::thread::scope(|s| {
+                    for client in pool.iter_mut() {
+                        s.spawn(move || f(client, per_client));
+                    }
+                })
+            });
+            let median = suite.records().last().expect("just measured").median;
+            let rps = BATCH as f64 / median.as_secs_f64();
+            suite.set_meta(
+                &format!("rps_event_c{clients}_{mode}"),
+                &format!("{rps:.0}"),
             );
+            println!("   event {mode:>5} c{clients:<4} {rps:>9.0} req/s");
         }
     }
+    server.shutdown();
 
     suite.finish();
 }

@@ -9,14 +9,12 @@
 #![warn(missing_docs)]
 
 pub mod dataset;
-pub mod discovery;
 pub mod errors;
 pub mod fd;
 pub mod metrics;
 pub mod systems;
 
 pub use dataset::{bus_cleaning_dataset, bus_schema, BUS_ARITY};
-pub use discovery::{discover_unit_fds, holds};
 pub use errors::{inject_errors, DirtyInstance, InjectedError};
 pub use fd::{violations, Fd, ViolationGroup};
 pub use metrics::{instance_f1, repair_f1, PrF1};

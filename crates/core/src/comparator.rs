@@ -1,11 +1,8 @@
 //! The [`Comparator`] facade: one validated handle for all comparisons.
 //!
-//! Earlier revisions exposed free functions taking `&SignatureConfig` /
-//! `&ExactConfig` plus a `_checked` twin for each one that re-validated the
-//! scoring parameters on every call. The facade collapses that
-//! triplication: configuration is assembled with a builder, validated
-//! **once** at [`ComparatorBuilder::build`], and the resulting
-//! [`Comparator`] exposes every algorithm as a method —
+//! Configuration is assembled with a builder, validated **once** at
+//! [`ComparatorBuilder::build`], and the resulting [`Comparator`] exposes
+//! every algorithm as a method —
 //!
 //! ```
 //! use ic_model::{Catalog, Instance, Schema};
@@ -35,13 +32,11 @@ use crate::delta::Delta;
 use crate::error::Error;
 use crate::exact::{exact_match, ExactConfig, ExactOutcome};
 use crate::mapping::MatchMode;
-use crate::priors::MatchPriors;
 use crate::score::ScoreConfig;
 use crate::signature::{
-    signature_match, signature_match_prioritized, InstanceSigMaps, SignatureConfig,
-    SignatureOutcome,
+    signature_match, signature_match_seeded, InstanceSigMaps, SignatureConfig, SignatureOutcome,
 };
-use crate::similarity::{compare_many_prioritized, compare_prioritized, Comparison};
+use crate::similarity::{compare_many, compare_seeded, Comparison};
 use ic_model::{Catalog, Instance};
 use std::time::Duration;
 
@@ -64,7 +59,6 @@ pub struct ComparatorBuilder<'c> {
     max_nodes: Option<u64>,
     no_warm_start: bool,
     threads: Option<usize>,
-    priors: Option<MatchPriors>,
     #[cfg(feature = "obs")]
     observer: Option<(String, Arc<dyn ic_obs::Sink>)>,
 }
@@ -95,7 +89,6 @@ impl<'c> ComparatorBuilder<'c> {
             max_nodes: None,
             no_warm_start: false,
             threads: None,
-            priors: None,
             #[cfg(feature = "obs")]
             observer: None,
         }
@@ -169,24 +162,6 @@ impl<'c> ComparatorBuilder<'c> {
         self
     }
 
-    /// Installs discovered approximate keys as match priors: the signature
-    /// algorithm's greedy completion prefers candidates that agree with the
-    /// probe tuple on a discovered key (see [`MatchPriors`]). Priors only
-    /// reorder candidates; the similarity **score is guaranteed
-    /// bit-identical** to a prior-free run (enforced by a baseline guard in
-    /// [`signature_match_prioritized`]). Only the signature-based methods
-    /// ([`compare`](Comparator::compare), [`signature`](Comparator::signature),
-    /// their seeded, strict and batch variants) consult priors; the exact
-    /// search, [`both`](Comparator::both) and the delta/cache path ignore
-    /// them.
-    ///
-    /// An empty prior set is inert — the code path is byte-identical to not
-    /// calling this at all.
-    pub fn match_priors(mut self, priors: MatchPriors) -> Self {
-        self.priors = Some(priors);
-        self
-    }
-
     /// Installs an observer: every comparison method runs inside an
     /// `ic-obs` observation labeled `label`, and the finished report (span
     /// tree + metrics) is emitted to `sink`.
@@ -221,7 +196,6 @@ impl<'c> ComparatorBuilder<'c> {
                 no_warm_start: self.no_warm_start,
             },
             threads: self.threads,
-            priors: self.priors.filter(|p| !p.is_empty()),
             #[cfg(feature = "obs")]
             observer: self.observer,
         })
@@ -236,7 +210,6 @@ pub struct Comparator<'c> {
     sig_cfg: SignatureConfig,
     exact_cfg: ExactConfig,
     threads: Option<usize>,
-    priors: Option<MatchPriors>,
     #[cfg(feature = "obs")]
     observer: Option<(String, Arc<dyn ic_obs::Sink>)>,
 }
@@ -275,12 +248,6 @@ impl<'c> Comparator<'c> {
         self.catalog
     }
 
-    /// The match priors installed at build time, if any (empty prior sets
-    /// are dropped by [`ComparatorBuilder::build`]).
-    pub fn match_priors(&self) -> Option<&MatchPriors> {
-        self.priors.as_ref()
-    }
-
     /// Rejects instances that were not built for this comparator's catalog
     /// (their relation ids would be interpreted against the wrong schema).
     pub(crate) fn check_instance(&self, inst: &Instance) -> Result<(), Error> {
@@ -312,19 +279,7 @@ impl<'c> Comparator<'c> {
     /// Compares two instances with the signature algorithm and derives the
     /// cell-level diff — the common "what changed and how much?" query.
     pub fn compare(&self, left: &Instance, right: &Instance) -> Result<Comparison, Error> {
-        self.check_instance(left)?;
-        self.check_instance(right)?;
-        Ok(self.run(|| {
-            compare_prioritized(
-                left,
-                right,
-                self.catalog,
-                &self.sig_cfg,
-                None,
-                None,
-                self.priors.as_ref(),
-            )
-        }))
+        self.compare_with_maps(left, right, None, None)
     }
 
     /// Batch variant of [`compare`](Self::compare): scores many pairs
@@ -335,27 +290,13 @@ impl<'c> Comparator<'c> {
             self.check_instance(l)?;
             self.check_instance(r)?;
         }
-        Ok(self.run(|| {
-            compare_many_prioritized(pairs, self.catalog, &self.sig_cfg, self.priors.as_ref())
-        }))
+        Ok(self.run(|| compare_many(pairs, self.catalog, &self.sig_cfg)))
     }
 
     /// Runs the PTIME signature algorithm, returning the full outcome
     /// (match, step attribution, timing, budget flag).
     pub fn signature(&self, left: &Instance, right: &Instance) -> Result<SignatureOutcome, Error> {
-        self.check_instance(left)?;
-        self.check_instance(right)?;
-        Ok(self.run(|| {
-            signature_match_prioritized(
-                left,
-                right,
-                self.catalog,
-                &self.sig_cfg,
-                None,
-                None,
-                self.priors.as_ref(),
-            )
-        }))
+        self.signature_with_maps(left, right, None, None)
     }
 
     /// Builds the reusable per-relation signature maps of `inst` under this
@@ -381,14 +322,13 @@ impl<'c> Comparator<'c> {
         self.check_instance(left)?;
         self.check_instance(right)?;
         Ok(self.run(|| {
-            signature_match_prioritized(
+            signature_match_seeded(
                 left,
                 right,
                 self.catalog,
                 &self.sig_cfg,
                 left_maps,
                 right_maps,
-                self.priors.as_ref(),
             )
         }))
     }
@@ -406,14 +346,13 @@ impl<'c> Comparator<'c> {
         self.check_instance(left)?;
         self.check_instance(right)?;
         Ok(self.run(|| {
-            compare_prioritized(
+            compare_seeded(
                 left,
                 right,
                 self.catalog,
                 &self.sig_cfg,
                 left_maps,
                 right_maps,
-                self.priors.as_ref(),
             )
         }))
     }
@@ -501,7 +440,7 @@ mod tests {
     use super::*;
     use crate::score::ConfigError;
     use crate::similarity::compare;
-    use ic_model::{AttrId, RelId, Schema};
+    use ic_model::{RelId, Schema};
 
     fn small_pair(cat: &mut Catalog) -> (Instance, Instance) {
         let rel = RelId(0);
@@ -607,42 +546,6 @@ mod tests {
         let b = par.compare(&l, &r).unwrap();
         assert_eq!(a.score().to_bits(), b.score().to_bits());
         assert_eq!(a.outcome.best.pairs, b.outcome.best.pairs);
-    }
-
-    #[test]
-    fn match_priors_leave_scores_bit_identical() {
-        let mut cat = Catalog::new(Schema::single("R", &["A", "B"]));
-        let rel = RelId(0);
-        let mut l = Instance::new("I", &cat);
-        let mut r = Instance::new("J", &cat);
-        for i in 0..12 {
-            let k = cat.konst(&format!("k{i}"));
-            let v = cat.konst(&format!("v{}", i % 3));
-            l.insert(rel, vec![k, v]);
-            let v2 = if i % 4 == 0 { cat.fresh_null() } else { v };
-            r.insert(rel, vec![k, v2]);
-        }
-        let plain = Comparator::new(&cat).build().unwrap();
-        let mut priors = MatchPriors::new();
-        priors.add_key(rel, &[AttrId(0)]);
-        let hinted = Comparator::new(&cat).match_priors(priors).build().unwrap();
-        assert!(hinted.match_priors().is_some());
-        let a = plain.compare(&l, &r).unwrap();
-        let b = hinted.compare(&l, &r).unwrap();
-        assert_eq!(
-            a.score().to_bits(),
-            b.score().to_bits(),
-            "priors must never change the similarity score"
-        );
-        let sa = plain.signature(&l, &r).unwrap();
-        let sb = hinted.signature(&l, &r).unwrap();
-        assert_eq!(sa.best.score().to_bits(), sb.best.score().to_bits());
-        // Empty prior sets are dropped at build.
-        let inert = Comparator::new(&cat)
-            .match_priors(MatchPriors::new())
-            .build()
-            .unwrap();
-        assert!(inert.match_priors().is_none());
     }
 
     #[cfg(feature = "obs")]

@@ -222,6 +222,8 @@ impl<'a, 'c> Search<'a, 'c> {
     }
 }
 
+/// Runs the exact algorithm on two instances sharing `catalog`'s schema.
+///
 /// # Example
 ///
 /// ```
@@ -242,27 +244,6 @@ impl<'a, 'c> Search<'a, 'c> {
 /// assert!(out.optimal);
 /// assert!((out.best.score() - 1.0).abs() < 1e-12); // isomorphic
 /// ```
-/// Runs the exact algorithm on two instances sharing `catalog`'s schema.
-///
-/// Like [`exact_match`], but validates `cfg.score` first: a NaN or
-/// out-of-range λ (or a degenerate string-similarity weight) is rejected
-/// with [`crate::Error::Config`] instead of producing meaningless scores.
-#[doc(hidden)]
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Comparator::new(catalog).build()?.exact(..)`, which validates once at build"
-)]
-pub fn exact_match_checked(
-    left: &Instance,
-    right: &Instance,
-    catalog: &Catalog,
-    cfg: &ExactConfig,
-) -> Result<ExactOutcome, crate::Error> {
-    cfg.score.validate().map_err(crate::Error::Config)?;
-    Ok(exact_match(left, right, catalog, cfg))
-}
-
-/// Runs the exact algorithm on two instances sharing `catalog`'s schema.
 pub fn exact_match(
     left: &Instance,
     right: &Instance,
@@ -416,49 +397,7 @@ pub fn exact_match(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::score::ConfigError;
     use ic_model::{Schema, Value};
-
-    #[test]
-    #[allow(deprecated)]
-    fn nan_lambda_is_rejected_at_entry_not_mid_search() {
-        // Regression: a caller-supplied NaN λ used to reach the candidate
-        // ordering's `partial_cmp(..).expect("finite")` and panic there.
-        let mut cat = Catalog::new(Schema::single("R", &["A", "B"]));
-        let rel = RelId(0);
-        let a = cat.konst("a");
-        let (n, m) = (cat.fresh_null(), cat.fresh_null());
-        let mut l = Instance::new("I", &cat);
-        l.insert(rel, vec![a, n]);
-        let mut r = Instance::new("J", &cat);
-        r.insert(rel, vec![a, m]);
-        let cfg = ExactConfig {
-            score: ScoreConfig {
-                lambda: f64::NAN,
-                string_sim_weight: None,
-            },
-            ..Default::default()
-        };
-        let err = exact_match_checked(&l, &r, &cat, &cfg).unwrap_err();
-        assert!(matches!(
-            err,
-            crate::Error::Config(ConfigError::NonFiniteLambda(_))
-        ));
-        // Degenerate but finite λ values are rejected too.
-        for bad in [-0.5, 1.0, 2.0, f64::INFINITY] {
-            let cfg = ExactConfig {
-                score: ScoreConfig {
-                    lambda: bad,
-                    string_sim_weight: None,
-                },
-                ..Default::default()
-            };
-            assert!(exact_match_checked(&l, &r, &cat, &cfg).is_err(), "{bad}");
-        }
-        // And a valid config passes through unchanged.
-        let ok = exact_match_checked(&l, &r, &cat, &ExactConfig::default()).unwrap();
-        assert!(ok.optimal);
-    }
 
     #[test]
     fn bijective_mode_finds_total_match_on_isomorphic_instances() {

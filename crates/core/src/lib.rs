@@ -47,7 +47,6 @@ pub mod ground;
 pub mod hom;
 pub mod mapping;
 pub mod obs;
-pub mod priors;
 pub mod refine;
 pub mod score;
 pub mod signature;
@@ -62,8 +61,6 @@ pub use comparator::{Comparator, ComparatorBuilder};
 pub use compat::{c_compatible, compatible_tuples, pair_compatible, CandidateIndex};
 pub use delta::{apply_delta_repairing, Delta, DeltaError, DeltaOp};
 pub use error::Error;
-#[allow(deprecated)]
-pub use exact::exact_match_checked;
 pub use exact::{exact_match, ExactConfig, ExactOutcome};
 pub use explain::{
     explain, render_diff, render_value_mapping, CellChange, InstanceDiff, PairExplanation,
@@ -73,21 +70,15 @@ pub use hom::{
     find_homomorphism, homomorphically_equivalent, is_homomorphic, isomorphic, Homomorphism,
 };
 pub use mapping::{InstanceMatch, Mapped, MatchMode, Pair, ScoreDetails, ValueMapping};
-pub use priors::MatchPriors;
 pub use refine::{refine_match, RefineConfig};
 pub use score::{score_state, ConfigError, ScoreConfig};
-#[allow(deprecated)]
-pub use signature::signature_match_checked;
 pub use signature::{
-    signature_match, signature_match_prioritized, signature_match_seeded, InstanceSigMaps,
-    SignatureConfig, SignatureOutcome, SignatureStats,
+    signature_match, signature_match_seeded, InstanceSigMaps, SignatureConfig, SignatureOutcome,
+    SignatureStats,
 };
-#[allow(deprecated)]
-pub use similarity::compare_many_checked;
 pub use similarity::{
-    compare, compare_both, compare_many, compare_many_prioritized, compare_prioritized,
-    compare_seeded, similarity_exact, similarity_signature, symmetric_difference_similarity,
-    Comparison,
+    compare, compare_both, compare_many, compare_seeded, similarity_exact, similarity_signature,
+    symmetric_difference_similarity, Comparison,
 };
 pub use state::MatchState;
 pub use universe::{Side, Universe};

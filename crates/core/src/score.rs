@@ -57,10 +57,8 @@ impl ScoreConfig {
 
     /// Checks that the configuration is usable: λ must be finite and in
     /// `[0, 1)` (Def. 5.5), and the optional string-similarity weight must
-    /// be finite and non-negative. The checked algorithm entry points
-    /// ([`crate::exact::exact_match_checked`],
-    /// [`crate::signature::signature_match_checked`]) call this instead of
-    /// panicking mid-search on a NaN score.
+    /// be finite and non-negative. [`crate::ComparatorBuilder::build`]
+    /// calls this once, so no algorithm panics mid-search on a NaN score.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.lambda.is_nan() || self.lambda.is_infinite() {
             return Err(ConfigError::NonFiniteLambda(self.lambda));

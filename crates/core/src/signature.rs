@@ -24,7 +24,6 @@
 
 use crate::compat::CandidateIndex;
 use crate::mapping::{InstanceMatch, MatchMode, Pair};
-use crate::priors::MatchPriors;
 use crate::score::{optimistic_pair_score, score_state, ScoreConfig};
 use crate::state::MatchState;
 use crate::universe::Side;
@@ -507,9 +506,6 @@ struct Run<'b> {
     /// Wall-clock cutoff derived from [`SignatureConfig::budget`].
     deadline: Option<Instant>,
     timed_out: bool,
-    /// Approximate-key agreement hint refining the completion tie-break
-    /// (see [`MatchPriors`]); `None` keeps the baseline ordering.
-    priors: Option<&'b MatchPriors>,
 }
 
 impl Run<'_> {
@@ -723,7 +719,6 @@ impl Run<'_> {
         // completions must honor the deadline mid-fan-out too.
         let deadline = self.deadline;
         let expired = AtomicBool::new(false);
-        let priors = self.priors;
         let plans: Vec<(TupleId, Vec<TupleId>)> =
             ic_pool::par_map_min_chunk(left_tuples, PAR_CANDIDATES_MIN_TUPLES, |t| {
                 if deadline.is_some() {
@@ -743,42 +738,15 @@ impl Run<'_> {
                 } else {
                     index.compatible_candidates(right, t)
                 };
-                // With priors, approximate-key agreement is a tie-break
-                // *below* the optimistic score: a prior can reorder equal-
-                // score candidates but never outrank a better one.
-                let ordered: Vec<TupleId> = match priors {
-                    None => {
-                        let mut ranked: Vec<(TupleId, f64)> = candidates
-                            .into_iter()
-                            .map(|rt| {
-                                let cand = right.tuple(rt).expect("candidate tuple exists");
-                                (rt, optimistic_pair_score(t, cand, lambda))
-                            })
-                            .collect();
-                        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0 .0.cmp(&b.0 .0)));
-                        ranked.into_iter().map(|(rt, _)| rt).collect()
-                    }
-                    Some(p) => {
-                        let mut ranked: Vec<(TupleId, f64, bool)> = candidates
-                            .into_iter()
-                            .map(|rt| {
-                                let cand = right.tuple(rt).expect("candidate tuple exists");
-                                (
-                                    rt,
-                                    optimistic_pair_score(t, cand, lambda),
-                                    p.agrees(rel, t, cand),
-                                )
-                            })
-                            .collect();
-                        ranked.sort_by(|a, b| {
-                            b.1.total_cmp(&a.1)
-                                .then(b.2.cmp(&a.2))
-                                .then(a.0 .0.cmp(&b.0 .0))
-                        });
-                        ranked.into_iter().map(|(rt, _, _)| rt).collect()
-                    }
-                };
-                (t.id(), ordered)
+                let mut ranked: Vec<(TupleId, f64)> = candidates
+                    .into_iter()
+                    .map(|rt| {
+                        let cand = right.tuple(rt).expect("candidate tuple exists");
+                        (rt, optimistic_pair_score(t, cand, lambda))
+                    })
+                    .collect();
+                ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0 .0.cmp(&b.0 .0)));
+                (t.id(), ranked.into_iter().map(|(rt, _)| rt).collect())
             });
         self.timed_out |= expired.load(Ordering::Relaxed);
         if crate::obs::active() {
@@ -853,73 +821,6 @@ pub fn signature_match_seeded(
     left_maps: Option<&InstanceSigMaps>,
     right_maps: Option<&InstanceSigMaps>,
 ) -> SignatureOutcome {
-    run_signature(left, right, catalog, cfg, left_maps, right_maps, None)
-}
-
-/// Like [`signature_match_seeded`], but additionally consumes a
-/// [`MatchPriors`] hint: discovered approximate keys refine the greedy
-/// completion's candidate ordering (agreement on a key breaks optimistic-
-/// score ties ahead of the tuple-id order).
-///
-/// **Score contract**: priors reorder candidates — they never add or drop
-/// any — and the returned match's score is always bit-identical to the
-/// prior-free run. The implementation guards this by construction: it runs
-/// the baseline and the prioritized completion and returns the prioritized
-/// result only when the final scores agree bitwise (observable as the
-/// `sig.priors.applied` / `sig.priors.fallback` counters); the internal
-/// pair order may differ within score ties. With `None` or empty priors
-/// this is byte-identical (single run) to [`signature_match_seeded`].
-///
-/// Note the guard means a run with active priors costs up to twice the
-/// matching work; under a [`SignatureConfig::budget`] each of the two runs
-/// gets the full budget, and the baseline is returned whenever either run
-/// times out.
-pub fn signature_match_prioritized(
-    left: &Instance,
-    right: &Instance,
-    catalog: &Catalog,
-    cfg: &SignatureConfig,
-    left_maps: Option<&InstanceSigMaps>,
-    right_maps: Option<&InstanceSigMaps>,
-    priors: Option<&MatchPriors>,
-) -> SignatureOutcome {
-    let Some(priors) = priors.filter(|p| !p.is_empty()) else {
-        return signature_match_seeded(left, right, catalog, cfg, left_maps, right_maps);
-    };
-    let baseline = run_signature(left, right, catalog, cfg, left_maps, right_maps, None);
-    let prioritized = run_signature(
-        left,
-        right,
-        catalog,
-        cfg,
-        left_maps,
-        right_maps,
-        Some(priors),
-    );
-    if !baseline.timed_out
-        && !prioritized.timed_out
-        && prioritized.best.score().to_bits() == baseline.best.score().to_bits()
-    {
-        crate::obs::counter("sig.priors.applied", 1);
-        prioritized
-    } else {
-        crate::obs::counter("sig.priors.fallback", 1);
-        baseline
-    }
-}
-
-/// The shared body of the `signature_match*` entry points: one full
-/// signature run, optionally seeded and optionally prior-ordered.
-#[allow(clippy::too_many_arguments)]
-fn run_signature(
-    left: &Instance,
-    right: &Instance,
-    catalog: &Catalog,
-    cfg: &SignatureConfig,
-    left_maps: Option<&InstanceSigMaps>,
-    right_maps: Option<&InstanceSigMaps>,
-    priors: Option<&MatchPriors>,
-) -> SignatureOutcome {
     for maps in [left_maps, right_maps].into_iter().flatten() {
         assert!(
             maps.compatible_with(cfg),
@@ -936,7 +837,6 @@ fn run_signature(
         seen: FxHashSet::default(),
         deadline: cfg.budget.map(|b| start + b),
         timed_out: false,
-        priors,
     };
 
     let mut sig_matches = 0usize;
@@ -975,28 +875,9 @@ fn run_signature(
     }
 }
 
-/// Like [`signature_match`] but validates the scoring configuration up
-/// front, returning [`crate::Error::Config`] instead of risking a
-/// degenerate run on NaN or out-of-range parameters.
-#[doc(hidden)]
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Comparator::new(catalog).build()?.signature(..)`, which validates once at build"
-)]
-pub fn signature_match_checked(
-    left: &Instance,
-    right: &Instance,
-    catalog: &Catalog,
-    cfg: &SignatureConfig,
-) -> Result<SignatureOutcome, crate::Error> {
-    cfg.score.validate().map_err(crate::Error::Config)?;
-    Ok(signature_match(left, right, catalog, cfg))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::score::ConfigError;
     use ic_model::Schema;
 
     const EPS: f64 = 1e-9;
@@ -1268,29 +1149,6 @@ mod tests {
         assert_eq!(out.best.pairs.len(), 0);
         // The partial result is still scored and internally consistent.
         assert!(out.best.score() >= 0.0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn checked_variant_rejects_nan_lambda() {
-        let mut cat = Catalog::new(Schema::single("R", &["A"]));
-        let rel = RelId(0);
-        let a = cat.konst("a");
-        let mut l = Instance::new("I", &cat);
-        l.insert(rel, vec![a]);
-        let r = l.clone();
-        let cfg = SignatureConfig {
-            score: ScoreConfig {
-                lambda: f64::NAN,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        assert!(matches!(
-            signature_match_checked(&l, &r, &cat, &cfg),
-            Err(crate::Error::Config(ConfigError::NonFiniteLambda(_)))
-        ));
-        assert!(signature_match_checked(&l, &r, &cat, &SignatureConfig::default()).is_ok());
     }
 }
 

@@ -6,10 +6,8 @@
 
 use crate::exact::{exact_match, ExactConfig, ExactOutcome};
 use crate::explain::{explain, InstanceDiff};
-use crate::priors::MatchPriors;
 use crate::signature::{
-    signature_match, signature_match_prioritized, signature_match_seeded, InstanceSigMaps,
-    SignatureConfig, SignatureOutcome,
+    signature_match, signature_match_seeded, InstanceSigMaps, SignatureConfig, SignatureOutcome,
 };
 use ic_model::{Catalog, Instance, Value};
 
@@ -67,31 +65,6 @@ pub fn compare_seeded(
     Comparison { outcome, diff }
 }
 
-/// [`compare_seeded`] with an optional [`MatchPriors`] hint: discovered
-/// approximate keys refine the signature completion's candidate ordering
-/// via [`signature_match_prioritized`]. The score contract holds — the
-/// returned score is bit-identical to [`compare`] — and with `None` or
-/// empty priors the call is byte-identical (single run) to
-/// [`compare_seeded`].
-pub fn compare_prioritized(
-    left: &Instance,
-    right: &Instance,
-    catalog: &Catalog,
-    cfg: &SignatureConfig,
-    left_maps: Option<&InstanceSigMaps>,
-    right_maps: Option<&InstanceSigMaps>,
-    priors: Option<&MatchPriors>,
-) -> Comparison {
-    let _span = crate::obs::span("compare");
-    let outcome =
-        signature_match_prioritized(left, right, catalog, cfg, left_maps, right_maps, priors);
-    let diff = {
-        let _span = crate::obs::span("compare.explain");
-        explain(&outcome.best, left, right)
-    };
-    Comparison { outcome, diff }
-}
-
 /// Batch variant of [`compare`]: scores many instance pairs concurrently on
 /// the [`ic_pool`] workers, one comparison per pair, preserving input order.
 ///
@@ -115,43 +88,6 @@ pub fn compare_many(
         let _span = crate::obs::span("compare.pair");
         compare(left, right, catalog, cfg)
     })
-}
-
-/// [`compare_many`] with an optional [`MatchPriors`] hint applied to every
-/// pair (see [`compare_prioritized`]). With `None` or empty priors this is
-/// byte-identical to [`compare_many`]; scores are always bit-identical to
-/// it either way.
-pub fn compare_many_prioritized(
-    pairs: &[(&Instance, &Instance)],
-    catalog: &Catalog,
-    cfg: &SignatureConfig,
-    priors: Option<&MatchPriors>,
-) -> Vec<Comparison> {
-    let Some(priors) = priors.filter(|p| !p.is_empty()) else {
-        return compare_many(pairs, catalog, cfg);
-    };
-    let _span = crate::obs::span("compare_many");
-    crate::obs::counter("compare_many.pairs", pairs.len() as u64);
-    ic_pool::par_map(pairs, |&(left, right)| {
-        let _span = crate::obs::span("compare.pair");
-        compare_prioritized(left, right, catalog, cfg, None, None, Some(priors))
-    })
-}
-
-/// Like [`compare_many`] but validates the scoring configuration once up
-/// front instead of risking a degenerate run on every pair.
-#[doc(hidden)]
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Comparator::new(catalog).build()?.compare_many(..)`, which validates once at build"
-)]
-pub fn compare_many_checked(
-    pairs: &[(&Instance, &Instance)],
-    catalog: &Catalog,
-    cfg: &SignatureConfig,
-) -> Result<Vec<Comparison>, crate::Error> {
-    cfg.score.validate().map_err(crate::Error::Config)?;
-    Ok(compare_many(pairs, catalog, cfg))
 }
 
 /// Computes the similarity of two instances with the exact algorithm under
@@ -364,21 +300,6 @@ mod tests {
         }
         // Empty input short-circuits.
         assert!(compare_many(&[], &cat, &cfg).is_empty());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn compare_many_checked_rejects_bad_lambda() {
-        let cat = Catalog::new(Schema::single("R", &["A"]));
-        let cfg = SignatureConfig {
-            score: crate::score::ScoreConfig {
-                lambda: -1.0,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        assert!(compare_many_checked(&[], &cat, &cfg).is_err());
-        assert!(compare_many_checked(&[], &cat, &SignatureConfig::default()).is_ok());
     }
 
     #[test]

@@ -4,13 +4,9 @@
 //! configurations must be rejected at the API boundary instead of
 //! panicking mid-search.
 
-// The `_checked` wrappers are deprecated in favor of `Comparator`, but this
-// suite deliberately pins their behavior until they are removed.
-#![allow(deprecated)]
-
 use ic_core::{
-    compare_many, compare_many_checked, exact_match_checked, score_state, signature_match,
-    signature_match_checked, ExactConfig, MatchState, ScoreConfig, SignatureConfig,
+    compare_many, score_state, signature_match, Comparator, MatchState, ScoreConfig,
+    SignatureConfig,
 };
 use ic_model::{Catalog, Instance, RelId, Schema, Value};
 use ic_testkit::{Gen, Runner};
@@ -185,7 +181,7 @@ fn compare_many_invariant_across_thread_counts() {
 }
 
 /// (c) NaN and out-of-range scoring configurations are rejected with an
-/// `Err` by every checked entry point — no panic, no degenerate search.
+/// `Err` when the `Comparator` is built — no panic, no degenerate search.
 #[test]
 fn degenerate_configs_return_err() {
     let mut cat = Catalog::new(Schema::single("R", &["A"]));
@@ -204,19 +200,14 @@ fn degenerate_configs_return_err() {
             score.validate().is_err(),
             "lambda={lambda} must be rejected"
         );
-        let ecfg = ExactConfig {
-            score,
-            ..Default::default()
-        };
-        assert!(exact_match_checked(&left, &right, &cat, &ecfg).is_err());
-        let scfg = SignatureConfig {
-            score,
-            ..Default::default()
-        };
-        assert!(signature_match_checked(&left, &right, &cat, &scfg).is_err());
-        assert!(compare_many_checked(&[(&left, &right)], &cat, &scfg).is_err());
+        assert!(
+            Comparator::new(&cat).lambda(lambda).build().is_err(),
+            "lambda={lambda} must be rejected at build"
+        );
     }
-    // The default config passes every checked entry point.
-    assert!(exact_match_checked(&left, &right, &cat, &ExactConfig::default()).is_ok());
-    assert!(signature_match_checked(&left, &right, &cat, &SignatureConfig::default()).is_ok());
+    // The default config builds, and every algorithm runs through it.
+    let cmp = Comparator::new(&cat).build().unwrap();
+    assert!(cmp.exact(&left, &right).unwrap().optimal);
+    assert!(!cmp.signature(&left, &right).unwrap().timed_out);
+    assert_eq!(cmp.compare_many(&[(&left, &right)]).unwrap().len(), 1);
 }

@@ -21,8 +21,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum WorldGate {
     /// Gate on `g3_min`: report constraints that hold approximately in
-    /// *some* world (the optimistic reading — the default, matching how
-    /// priors are consumed: a key that possibly holds is a useful hint).
+    /// *some* world (the optimistic reading — the default).
     #[default]
     Possible,
     /// Gate on `g3_max`: report constraints that hold approximately in
@@ -40,9 +39,10 @@ pub struct DiscoveryConfig {
     /// ≥ 1; the lattice has `Σ_{ℓ≤max_lhs} C(arity, ℓ)` candidates per
     /// relation, so keep this small (2–3) on wide relations.
     pub max_lhs: usize,
-    /// Support floor: an FD needs one LHS group of at least this many
-    /// tuples (mirroring `ic-cleaning`'s `discover_unit_fds`); a key needs
-    /// at least this many tuples that are null-free on the key attributes.
+    /// Support floor: an FD needs one all-constant LHS group of at least
+    /// this many tuples (so keys do not trivially determine everything); a
+    /// key needs at least this many tuples that are null-free on the key
+    /// attributes.
     pub min_support: usize,
     /// Which world bound gates candidates against [`Self::epsilon`].
     pub gate: WorldGate,
@@ -158,11 +158,18 @@ impl Deadline {
     }
 }
 
-/// One lattice node: an attribute set, its bitmask, and its partition.
+/// One lattice node: an ascending attribute set and its partition.
 struct Node {
-    attrs: Vec<u16>,
-    mask: u128,
+    attrs: Vec<AttrId>,
     partition: StrippedPartition,
+}
+
+/// Whether the ascending list `sub` is a subset of the ascending list
+/// `set`. Attribute sets are compared as sorted lists rather than bitmasks,
+/// so relations of any arity are handled exactly.
+fn is_subset(sub: &[AttrId], set: &[AttrId]) -> bool {
+    let mut rest = set.iter();
+    sub.iter().all(|a| rest.any(|b| b == a))
 }
 
 /// Generates the next lattice level: each node extended by every attribute
@@ -170,11 +177,11 @@ struct Node {
 /// parent partition. Returns `None` when the deadline expired mid-level.
 fn next_level(level: &[Node], cols: &ColumnCodes, deadline: &Deadline) -> Option<Vec<Node>> {
     let arity = cols.arity();
-    let mut tasks: Vec<(usize, u16)> = Vec::new();
+    let mut tasks: Vec<(usize, AttrId)> = Vec::new();
     for (i, node) in level.iter().enumerate() {
-        let last = *node.attrs.last().expect("nodes are nonempty") as usize;
-        for a in last + 1..arity {
-            tasks.push((i, a as u16));
+        let last = node.attrs.last().expect("nodes are nonempty").0;
+        for a in last + 1..arity as u16 {
+            tasks.push((i, AttrId(a)));
         }
     }
     let nodes = ic_pool::par_map(&tasks, |&(i, a)| {
@@ -185,8 +192,7 @@ fn next_level(level: &[Node], cols: &ColumnCodes, deadline: &Deadline) -> Option
         let mut attrs = parent.attrs.clone();
         attrs.push(a);
         Some(Node {
-            mask: parent.mask | (1u128 << a),
-            partition: parent.partition.refine(cols, a as usize),
+            partition: parent.partition.refine(cols, a.0 as usize),
             attrs,
         })
     });
@@ -194,22 +200,17 @@ fn next_level(level: &[Node], cols: &ColumnCodes, deadline: &Deadline) -> Option
 }
 
 fn first_level(cols: &ColumnCodes, deadline: &Deadline) -> Option<Vec<Node>> {
-    let attrs: Vec<u16> = (0..cols.arity() as u16).collect();
+    let attrs: Vec<AttrId> = (0..cols.arity() as u16).map(AttrId).collect();
     let nodes = ic_pool::par_map(&attrs, |&a| {
         if deadline.expired() {
             return None;
         }
         Some(Node {
             attrs: vec![a],
-            mask: 1u128 << a,
-            partition: StrippedPartition::single(cols, a as usize),
+            partition: StrippedPartition::single(cols, a.0 as usize),
         })
     });
     nodes.into_iter().collect()
-}
-
-fn attr_ids(attrs: &[u16]) -> Vec<AttrId> {
-    attrs.iter().map(|&a| AttrId(a)).collect()
 }
 
 /// Discovers approximate FDs with `|lhs| ≤ cfg.max_lhs` on every relation
@@ -227,7 +228,7 @@ pub fn discover_fds(
     cfg.validate()?;
     let _span = ic_obs::span("discovery.fds");
     let deadline = Deadline::new(cfg.budget);
-    let mut out = Vec::new();
+    let mut out: Vec<DiscoveredFd> = Vec::new();
     for rel_idx in 0..catalog.schema().len() {
         let rel = RelId(rel_idx as u16);
         let arity = catalog.schema().relation(rel).arity();
@@ -236,9 +237,9 @@ pub fn discover_fds(
         }
         let cols = ColumnCodes::build(instance, rel, arity);
         let n = cols.n();
-        // (mask, rhs) of every FD found so far in this relation, for
-        // minimality pruning of higher levels.
-        let mut found: Vec<(u128, u16)> = Vec::new();
+        // FDs of this relation found so far, for minimality pruning of
+        // higher levels.
+        let found_from = out.len();
         let mut level = match first_level(&cols, &deadline) {
             Some(l) => l,
             None => return Err(deadline.budget_error()),
@@ -252,11 +253,11 @@ pub fn discover_fds(
                 }
                 let support = node.partition.max_class_size();
                 let mut per_rhs = Vec::new();
-                for rhs in 0..arity as u16 {
-                    if node.mask & (1u128 << rhs) != 0 {
+                for rhs in (0..arity as u16).map(AttrId) {
+                    if node.attrs.contains(&rhs) {
                         continue;
                     }
-                    let g3 = fd_removals(&node.partition, &cols, rhs as usize).to_g3(n);
+                    let g3 = fd_removals(&node.partition, &cols, rhs.0 as usize).to_g3(n);
                     per_rhs.push((rhs, g3));
                 }
                 Some((support, per_rhs))
@@ -267,13 +268,14 @@ pub fn discover_fds(
                     return Err(deadline.budget_error());
                 };
                 for (rhs, g3) in per_rhs {
-                    let minimal = !found.iter().any(|&(m, r)| r == rhs && m & node.mask == m);
+                    let minimal = !out[found_from..]
+                        .iter()
+                        .any(|fd| fd.rhs == rhs && is_subset(&fd.lhs, &node.attrs));
                     if minimal && cfg.gate_value(g3) <= cfg.epsilon && support >= cfg.min_support {
-                        found.push((node.mask, rhs));
                         out.push(DiscoveredFd {
                             rel,
-                            lhs: attr_ids(&node.attrs),
-                            rhs: AttrId(rhs),
+                            lhs: node.attrs.clone(),
+                            rhs,
                             g3,
                             support,
                         });
@@ -309,7 +311,7 @@ pub fn discover_keys(
     cfg.validate()?;
     let _span = ic_obs::span("discovery.keys");
     let deadline = Deadline::new(cfg.budget);
-    let mut out = Vec::new();
+    let mut out: Vec<DiscoveredKey> = Vec::new();
     for rel_idx in 0..catalog.schema().len() {
         let rel = RelId(rel_idx as u16);
         let arity = catalog.schema().relation(rel).arity();
@@ -318,7 +320,7 @@ pub fn discover_keys(
         }
         let cols = ColumnCodes::build(instance, rel, arity);
         let n = cols.n();
-        let mut found: Vec<u128> = Vec::new();
+        let found_from = out.len();
         let mut level = match first_level(&cols, &deadline) {
             Some(l) => l,
             None => return Err(deadline.budget_error()),
@@ -338,12 +340,13 @@ pub fn discover_keys(
                 let Some((covered, g3)) = eval else {
                     return Err(deadline.budget_error());
                 };
-                let minimal = !found.iter().any(|&m| m & node.mask == m);
+                let minimal = !out[found_from..]
+                    .iter()
+                    .any(|key| is_subset(&key.attrs, &node.attrs));
                 if minimal && cfg.gate_value(g3) <= cfg.epsilon && covered >= cfg.min_support {
-                    found.push(node.mask);
                     out.push(DiscoveredKey {
                         rel,
-                        attrs: attr_ids(&node.attrs),
+                        attrs: node.attrs.clone(),
                         g3,
                         covered,
                     });
@@ -480,6 +483,60 @@ mod tests {
             discover_keys(&inst, &cat, &starved),
             Err(Error::Budget { .. })
         ));
+    }
+
+    #[test]
+    fn attributes_beyond_128_are_discovered_exactly() {
+        // 130 attributes, 4 rows. A0 and A128 are keys; A1 ↔ A129 is an
+        // FD pair; {A1, A2} and {A2, A129} are composite keys; every other
+        // attribute is one constant. Ids ≥ 128 do not fit a u128 bitmask.
+        let names: Vec<String> = (0..130).map(|i| format!("A{i}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let mut cat = Catalog::new(Schema::single("W", &names));
+        let rel = RelId(0);
+        let mut inst = Instance::new("I", &cat);
+        for r in 0..4 {
+            let row: Vec<_> = (0..130)
+                .map(|i| match i {
+                    0 => cat.konst(&format!("id{r}")),
+                    1 => cat.konst(&format!("g{}", r % 2)),
+                    2 => cat.konst(&format!("p{}", r / 2)),
+                    128 => cat.konst(&format!("k{r}")),
+                    129 => cat.konst(&format!("h{}", r % 2)),
+                    _ => cat.konst("c"),
+                })
+                .collect();
+            inst.insert(rel, row);
+        }
+        let cfg = |max_lhs| DiscoveryConfig {
+            epsilon: 0.0,
+            max_lhs,
+            ..Default::default()
+        };
+        let attrs =
+            |keys: Vec<DiscoveredKey>| keys.into_iter().map(|k| k.attrs).collect::<Vec<_>>();
+
+        let singles = discover_keys(&inst, &cat, &cfg(1)).unwrap();
+        assert_eq!(attrs(singles), vec![vec![a(0)], vec![a(128)]]);
+        let pairs = discover_keys(&inst, &cat, &cfg(2)).unwrap();
+        assert_eq!(
+            attrs(pairs),
+            vec![
+                vec![a(0)],
+                vec![a(128)],
+                vec![a(1), a(2)],
+                vec![a(2), a(129)],
+            ]
+        );
+
+        let fds = discover_fds(&inst, &cat, &cfg(1)).unwrap();
+        assert!(fds
+            .iter()
+            .any(|fd| fd.lhs == vec![a(1)] && fd.rhs == a(129)));
+        assert!(fds
+            .iter()
+            .any(|fd| fd.lhs == vec![a(129)] && fd.rhs == a(1)));
+        assert!(fds.iter().all(|fd| !fd.lhs.contains(&fd.rhs)));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! # ic-discovery — approximate constraint discovery over incomplete instances
 //!
 //! Discovers *approximate keys* and *approximate functional dependencies*
-//! on instances with labeled nulls, generalizing `ic-cleaning`'s naive
-//! unit-FD utilities along two axes:
+//! on instances with labeled nulls, generalizing classical FD discovery
+//! along two axes:
 //!
 //! 1. **Possible-world semantics.** A labeled null stands for every
 //!    constant, so constraint satisfaction is world-dependent. Each
@@ -16,12 +16,6 @@
 //!    composite candidates reuse the single-attribute partitions, minimal
 //!    results only, parallel per candidate on [`ic_pool`], and
 //!    bit-identical output at any thread count.
-//!
-//! Discovered keys feed back into the similarity pipeline as
-//! [`MatchPriors`] (see [`priors_from_keys`]): tuples agreeing on an
-//! approximate key are preferred candidates in the signature algorithm's
-//! greedy completion, never changing the score (the prior contract is
-//! enforced in `ic-core`).
 //!
 //! ## Quick example
 //!
@@ -54,7 +48,6 @@ pub use lattice::{
 };
 pub use measure::{fd_g3, key_g3, G3};
 
-use ic_core::MatchPriors;
 use ic_model::{Catalog, Instance};
 
 /// Both discovery passes bundled — what the serve layer's `discover`
@@ -84,50 +77,10 @@ pub fn discover(
     Ok(Discovery { fds, keys })
 }
 
-/// Converts discovered approximate keys into [`MatchPriors`] for the
-/// signature algorithm. Keys with an attribute id ≥ 128 are skipped (the
-/// prior mask is 128 bits wide, like the signature algorithm's own masks).
-pub fn priors_from_keys(keys: &[DiscoveredKey]) -> MatchPriors {
-    let mut priors = MatchPriors::new();
-    for key in keys {
-        if key.attrs.iter().all(|a| a.0 < 128) {
-            priors.add_key(key.rel, &key.attrs);
-        }
-    }
-    priors
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ic_model::{AttrId, RelId, Schema};
-
-    #[test]
-    fn priors_from_keys_collects_per_relation_masks() {
-        let keys = vec![
-            DiscoveredKey {
-                rel: RelId(0),
-                attrs: vec![AttrId(0), AttrId(2)],
-                g3: G3 {
-                    g3_min: 0.0,
-                    g3_max: 0.1,
-                },
-                covered: 10,
-            },
-            DiscoveredKey {
-                rel: RelId(1),
-                attrs: vec![AttrId(1)],
-                g3: G3 {
-                    g3_min: 0.0,
-                    g3_max: 0.0,
-                },
-                covered: 5,
-            },
-        ];
-        let priors = priors_from_keys(&keys);
-        assert!(!priors.is_empty());
-        assert_eq!(priors_from_keys(&[]), MatchPriors::new());
-    }
 
     #[test]
     fn discover_bundles_both_passes() {

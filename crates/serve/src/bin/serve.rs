@@ -18,7 +18,7 @@
 //! (snapshot + WAL replay) before serving — see `DESIGN.md` §11.
 
 use ic_model::{RelationSchema, Schema};
-use ic_serve::{Runtime, ServeCatalog, Server, ServerConfig};
+use ic_serve::{ServeCatalog, Server, ServerConfig};
 use ic_store::FileStorage;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -35,8 +35,6 @@ usage: serve [options]
   --queue N              bounded request-queue depth (default 64)
   --budget-ms N          default per-request deadline in ms (default: none)
   --idle-ms N            close connections idle for N ms (default: never)
-  --runtime MODE         connection runtime: event | threaded
-                         (default: IC_SERVE_RUNTIME env, else event on Linux)
   --help                 print this help";
 
 struct Args {
@@ -101,15 +99,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "--idle-ms expects an integer".to_string())?;
                 args.cfg.idle_timeout = Some(Duration::from_millis(ms));
-            }
-            "--runtime" => {
-                args.cfg.runtime = match value("--runtime")?.as_str() {
-                    "event" => Runtime::EventLoop,
-                    "threaded" => Runtime::Threaded,
-                    other => {
-                        return Err(format!("--runtime expects event|threaded (got {other:?})"))
-                    }
-                };
             }
             other => return Err(format!("unknown flag {other:?}")),
         }

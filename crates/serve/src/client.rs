@@ -22,9 +22,8 @@
 //!   request and block for its response.
 //! * **Pipelined** — [`Client::send`] writes a request and returns its id
 //!   without waiting; [`Client::recv`] blocks for the *next* response on
-//!   the wire, whichever request it answers. Under the event-loop server
-//!   runtime responses complete out of order, so callers match responses
-//!   to ids themselves (every [`Response`] echoes one). Keeping several
+//!   the wire, whichever request it answers. The server completes
+//!   responses out of order, so callers match responses to ids themselves (every [`Response`] echoes one). Keeping several
 //!   requests in flight on one connection hides round-trip and queueing
 //!   latency. A [`pipeline_depth`](ClientBuilder::pipeline_depth) bounds
 //!   how many: at the cap, `send` first takes one response off the wire
@@ -278,8 +277,8 @@ impl Client {
     }
 
     /// Pipelined mode: blocks for the next response on the wire — for
-    /// *any* in-flight id. Under the event-loop server runtime, responses
-    /// arrive in completion order, not send order. Responses parked by a
+    /// *any* in-flight id. Responses arrive in completion order, not send
+    /// order. Responses parked by a
     /// depth-capped [`send`](Self::send) are returned first.
     pub fn recv(&mut self) -> Result<Response, ClientError> {
         if let Some(resp) = self.parked.pop_front() {

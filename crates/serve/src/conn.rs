@@ -1,11 +1,9 @@
-//! Per-connection state machines and the event-loop driver
-//! ([`crate::server::Runtime::EventLoop`]).
+//! Per-connection state machines and the event-loop driver.
 //!
 //! One thread owns the listener, every connection, and a [`Poller`]. Each
 //! connection is a small state machine: the incremental [`FrameReader`]
 //! consumes readable bytes into frames, decoded requests are classified
-//! exactly like the threaded runtime's (same [`crate::server::classify`]),
-//! and responses accumulate in a per-connection write buffer flushed by
+//! by [`crate::server::classify`], and responses accumulate in a per-connection write buffer flushed by
 //! writable readiness.
 //!
 //! ## Pipelining and out-of-order completion
@@ -375,7 +373,7 @@ impl Driver<'_> {
                                 kind,
                                 snapshot,
                                 deadline,
-                                reply: ReplyTo::Token {
+                                reply: ReplyTo {
                                     token: tok,
                                     tx: ctx.clone(),
                                     wake: Arc::clone(wake),
@@ -416,7 +414,7 @@ impl Driver<'_> {
                 Err(e) => {
                     // BadHeader / MissingTerminator: no way to find the
                     // next frame boundary. One best-effort typed error,
-                    // flush, close — same contract as the threaded runtime.
+                    // flush, close.
                     shared.errors.fetch_add(1, Ordering::Relaxed);
                     shared.conns.closed_protocol.fetch_add(1, Ordering::Relaxed);
                     let _ = conn.queue_response(&Response::Error {

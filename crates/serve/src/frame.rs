@@ -15,9 +15,9 @@
 //! with line-oriented tools.
 //!
 //! [`FrameReader`] is incremental: it buffers partial input across calls,
-//! so it works on blocking sockets, on sockets with a read timeout (the
-//! threaded server polls its shutdown flag between timeouts), and on fully
-//! nonblocking sockets driven by a readiness loop.
+//! so it works on blocking sockets (the [`crate::client`]), on sockets
+//! with a read timeout, and on fully nonblocking sockets driven by a
+//! readiness loop (the server's event loop).
 //!
 //! The reader enforces a maximum payload length ([`MAX_FRAME_LEN`] by
 //! default, configurable down via [`FrameReader::with_max_len`]). An

@@ -19,18 +19,14 @@
 //!   `load`, `list`, `compare`, `search`, `patch`, `stats`, `shutdown`,
 //!   request ids echoed in responses, and typed error payloads mapped from
 //!   [`ic_core::Error`].
-//! * [`server`] — the serving runtime: a bounded request queue feeding
-//!   [`ic_pool`] workers, admission control (queue-full returns
-//!   `overloaded` instead of blocking), per-request deadlines, per-request
-//!   [`ic_obs`] spans exported through `stats`, and graceful
-//!   drain-then-close shutdown. Connections are driven either by a
-//!   readiness-based epoll event loop ([`server::Runtime::EventLoop`], the
-//!   Linux default — bounded threads and memory at tens of thousands of
-//!   connections, pipelined requests with out-of-order completion) or by
-//!   the portable thread-per-connection fallback
-//!   ([`server::Runtime::Threaded`]). Both runtimes speak the identical
-//!   contract: bit-identical scores, the same typed errors, the same
-//!   shutdown semantics.
+//! * [`server`] (Linux-only) — the serving runtime: a bounded request
+//!   queue feeding [`ic_pool`] workers, admission control (queue-full
+//!   returns `overloaded` instead of blocking), per-request deadlines,
+//!   per-request [`ic_obs`] spans exported through `stats`, and graceful
+//!   drain-then-close shutdown. Connections are driven by a
+//!   readiness-based epoll event loop: bounded threads and memory at tens
+//!   of thousands of connections, pipelined requests with out-of-order
+//!   completion.
 //! * [`sigcache`] — a signature-map cache keyed by instance pointer
 //!   identity: hot catalog instances pay the sigmap build once, a `load`
 //!   that replaces an instance invalidates its entry automatically
@@ -47,7 +43,8 @@
 //! (engine bug, panicking observation sink) is answered with a typed
 //! `internal` error and subsequent requests proceed normally.
 //!
-//! [`client`] is a small blocking client over the same protocol.
+//! [`client`] is a small blocking client over the same protocol. It, the
+//! catalog and the wire modules are portable; only the server needs Linux.
 //!
 //! ## In-process quickstart
 //!
@@ -92,6 +89,7 @@ mod lockutil;
 #[cfg(target_os = "linux")]
 pub mod poll;
 pub mod proto;
+#[cfg(target_os = "linux")]
 pub mod server;
 pub mod sigcache;
 
@@ -105,8 +103,8 @@ pub use proto::{
     Algo, AttrRef, CompareScores, DiscoveredFdInfo, DiscoveredKeyInfo, ErrorCode, InstanceInfo,
     PatchOp, PatchValue, Request, Response, SearchResult, SearchResults, ServerStats, SpanStat,
 };
+#[cfg(target_os = "linux")]
 pub use server::{
-    ConnStats, Runtime, Server, ServerConfig, ServerHandle, COMPARE_LABEL, DISCOVER_LABEL,
-    SEARCH_LABEL,
+    ConnStats, Server, ServerConfig, ServerHandle, COMPARE_LABEL, DISCOVER_LABEL, SEARCH_LABEL,
 };
 pub use sigcache::{SigCacheStats, SigMapCache};

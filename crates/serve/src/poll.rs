@@ -16,9 +16,7 @@
 //! * [`WakeFd`] — an `eventfd`-backed wakeup handle other threads use to
 //!   interrupt a blocked [`Poller::wait`] (worker completions, shutdown).
 //!
-//! This module is Linux-only; the serve runtime keeps the portable
-//! thread-per-connection model as a fallback (see
-//! [`crate::server::Runtime`]).
+//! This module is Linux-only, and so is the [`crate::server`] built on it.
 
 use std::io;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};

@@ -1,29 +1,19 @@
 //! The server runtime: connection handling, bounded request queue,
-//! deadline-aware `ic-pool` workers, graceful shutdown.
+//! deadline-aware `ic-pool` workers, graceful shutdown. Linux-only.
 //!
-//! ## Two runtimes, one contract
+//! ## The event loop
 //!
-//! [`ServerConfig::runtime`] selects how connections are driven; every
-//! observable behavior — bit-identical scores, typed error codes,
-//! admission control, drain-then-close shutdown — is the same under both:
+//! A single **readiness-driven** thread multiplexes the listener and every
+//! connection over a hand-rolled [`crate::poll`] epoll wrapper.
+//! Per-connection state machines (see `conn.rs`) feed the incremental
+//! [`crate::frame::FrameReader`], writes are nonblocking and buffered with
+//! a per-connection backpressure cap, and requests **pipeline**: a client
+//! may write many frames before reading; responses complete out of order
+//! and are matched by the echoed `id`. Memory and thread count stay
+//! bounded at tens of thousands of idle connections.
 //!
-//! * [`Runtime::EventLoop`] (Linux, the default there) — a single
-//!   **readiness-driven** thread multiplexes the listener and every
-//!   connection over a hand-rolled [`crate::poll`] epoll wrapper.
-//!   Per-connection state machines (see `conn.rs`) feed the incremental
-//!   [`FrameReader`], writes are nonblocking and buffered with a
-//!   per-connection backpressure cap, and requests **pipeline**: a client
-//!   may write many frames before reading; responses complete out of
-//!   order and are matched by the echoed `id`. Memory and thread count
-//!   stay bounded at tens of thousands of idle connections.
-//! * [`Runtime::Threaded`] (portable fallback) — an acceptor thread
-//!   spawns one handler thread per connection; each handler decodes one
-//!   frame at a time and blocks for its response (requests on one
-//!   connection are serialized, so pipelined clients still work — their
-//!   responses just arrive in order).
-//!
-//! In both runtimes, catalog requests (`load`, `list`, `stats`,
-//! `shutdown`) are answered inline, and `compare`/`search` work is
+//! Catalog requests (`load`, `list`, `patch`, `stats`, `shutdown`) are
+//! answered inline, and `compare`/`search`/`discover` work is
 //! submitted — together with the catalog [`Snapshot`] taken at admission —
 //! into a **bounded queue**. If the queue is full the request is rejected
 //! *immediately* with a typed `overloaded` response instead of blocking.
@@ -45,9 +35,11 @@
 //! do the worker loops exit — no admitted request is ever dropped.
 
 use crate::catalog::{CatalogError, ServeCatalog, Snapshot};
-use crate::frame::{write_frame, FrameError, FrameReader, MAX_FRAME_LEN};
+use crate::conn::run_event_loop;
+use crate::frame::MAX_FRAME_LEN;
 use crate::json::Json;
 use crate::lockutil::lock_recover;
+use crate::poll::{Interest, Poller, WakeFd, TOKEN_LISTENER, TOKEN_WAKE};
 use crate::proto::{
     Algo, AttrRef, CompareScores, DecodeError, DiscoveredFdInfo, DiscoveredKeyInfo, ErrorCode,
     InstanceInfo, PatchOp, PatchValue, Request, Response, SearchResult, SearchResults, ServerStats,
@@ -59,10 +51,11 @@ use ic_index::{CatalogIndex, SearchOptions};
 use ic_model::{AttrId, Instance, NullId, RelId, TupleId, Value};
 use ic_obs::StatsSink;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -77,43 +70,9 @@ pub const SEARCH_LABEL: &str = "serve.search";
 /// The observation label every constraint-discovery request runs under.
 pub const DISCOVER_LABEL: &str = "serve.discover";
 
-/// Which connection runtime drives the server (see [module docs](self)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Runtime {
-    /// Readiness-driven epoll event loop: one driver thread for every
-    /// connection, nonblocking buffered writes, pipelined requests with
-    /// out-of-order completion. Linux-only; on other platforms
-    /// [`Server::start`] falls back to [`Runtime::Threaded`].
-    EventLoop,
-    /// Thread-per-connection fallback: portable, fine at hundreds of
-    /// connections, with blocking per-connection reads and writes.
-    Threaded,
-}
-
-impl Runtime {
-    /// The platform default, overridable with the `IC_SERVE_RUNTIME`
-    /// environment variable (`"event"` or `"threaded"`) — which is how CI
-    /// runs the whole serve suite under both runtimes.
-    pub fn from_env() -> Self {
-        match std::env::var("IC_SERVE_RUNTIME").as_deref() {
-            Ok("threaded") => Runtime::Threaded,
-            Ok("event") => Runtime::EventLoop,
-            _ => {
-                if cfg!(target_os = "linux") {
-                    Runtime::EventLoop
-                } else {
-                    Runtime::Threaded
-                }
-            }
-        }
-    }
-}
-
 /// Tuning knobs for [`Server::start`].
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Which connection runtime drives the server.
-    pub runtime: Runtime,
     /// Worker loops fed by the request queue (≥ 1).
     pub workers: usize,
     /// Bounded queue capacity; a full queue rejects with `overloaded`.
@@ -121,28 +80,29 @@ pub struct ServerConfig {
     /// Deadline applied to `compare`/`search` requests that carry no
     /// `budget_ms`. `None` = unbounded.
     pub default_budget: Option<Duration>,
-    /// How often blocked reads re-check the stop flag. Bounds both the
-    /// shutdown latency and the idle wakeup rate.
+    /// The event loop's poll timeout: how often it re-checks the stop flag
+    /// and idle connections. Bounds both the shutdown latency and the idle
+    /// wakeup rate.
     pub poll_interval: Duration,
     /// Per-connection cap on the *declared* length of an incoming frame.
     /// An oversized header is answered with a typed `bad_frame` error and
     /// the payload is discarded without ever being buffered; the
     /// connection survives. Clamped to [`MAX_FRAME_LEN`].
     pub max_frame_len: usize,
-    /// Event-loop runtime only: cap on buffered unsent response bytes per
-    /// connection. A peer that pipelines requests but stops reading
-    /// responses (slowloris) trips the cap and is disconnected — the
-    /// close is recorded as a backpressure disconnect in [`ConnStats`] —
-    /// while other connections proceed unaffected.
+    /// Cap on buffered unsent response bytes per connection. A peer that
+    /// pipelines requests but stops reading responses (slowloris) trips
+    /// the cap and is disconnected — the close is recorded as a
+    /// backpressure disconnect in [`ConnStats`] — while other connections
+    /// proceed unaffected.
     pub max_write_buffer: usize,
-    /// Event-loop runtime only: how long shutdown waits for peers to take
-    /// delivery of already-computed responses once all in-flight work has
-    /// drained. A stalled peer cannot hold shutdown hostage beyond this.
+    /// How long shutdown waits for peers to take delivery of
+    /// already-computed responses once all in-flight work has drained. A
+    /// stalled peer cannot hold shutdown hostage beyond this.
     pub drain_grace: Duration,
     /// Close connections with no frame activity for this long (`None` =
     /// never). A connection with requests still in flight is never shed.
-    /// Both runtimes enforce it at `poll_interval` granularity; idle
-    /// closes are counted in [`ConnStats::closed_idle`].
+    /// Enforced at `poll_interval` granularity; idle closes are counted in
+    /// [`ConnStats::closed_idle`].
     pub idle_timeout: Option<Duration>,
     /// Artificial per-job delay in the workers, applied before the
     /// deadline check. A test/bench hook: it makes queue occupancy (and
@@ -159,7 +119,6 @@ pub struct ServerConfig {
 impl std::fmt::Debug for ServerConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerConfig")
-            .field("runtime", &self.runtime)
             .field("workers", &self.workers)
             .field("queue_depth", &self.queue_depth)
             .field("default_budget", &self.default_budget)
@@ -177,7 +136,6 @@ impl std::fmt::Debug for ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            runtime: Runtime::from_env(),
             workers: 2,
             queue_depth: 64,
             default_budget: None,
@@ -213,35 +171,21 @@ pub(crate) enum JobKind {
     },
 }
 
-/// Where a worker's finished [`Response`] goes.
-pub(crate) enum ReplyTo {
-    /// Threaded runtime: the connection thread blocks on the paired
-    /// receiver.
-    Channel(std::sync::mpsc::Sender<Response>),
-    /// Event-loop runtime: completions are posted to the driver thread
-    /// (keyed by connection token) and the poller is woken to route them.
-    #[cfg(target_os = "linux")]
-    Token {
-        token: u64,
-        tx: std::sync::mpsc::Sender<(u64, Response)>,
-        wake: Arc<crate::poll::WakeFd>,
-    },
+/// Where a worker's finished [`Response`] goes: completions are posted to
+/// the event-loop thread (keyed by connection token) and the poller is
+/// woken to route them.
+pub(crate) struct ReplyTo {
+    pub(crate) token: u64,
+    pub(crate) tx: std::sync::mpsc::Sender<(u64, Response)>,
+    pub(crate) wake: Arc<WakeFd>,
 }
 
 impl ReplyTo {
     fn send(&self, resp: Response) {
-        match self {
-            ReplyTo::Channel(tx) => {
-                let _ = tx.send(resp);
-            }
-            #[cfg(target_os = "linux")]
-            ReplyTo::Token { token, tx, wake } => {
-                // Send *then* wake: the driver drains completions after
-                // every poll wakeup, so the pair can never be lost.
-                let _ = tx.send((*token, resp));
-                wake.wake();
-            }
-        }
+        // Send *then* wake: the driver drains completions after every poll
+        // wakeup, so the pair can never be lost.
+        let _ = self.tx.send((self.token, resp));
+        self.wake.wake();
     }
 }
 
@@ -257,7 +201,7 @@ pub(crate) struct Job {
     pub(crate) reply: ReplyTo,
 }
 
-/// Lifetime connection counters, incremented by both runtimes.
+/// Lifetime connection counters, incremented by the event loop.
 #[derive(Default)]
 pub(crate) struct ConnCounters {
     pub(crate) accepted: AtomicU64,
@@ -292,8 +236,7 @@ pub struct ConnStats {
     /// Response frames that rode a flush batch behind an earlier frame for
     /// the same connection — completions landing in the same event-loop
     /// tick are queued together and flushed with one write syscall, and
-    /// each coalesced frame is a syscall avoided (event-loop runtime
-    /// only; the threaded runtime writes per response).
+    /// each coalesced frame is a syscall avoided.
     pub coalesced_frames: u64,
 }
 
@@ -364,7 +307,7 @@ pub struct Server;
 
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts the configured runtime and worker threads over `catalog`.
+    /// starts the event loop and worker threads over `catalog`.
     pub fn start(
         catalog: Arc<ServeCatalog>,
         addr: impl ToSocketAddrs,
@@ -373,14 +316,6 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-
-        // Requested EventLoop degrades to Threaded off-Linux: the epoll
-        // wrapper does not exist there and the contract is identical.
-        let runtime = if cfg!(target_os = "linux") {
-            cfg.runtime
-        } else {
-            Runtime::Threaded
-        };
 
         let (tx, rx) = sync_channel::<Job>(cfg.queue_depth.max(1));
         let sig_cache = Arc::new(SigMapCache::new());
@@ -417,78 +352,28 @@ impl Server {
                 .spawn(move || run_workers(&shared, &rx))?
         };
 
-        let threads = match runtime {
-            Runtime::Threaded => {
-                let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-                let acceptor = {
-                    let shared = Arc::clone(&shared);
-                    let conns = Arc::clone(&conns);
-                    std::thread::Builder::new()
-                        .name("ic-serve-acceptor".into())
-                        .spawn(move || run_acceptor(&shared, &listener, &conns))?
-                };
-                RuntimeThreads::Threaded {
-                    acceptor: Some(acceptor),
-                    conns,
-                }
-            }
-            Runtime::EventLoop => Self::start_event_loop(&shared, listener)?,
-        };
-
-        Ok(ServerHandle {
-            local_addr,
-            shared,
-            threads,
-            worker_host: Some(worker_host),
-            catalog_sub,
-        })
-    }
-
-    #[cfg(target_os = "linux")]
-    fn start_event_loop(shared: &Arc<Shared>, listener: TcpListener) -> io::Result<RuntimeThreads> {
-        use crate::conn::run_event_loop;
-        use crate::poll::{Interest, Poller, WakeFd, TOKEN_LISTENER, TOKEN_WAKE};
-        use std::os::fd::AsRawFd;
-
         let poller = Poller::new()?;
         let wake = Arc::new(WakeFd::new()?);
         poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
         poller.add(wake.as_raw_fd(), TOKEN_WAKE, Interest::READ)?;
         let (ctx, crx) = std::sync::mpsc::channel::<(u64, Response)>();
-
         let driver = {
-            let shared = Arc::clone(shared);
+            let shared = Arc::clone(&shared);
             let wake = Arc::clone(&wake);
             std::thread::Builder::new()
                 .name("ic-serve-loop".into())
                 .spawn(move || run_event_loop(&shared, poller, listener, &wake, ctx, crx))?
         };
-        Ok(RuntimeThreads::Event {
+
+        Ok(ServerHandle {
+            local_addr,
+            shared,
             driver: Some(driver),
             wake,
+            worker_host: Some(worker_host),
+            catalog_sub,
         })
     }
-
-    #[cfg(not(target_os = "linux"))]
-    fn start_event_loop(
-        _shared: &Arc<Shared>,
-        _listener: TcpListener,
-    ) -> io::Result<RuntimeThreads> {
-        unreachable!("EventLoop is mapped to Threaded off-Linux before dispatch")
-    }
-}
-
-/// The connection-driving threads, per runtime.
-enum RuntimeThreads {
-    Threaded {
-        acceptor: Option<JoinHandle<()>>,
-        conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    },
-    #[cfg(target_os = "linux")]
-    Event {
-        driver: Option<JoinHandle<()>>,
-        wake: Arc<crate::poll::WakeFd>,
-    },
 }
 
 /// Owns the running server: its address, its threads, and the shutdown
@@ -497,7 +382,9 @@ enum RuntimeThreads {
 pub struct ServerHandle {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
-    threads: RuntimeThreads,
+    /// The event-loop thread, and the eventfd that wakes it.
+    driver: Option<JoinHandle<()>>,
+    wake: Arc<WakeFd>,
     worker_host: Option<JoinHandle<()>>,
     /// Token of the sigcache sweep subscription on the catalog; released
     /// on shutdown so the catalog does not keep calling into a dead
@@ -571,26 +458,12 @@ impl ServerHandle {
     fn stop_and_join(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
         self.shared.catalog.unsubscribe(self.catalog_sub);
-        // Join order is the drain order: stop admissions (the connection
-        // runtime finishes or routes every in-flight request), close the
-        // queue, let the workers drain it, join them.
-        match &mut self.threads {
-            RuntimeThreads::Threaded { acceptor, conns } => {
-                if let Some(a) = acceptor.take() {
-                    let _ = a.join();
-                }
-                let conns = std::mem::take(&mut *lock_recover(conns));
-                for c in conns {
-                    let _ = c.join();
-                }
-            }
-            #[cfg(target_os = "linux")]
-            RuntimeThreads::Event { driver, wake } => {
-                wake.wake();
-                if let Some(d) = driver.take() {
-                    let _ = d.join();
-                }
-            }
+        // Join order is the drain order: stop admissions (the event loop
+        // routes every in-flight request), close the queue, let the
+        // workers drain it, join them.
+        self.wake.wake();
+        if let Some(d) = self.driver.take() {
+            let _ = d.join();
         }
         drop(lock_recover(&self.shared.queue).take());
         if let Some(w) = self.worker_host.take() {
@@ -607,140 +480,6 @@ impl Drop for ServerHandle {
     fn drop(&mut self) {
         if !self.joined() {
             self.stop_and_join();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Threaded runtime: acceptor + one handler thread per connection
-
-fn run_acceptor(
-    shared: &Arc<Shared>,
-    listener: &TcpListener,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    loop {
-        if shared.stopping() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                shared.conns.accepted.fetch_add(1, Ordering::Relaxed);
-                let shared = Arc::clone(shared);
-                let handle = std::thread::Builder::new()
-                    .name("ic-serve-conn".into())
-                    .spawn(move || handle_conn(&shared, stream));
-                match handle {
-                    Ok(h) => lock_recover(conns).push(h),
-                    Err(_) => { /* thread spawn failed; drop the connection */ }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(shared.cfg.poll_interval);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => std::thread::sleep(shared.cfg.poll_interval),
-        }
-    }
-}
-
-fn send(stream: &mut TcpStream, resp: &Response) -> bool {
-    write_frame(stream, &resp.encode()).is_ok()
-}
-
-fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
-    // The listener is non-blocking; make sure the accepted stream is not
-    // (inheritance is platform-dependent), then poll via read timeouts so
-    // the stop flag is observed within one interval.
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(shared.cfg.poll_interval));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let _ = stream.set_nodelay(true);
-    let Ok(mut writer) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = FrameReader::with_max_len(stream, shared.cfg.max_frame_len);
-    let mut last_activity = Instant::now();
-
-    loop {
-        if shared.stopping() {
-            return;
-        }
-        let payload = match reader.poll_frame() {
-            Ok(None) => {
-                // No complete frame this poll interval; shed the socket if
-                // it has been silent past the configured idle timeout.
-                if let Some(timeout) = shared.cfg.idle_timeout {
-                    if last_activity.elapsed() >= timeout {
-                        shared.conns.closed_idle.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                }
-                continue;
-            }
-            Ok(Some(p)) => {
-                last_activity = Instant::now();
-                p
-            }
-            Err(FrameError::Closed) | Err(FrameError::Io(_)) | Err(FrameError::Truncated) => {
-                shared.conns.closed_peer.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            Err(FrameError::TooLarge(n)) => {
-                // The reader skips the oversized payload without buffering
-                // it, so the connection survives: typed error, keep going.
-                shared.errors.fetch_add(1, Ordering::Relaxed);
-                if !send(&mut writer, &too_large(n)) {
-                    shared.conns.closed_peer.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                continue;
-            }
-            Err(e) => {
-                // Framing is broken: one best-effort typed error, then
-                // close — there is no way to find the next frame boundary.
-                shared.errors.fetch_add(1, Ordering::Relaxed);
-                shared.conns.closed_protocol.fetch_add(1, Ordering::Relaxed);
-                send(
-                    &mut writer,
-                    &Response::Error {
-                        id: 0,
-                        code: ErrorCode::Malformed,
-                        message: e.to_string(),
-                    },
-                );
-                return;
-            }
-        };
-
-        let resp = match Request::decode(&payload) {
-            Err(err) => {
-                // The frame layer is intact, so the connection can
-                // continue; answer with a typed error, echoing the id if
-                // one was parseable.
-                shared.errors.fetch_add(1, Ordering::Relaxed);
-                decode_error_response(&payload, &err)
-            }
-            Ok(req) => match classify(shared, req) {
-                Action::Respond { resp, close } => {
-                    let delivered = send(&mut writer, &resp);
-                    if !delivered || close {
-                        shared.conns.closed_drained.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    continue;
-                }
-                Action::Admit {
-                    id,
-                    kind,
-                    snapshot,
-                    deadline,
-                } => admit_and_wait(shared, id, kind, snapshot, deadline),
-            },
-        };
-        if !send(&mut writer, &resp) {
-            shared.conns.closed_peer.fetch_add(1, Ordering::Relaxed);
-            return;
         }
     }
 }
@@ -777,9 +516,9 @@ fn salvage_id(payload: &[u8]) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Request classification (shared by both runtimes)
+// Request classification
 
-/// What a decoded request requires of the runtime.
+/// What a decoded request requires of the event loop.
 pub(crate) enum Action {
     /// Answer immediately (catalog requests and validation failures);
     /// `close` ends the connection after the response is delivered.
@@ -1196,42 +935,6 @@ pub(crate) fn shutting_down_response(id: u64) -> Response {
         id,
         code: ErrorCode::ShuttingDown,
         message: "server is shutting down".into(),
-    }
-}
-
-/// Threaded-runtime admission: try the bounded queue, block this
-/// connection's thread for the worker's reply.
-fn admit_and_wait(
-    shared: &Arc<Shared>,
-    id: u64,
-    kind: JobKind,
-    snapshot: Arc<Snapshot>,
-    deadline: Option<Instant>,
-) -> Response {
-    let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-    let job = Job {
-        id,
-        kind,
-        snapshot,
-        deadline,
-        reply: ReplyTo::Channel(reply_tx),
-    };
-
-    let sender = lock_recover(&shared.queue).clone();
-    let Some(sender) = sender else {
-        return shutting_down_response(id);
-    };
-    match sender.try_send(job) {
-        Ok(()) => match reply_rx.recv() {
-            Ok(resp) => resp,
-            Err(_) => Response::Error {
-                id,
-                code: ErrorCode::Internal,
-                message: "worker dropped the request".into(),
-            },
-        },
-        Err(TrySendError::Full(_)) => overloaded_response(shared, id),
-        Err(TrySendError::Disconnected(_)) => shutting_down_response(id),
     }
 }
 

@@ -5,14 +5,14 @@
 //!   at most the torn op, with bit-identical compare scores after reload;
 //! * the wire `patch` request — scores flip, and the repaired signature
 //!   maps migrate to the patched instance instead of being rebuilt;
-//! * idle-timeout shedding in both connection runtimes;
+//! * idle-timeout shedding;
 //! * a full process restart of the `serve` binary with `--data-dir`.
 
 use ic_core::{Comparator, Delta, DeltaOp};
 use ic_model::{AttrId, Catalog, Instance, RelId, Schema, TupleId};
 use ic_serve::{
-    Algo, AttrRef, Client, CompareOptions, ErrorCode, PatchOp, PatchValue, Runtime, ServeCatalog,
-    Server, ServerConfig,
+    Algo, AttrRef, Client, CompareOptions, ErrorCode, PatchOp, PatchValue, ServeCatalog, Server,
+    ServerConfig,
 };
 use ic_store::MemStorage;
 use std::io::Read;
@@ -270,62 +270,52 @@ fn wire_patch_flips_scores_and_migrates_sigmaps() {
 /// Idle-timeout shedding: silent connections are closed once
 /// [`ServerConfig::idle_timeout`] elapses and counted in
 /// `ConnStats::closed_idle`; a connection with a request in flight longer
-/// than the timeout is never shed. Runs under both runtimes.
+/// than the timeout is never shed.
 #[test]
 fn idle_connections_are_shed_but_inflight_ones_survive() {
-    let mut runtimes = vec![Runtime::Threaded];
-    if cfg!(target_os = "linux") {
-        runtimes.push(Runtime::EventLoop);
+    let catalog = Arc::new(ServeCatalog::new(Schema::single("R", &["A"])));
+    for name in ["a", "b"] {
+        register_rows_single(&catalog, name);
     }
-    for runtime in runtimes {
-        let catalog = Arc::new(ServeCatalog::new(Schema::single("R", &["A"])));
-        for name in ["a", "b"] {
-            register_rows_single(&catalog, name);
-        }
-        let server = Server::start(
-            catalog,
-            "127.0.0.1:0",
-            ServerConfig {
-                runtime,
-                idle_timeout: Some(Duration::from_millis(150)),
-                poll_interval: Duration::from_millis(10),
-                // In flight longer than the idle timeout: the connection
-                // must survive to take its response.
-                worker_delay: Some(Duration::from_millis(400)),
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind ephemeral port");
-        let addr = server.local_addr();
+    let server = Server::start(
+        catalog,
+        "127.0.0.1:0",
+        ServerConfig {
+            idle_timeout: Some(Duration::from_millis(150)),
+            poll_interval: Duration::from_millis(10),
+            // In flight longer than the idle timeout: the connection must
+            // survive to take its response.
+            worker_delay: Some(Duration::from_millis(400)),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind ephemeral port");
+    let addr = server.local_addr();
 
-        let mut idle = TcpStream::connect(addr).unwrap();
-        idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut idle = TcpStream::connect(addr).unwrap();
+    idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
 
-        let mut client = Client::new(addr).unwrap();
-        let scores = client
-            .compare("a", "b", Algo::Signature, CompareOptions::default())
-            .expect("a connection with work in flight past the idle timeout must not be shed");
-        assert_eq!(scores.signature, Some(1.0));
+    let mut client = Client::new(addr).unwrap();
+    let scores = client
+        .compare("a", "b", Algo::Signature, CompareOptions::default())
+        .expect("a connection with work in flight past the idle timeout must not be shed");
+    assert_eq!(scores.signature, Some(1.0));
 
-        // The silent connection gets closed and counted…
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while server.conn_stats().closed_idle == 0 {
-            assert!(
-                Instant::now() < deadline,
-                "{runtime:?}: idle connection was never shed"
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        // …which the peer observes as EOF.
-        let mut buf = [0u8; 1];
-        assert_eq!(
-            idle.read(&mut buf).expect("clean close, not a reset"),
-            0,
-            "{runtime:?}: shed connection must read as EOF"
-        );
-
-        server.shutdown();
+    // The silent connection gets closed and counted…
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.conn_stats().closed_idle == 0 {
+        assert!(Instant::now() < deadline, "idle connection was never shed");
+        std::thread::sleep(Duration::from_millis(10));
     }
+    // …which the peer observes as EOF.
+    let mut buf = [0u8; 1];
+    assert_eq!(
+        idle.read(&mut buf).expect("clean close, not a reset"),
+        0,
+        "shed connection must read as EOF"
+    );
+
+    server.shutdown();
 }
 
 fn register_rows_single(catalog: &ServeCatalog, name: &str) {

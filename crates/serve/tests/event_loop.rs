@@ -1,19 +1,12 @@
-//! Event-loop runtime e2e: pipelining conformance, slow-client fault
-//! injection (write backpressure), drain shutdown with stalled peers, and
-//! the 10k-idle-connections smoke test.
-//!
-//! The pipelining tests run under whichever runtime `IC_SERVE_RUNTIME`
-//! selects (CI runs both; the conformance contract — id-matched,
-//! order-insensitive responses — holds for either). The backpressure,
-//! stalled-drain, and 10k tests force [`Runtime::EventLoop`] explicitly:
-//! they pin behavior only that runtime promises, and are skipped off
-//! Linux where it does not exist.
+//! Event-loop e2e: pipelining conformance, slow-client fault injection
+//! (write backpressure), drain shutdown with stalled peers, and the
+//! 10k-idle-connections smoke test.
 
 use ic_model::{Catalog, Instance, Schema};
 use ic_serve::frame::{write_frame, FrameReader};
 use ic_serve::{
-    Algo, Client, CompareOptions, ErrorCode, Request, Response, Runtime, ServeCatalog, Server,
-    ServerConfig, ServerHandle,
+    Algo, Client, CompareOptions, ErrorCode, Request, Response, ServeCatalog, Server, ServerConfig,
+    ServerHandle,
 };
 use std::io::Write;
 use std::net::TcpStream;
@@ -157,19 +150,15 @@ fn pipelined_client_matches_sequential_scores() {
     server.wait();
 }
 
-/// Completion-batching sanity check (event-loop runtime): a pipelined
-/// burst must complete with every response intact *and* the loop must
-/// observably coalesce completions landing in the same tick into shared
-/// flushes ([`ConnStats::coalesced_frames`] advances). Coalescing is
+/// Completion-batching sanity check: a pipelined burst must complete with
+/// every response intact *and* the loop must observably coalesce
+/// completions landing in the same tick into shared flushes
+/// ([`ConnStats::coalesced_frames`] advances). Coalescing is
 /// timing-dependent per burst, so bursts repeat under a deadline — but
 /// correctness of every burst is asserted unconditionally.
 #[test]
 fn pipelined_burst_coalesces_completion_flushes() {
-    if !cfg!(target_os = "linux") {
-        return; // completion batching is event-loop (Linux) behavior
-    }
     let server = server_with(ServerConfig {
-        runtime: Runtime::EventLoop,
         workers: 4,
         queue_depth: 256,
         ..ServerConfig::default()
@@ -238,11 +227,7 @@ fn huge_name_request(id: u64) -> Request {
 /// reason — while a healthy concurrent connection completes unaffected.
 #[test]
 fn slow_reader_trips_backpressure_and_is_disconnected() {
-    if !cfg!(target_os = "linux") {
-        return; // backpressure caps are an event-loop (Linux) behavior
-    }
     let server = server_with(ServerConfig {
-        runtime: Runtime::EventLoop,
         max_write_buffer: 64 * 1024,
         workers: 2,
         queue_depth: 64,
@@ -297,11 +282,7 @@ fn slow_reader_trips_backpressure_and_is_disconnected() {
 /// gets `drain_grace` to take delivery, then is force-closed.
 #[test]
 fn drain_shutdown_joins_cleanly_with_a_stalled_connection_present() {
-    if !cfg!(target_os = "linux") {
-        return;
-    }
     let server = server_with(ServerConfig {
-        runtime: Runtime::EventLoop,
         // Cap far above what this test queues: the peer is stalled but
         // *not* backpressure-closed, so shutdown meets it still connected.
         max_write_buffer: 1 << 30,
@@ -352,16 +333,13 @@ impl Drop for ChildGuard {
 }
 
 /// The acceptance smoke test: 10 000 concurrent idle connections against
-/// the event-loop runtime, with bounded threads and memory (i.e. no
+/// the event loop, with bounded threads and memory (i.e. no
 /// thread-per-connection), while the server keeps answering requests.
 /// The server runs as a child process (the `serve` binary) so its /proc
 /// thread and RSS numbers are its own, and so this test's 10k client
 /// descriptors fit the process fd limit.
 #[test]
 fn ten_thousand_idle_connections_smoke() {
-    if !cfg!(target_os = "linux") {
-        return;
-    }
     const CONNS: usize = 10_000;
 
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_serve"))
@@ -370,8 +348,6 @@ fn ten_thousand_idle_connections_smoke() {
             "127.0.0.1:0",
             "--relation",
             "R:A",
-            "--runtime",
-            "event",
             "--workers",
             "2",
         ])

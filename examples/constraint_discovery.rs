@@ -1,21 +1,16 @@
-//! Approximate constraint discovery over an incomplete instance, and the
-//! discovered keys feeding back into matching as priors.
+//! Approximate constraint discovery over an incomplete instance.
 //!
 //! `inject_near_constraints` plants a composite key and two FDs with a
 //! known violation rate, then sprinkles labeled nulls. `ic-discovery`
 //! computes each candidate's possible-world violation interval
 //! `[g3_min, g3_max]` — the best and worst case over every valuation of
 //! the nulls — and a TANE-style lattice search reports every *minimal*
-//! constraint within the epsilon gate. Discovered keys then become
-//! [`MatchPriors`]: a hint for the signature algorithm's candidate
-//! ordering that, by contract, never changes a similarity score (checked
-//! here bit-for-bit).
+//! constraint within the epsilon gate.
 //!
 //! Run with: `cargo run --release --example constraint_discovery`
 
-use instance_comparison::core::Comparator;
 use instance_comparison::datagen::{inject_near_constraints, NearConstraintParams};
-use instance_comparison::discovery::{discover, priors_from_keys, DiscoveryConfig};
+use instance_comparison::discovery::{discover, DiscoveryConfig};
 
 fn main() {
     let params = NearConstraintParams::default();
@@ -74,20 +69,4 @@ fn main() {
         if planted_fds_found { "yes" } else { "NO" },
     );
     assert!(planted_key_found && planted_fds_found);
-
-    // Feed the keys back as match priors and verify the prior contract:
-    // the self-comparison score is bit-identical with and without them.
-    let priors = priors_from_keys(&found.keys);
-    let plain = Comparator::new(&nc.catalog).build().unwrap();
-    let primed = Comparator::new(&nc.catalog)
-        .match_priors(priors)
-        .build()
-        .unwrap();
-    let a = plain.signature(&nc.instance, &nc.instance).unwrap();
-    let b = primed.signature(&nc.instance, &nc.instance).unwrap();
-    assert_eq!(a.best.score().to_bits(), b.best.score().to_bits());
-    println!(
-        "prior contract holds: score {:.6} unchanged under discovered-key priors",
-        b.best.score()
-    );
 }

@@ -55,13 +55,10 @@ echo "    wrote target/ic-bench/obs_report.jsonl"
 # The serving layer: unit + e2e/error-path/wire-property tests (exact-score
 # parity with the direct Comparator, snapshot isolation under concurrent
 # loads, graceful drain, typed errors, admission control, pipelining,
-# backpressure disconnects, and the 10k-idle-connection smoke). The full
-# suite runs under BOTH runtimes — thread-per-connection and the epoll
-# event loop — so every e2e contract is pinned on each.
-echo "==> cargo test -q --offline -p ic-serve (IC_SERVE_RUNTIME=threaded)"
-IC_SERVE_RUNTIME=threaded cargo test -q --offline -p ic-serve
-echo "==> cargo test -q --offline -p ic-serve (IC_SERVE_RUNTIME=event)"
-IC_SERVE_RUNTIME=event cargo test -q --offline -p ic-serve
+# backpressure disconnects, and the 10k-idle-connection smoke) against
+# the epoll event loop, the server's only connection runtime.
+echo "==> cargo test -q --offline -p ic-serve"
+cargo test -q --offline -p ic-serve
 
 # Catalog durability (DESIGN.md §11): the ic-store format/WAL unit tests,
 # then the recovery property suite — a WAL truncated at every byte
@@ -86,17 +83,15 @@ echo "    wrote target/ic-bench/BENCH_durability.json"
 
 # The serving layer's end-to-end cost: loopback request throughput at
 # 1/8/64/512 concurrent connections, sequential and pipelined (depth 8),
-# under both runtimes, recorded as a JSON artifact. Its cross-runtime
-# sanity assertion arms only when cores > 1.
+# recorded as a JSON artifact.
 echo "==> bench_serve_throughput (serving-layer loopback req/s)"
 cargo run -q --offline --release -p ic-bench --bin bench_serve_throughput
 test -f target/ic-bench/BENCH_serve.json
 echo "    wrote target/ic-bench/BENCH_serve.json"
 
 # Constraint discovery (DESIGN.md §12): possible-world g3 intervals,
-# classical-g3 collapse on null-free data, bit-identical lattice output
-# at both pool thread counts, and the prior contract (discovered keys
-# never move a similarity score).
+# classical-g3 collapse on null-free data, and bit-identical lattice
+# output at both pool thread counts.
 echo "==> discovery property suite (default thread pool)"
 cargo test -q --offline --test discovery_props
 echo "==> discovery property suite (IC_POOL_THREADS=1)"

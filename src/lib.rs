@@ -23,7 +23,7 @@
 //! | [`exchange`] | s-t tgds, chase, core solutions |
 //! | [`cleaning`] | FDs, error injection, repair systems, F1 metrics |
 //! | [`versioning`] | version ops, diff baseline, comparison stats |
-//! | [`discovery`] | approximate keys/FDs under possible-world g3, match priors |
+//! | [`discovery`] | approximate keys/FDs under possible-world g3 |
 //! | [`index`] | top-k similarity search: sketches, sharded inverted index |
 //! | [`obs`] | spans, metrics, observation sinks (span trees, JSONL) |
 //! | [`serve`] | similarity service: instance catalog, wire protocol, server, client |

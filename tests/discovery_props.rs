@@ -2,14 +2,12 @@
 //! search): for random small instances with labeled nulls, the
 //! possible-world violation interval must be ordered and bounded; on
 //! null-free data the interval collapses to the classical g3, which is 0
-//! exactly when the FD holds; discovery output is bit-identical at any
-//! pool thread count; and feeding discovered keys back as match priors
-//! never changes a similarity score. Runs on `ic-testkit`: seeded,
-//! reproducible via `IC_TESTKIT_SEED`, shrinking on failure.
+//! exactly when the FD holds; and discovery output is bit-identical at
+//! any pool thread count. Runs on `ic-testkit`: seeded, reproducible via
+//! `IC_TESTKIT_SEED`, shrinking on failure.
 
 use ic_testkit::{Gen, Runner};
-use instance_comparison::core::Comparator;
-use instance_comparison::discovery::{discover, fd_g3, key_g3, priors_from_keys, DiscoveryConfig};
+use instance_comparison::discovery::{discover, fd_g3, key_g3, DiscoveryConfig};
 use instance_comparison::model::{AttrId, Catalog, Instance, RelId, Schema, Value};
 use rand::RngExt;
 
@@ -182,50 +180,4 @@ fn discovery_is_bit_identical_across_pool_thread_counts() {
                 assert_eq!(a.g3.g3_max.to_bits(), b.g3.g3_max.to_bits());
             }
         });
-}
-
-#[test]
-fn discovered_priors_never_change_similarity_scores() {
-    Runner::new("discovery::priors_score_invariance")
-        .cases(24)
-        .run(
-            |g| (gen_case_with_nulls(g), gen_case_with_nulls(g)),
-            |(left_case, right_case)| {
-                let mut cat = Catalog::new(Schema::single("R", &["A", "B", "C"]));
-                let build = |cat: &mut Catalog, name: &str, case: &Case| {
-                    let mut inst = Instance::new(name, &*cat);
-                    for row in case {
-                        let vals: Vec<Value> = row
-                            .iter()
-                            .map(|&c| match c {
-                                Cell::Const(k) => cat.konst(&format!("c{k}")),
-                                Cell::Null => cat.fresh_null(),
-                            })
-                            .collect();
-                        inst.insert(REL, vals);
-                    }
-                    inst
-                };
-                let left = build(&mut cat, "L", left_case);
-                let right = build(&mut cat, "R", right_case);
-
-                let cfg = DiscoveryConfig {
-                    epsilon: 0.3,
-                    ..DiscoveryConfig::default()
-                };
-                let found = discover(&left, &cat, &cfg).unwrap();
-                let priors = priors_from_keys(&found.keys);
-
-                let plain = Comparator::new(&cat).build().unwrap();
-                let primed = Comparator::new(&cat).match_priors(priors).build().unwrap();
-                let a = plain.signature(&left, &right).unwrap();
-                let b = primed.signature(&left, &right).unwrap();
-                assert_eq!(
-                    a.best.score().to_bits(),
-                    b.best.score().to_bits(),
-                    "priors must never change the score"
-                );
-                assert_eq!(a.best.pairs.len(), b.best.pairs.len());
-            },
-        );
 }
