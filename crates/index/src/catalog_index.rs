@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use ic_core::{Comparator, Delta, DeltaError, Error, InstanceSigMaps, SignatureConfig};
-use ic_model::{FxHashMap, FxHashSet, Instance, RelId, Sym, TupleId};
+use ic_model::{FxHashMap, Instance, RelId, Sym, TupleId};
 
 use crate::sketch::{apply_delta_repairing_sketch, hash64, Sketch, SketchCounts};
 
@@ -124,20 +124,7 @@ pub struct IndexStats {
     pub replacements: u64,
     /// Entries dropped (name no longer live).
     pub removals: u64,
-    /// `insert`/`sync` calls that found the pin unchanged and did nothing.
-    pub unchanged: u64,
-}
-
-/// What one [`CatalogIndex::sync`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SyncStats {
-    /// Names newly indexed.
-    pub added: u64,
-    /// Names re-indexed because their pin changed.
-    pub replaced: u64,
-    /// Indexed names no longer live, dropped.
-    pub removed: u64,
-    /// Names whose pin was unchanged.
+    /// `insert` calls that found the pin unchanged and did nothing.
     pub unchanged: u64,
 }
 
@@ -230,9 +217,10 @@ pub struct SearchOutcome {
 /// by name hash, so index build/lookup stays concurrent with catalog
 /// load/replace. Invalidation is by pointer identity: an entry is valid
 /// for a name exactly while the catalog still maps that name to the same
-/// `Arc<Instance>` (the `SigMapCache` pin discipline); [`Self::sync`]
-/// reconciles the index with a current name→pin view in one incremental
-/// pass.
+/// `Arc<Instance>` (the `SigMapCache` pin discipline): [`Self::insert`]
+/// with the same `Arc` is a no-op, with another `Arc` a rebuild, and a
+/// caller that follows a changing catalog calls it (or [`Self::remove`])
+/// only for the names whose pin changed.
 ///
 /// `topk` never trades correctness for speed: the prefilter only chooses
 /// *which* entries run the full comparison, every returned score is the
@@ -350,64 +338,6 @@ impl CatalogIndex {
         } else {
             false
         }
-    }
-
-    /// Reconciles the index with a live name→pin view (e.g. an ic-serve
-    /// catalog snapshot): adds missing names, re-indexes names whose pin
-    /// changed, and drops names no longer present. Incremental — unchanged
-    /// pins cost one pointer comparison.
-    pub fn sync<'a, I>(&self, live: I) -> SyncStats
-    where
-        I: IntoIterator<Item = (&'a str, &'a Arc<Instance>)>,
-    {
-        let mut stats = SyncStats::default();
-        let mut live_names: FxHashSet<&'a str> = FxHashSet::default();
-        for (name, pin) in live {
-            live_names.insert(name);
-            let known = {
-                let seg = lock_recover(self.segment_of(name));
-                match seg.by_name.get(name) {
-                    Some(&slot) => {
-                        let entry = seg.entries[slot].as_ref().expect("by_name slot is live");
-                        if Arc::ptr_eq(&entry.pin, pin) {
-                            Some(true)
-                        } else {
-                            Some(false)
-                        }
-                    }
-                    None => None,
-                }
-            };
-            match known {
-                Some(true) => {
-                    self.unchanged.fetch_add(1, Ordering::Relaxed);
-                    stats.unchanged += 1;
-                }
-                Some(false) => {
-                    self.insert(name, pin);
-                    stats.replaced += 1;
-                }
-                None => {
-                    self.insert(name, pin);
-                    stats.added += 1;
-                }
-            }
-        }
-        for seg in &self.segments {
-            let mut seg = lock_recover(seg);
-            let dead: Vec<usize> = seg
-                .by_name
-                .iter()
-                .filter(|(name, _)| !live_names.contains(name.as_str()))
-                .map(|(_, &slot)| slot)
-                .collect();
-            for slot in dead {
-                seg.remove_slot(slot);
-                self.removals.fetch_add(1, Ordering::Relaxed);
-                stats.removed += 1;
-            }
-        }
-        stats
     }
 
     /// Number of indexed entries.

@@ -28,7 +28,7 @@ mod catalog_index;
 mod sketch;
 
 pub use catalog_index::{
-    CatalogIndex, DeltaApplyError, IndexStats, SearchHit, SearchOptions, SearchOutcome, SyncStats,
+    CatalogIndex, DeltaApplyError, IndexStats, SearchHit, SearchOptions, SearchOutcome,
 };
 pub use sketch::{apply_delta_repairing_sketch, Sketch, SketchCounts, SKETCH_SLOTS};
 
@@ -74,13 +74,20 @@ mod tests {
         out
     }
 
+    fn indexed(entries: &[(String, Arc<Instance>)]) -> CatalogIndex {
+        let index = CatalogIndex::default();
+        for (name, pin) in entries {
+            index.insert(name, pin);
+        }
+        index
+    }
+
     #[test]
     fn topk_matches_brute_force_and_prunes() {
         let mut cat = catalog();
         let entries = clustered(&mut cat, 6, 4);
-        let index = CatalogIndex::default();
-        let stats = index.sync(entries.iter().map(|(n, p)| (n.as_str(), p)));
-        assert_eq!(stats.added, 24);
+        let index = indexed(&entries);
+        assert_eq!(index.stats().inserts, 24);
         assert_eq!(index.len(), 24);
 
         let cmp = Comparator::new(&cat).build().unwrap();
@@ -113,8 +120,7 @@ mod tests {
     fn topk_k_equals_catalog_is_exactly_brute_force() {
         let mut cat = catalog();
         let entries = clustered(&mut cat, 3, 3);
-        let index = CatalogIndex::default();
-        index.sync(entries.iter().map(|(n, p)| (n.as_str(), p)));
+        let index = indexed(&entries);
         let cmp = Comparator::new(&cat).build().unwrap();
         let out = index
             .topk(
@@ -134,8 +140,7 @@ mod tests {
 
         let mut cat = catalog();
         let entries = clustered(&mut cat, 2, 2);
-        let index = CatalogIndex::default();
-        index.sync(entries.iter().map(|(n, p)| (n.as_str(), p)));
+        let index = indexed(&entries);
 
         let (x, y) = (cat.konst("newx"), cat.konst("newy"));
         let victim = entries[0].1.tuples(REL)[0].id();
@@ -196,7 +201,7 @@ mod tests {
     }
 
     #[test]
-    fn sync_add_replace_remove_by_pointer_identity() {
+    fn insert_and_remove_follow_pointer_identity() {
         let mut cat = catalog();
         let a = cat.konst("a");
         let mk = |cat: &Catalog, name: &str, v: Value| {
@@ -207,18 +212,23 @@ mod tests {
         let x1 = mk(&cat, "x", a);
         let y = mk(&cat, "y", a);
         let index = CatalogIndex::default();
-        let s = index.sync([("x", &x1), ("y", &y)]);
-        assert_eq!((s.added, s.removed), (2, 0));
+        assert!(index.insert("x", &x1));
+        assert!(index.insert("y", &y));
         // Unchanged pins are no-ops.
-        let s = index.sync([("x", &x1), ("y", &y)]);
-        assert_eq!((s.added, s.replaced, s.unchanged), (0, 0, 2));
+        assert!(!index.insert("x", &x1));
+        assert!(!index.insert("y", &y));
         // Same content, new Arc → replacement.
         let x2 = mk(&cat, "x", a);
-        let s = index.sync([("x", &x2), ("y", &y)]);
-        assert_eq!(s.replaced, 1);
+        assert!(index.insert("x", &x2));
+        let stats = index.stats();
+        assert_eq!(
+            (stats.inserts, stats.unchanged, stats.replacements),
+            (2, 2, 1)
+        );
         // Dropped name → removal.
-        let s = index.sync([("y", &y)]);
-        assert_eq!(s.removed, 1);
+        assert!(index.remove("x"));
+        assert!(!index.remove("x"));
+        assert_eq!(index.stats().removals, 1);
         assert_eq!(index.len(), 1);
         assert!(index.entry_maps("y", &y).is_some());
         assert!(index.entry_maps("y", &x2).is_none(), "wrong pin must miss");

@@ -58,6 +58,10 @@ impl Tuple {
 /// All instances that will ever be compared must be built against the same
 /// catalog; this makes constant symbols comparable across instances and
 /// keeps null identifiers disjoint.
+///
+/// Cloning is cheap: the interner's table is shared between clones (see
+/// [`Interner`]), so a clone copies pointers, the small schema and the
+/// null watermark until the first constant one of them has not seen yet.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     schema: Schema,

@@ -8,6 +8,7 @@
 
 use crate::hash::FxHashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// An interned constant. Two `Sym`s produced by the same [`Interner`] are
 /// equal iff the underlying strings are equal.
@@ -81,8 +82,21 @@ impl From<NullId> for Value {
 /// All instances that are ever compared with each other must share one
 /// interner (usually via [`crate::Catalog`]) so that equal constant strings
 /// receive equal symbols.
+///
+/// The strings and the lookup map sit behind one `Arc`, so a clone is a
+/// pointer copy: clones share their storage until one of them interns a
+/// string it does not hold yet, which copies the table once
+/// (copy-on-write). Interning an existing string, [`get`](Self::get) and
+/// [`resolve`](Self::resolve) never copy, and a clone never sees strings
+/// interned into another clone after the split.
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
+    table: Arc<Table>,
+}
+
+/// The shared storage of an [`Interner`].
+#[derive(Debug, Default, Clone)]
+struct Table {
     map: FxHashMap<Box<str>, Sym>,
     strings: Vec<Box<str>>,
 }
@@ -93,21 +107,23 @@ impl Interner {
         Self::default()
     }
 
-    /// Interns `s`, returning its symbol. Idempotent.
+    /// Interns `s`, returning its symbol. Idempotent. Copies the shared
+    /// table first only when `s` is new and another clone still shares it.
     pub fn intern(&mut self, s: &str) -> Sym {
-        if let Some(&sym) = self.map.get(s) {
+        if let Some(sym) = self.get(s) {
             return sym;
         }
-        let sym = Sym(self.strings.len() as u32);
+        let table = Arc::make_mut(&mut self.table);
+        let sym = Sym(table.strings.len() as u32);
         let boxed: Box<str> = s.into();
-        self.strings.push(boxed.clone());
-        self.map.insert(boxed, sym);
+        table.strings.push(boxed.clone());
+        table.map.insert(boxed, sym);
         sym
     }
 
     /// Looks up a previously interned string without interning.
     pub fn get(&self, s: &str) -> Option<Sym> {
-        self.map.get(s).copied()
+        self.table.map.get(s).copied()
     }
 
     /// Resolves a symbol back to its string.
@@ -115,17 +131,17 @@ impl Interner {
     /// # Panics
     /// Panics if `sym` was not produced by this interner.
     pub fn resolve(&self, sym: Sym) -> &str {
-        &self.strings[sym.0 as usize]
+        &self.table.strings[sym.0 as usize]
     }
 
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.table.strings.len()
     }
 
     /// Whether no string has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.table.strings.is_empty()
     }
 }
 
@@ -203,6 +219,38 @@ mod tests {
         assert_eq!(i.get("x"), None);
         let s = i.intern("x");
         assert_eq!(i.get("x"), Some(s));
+    }
+
+    #[test]
+    fn new_string_in_a_clone_leaves_the_original_unchanged() {
+        let mut original = crate::Catalog::new(crate::Schema::single("R", &["A"]));
+        let vldb = original.sym("VLDB");
+        let mut clone = original.clone();
+        let edbt = clone.sym("EDBT");
+        assert_eq!(clone.interner().len(), 2);
+        assert_eq!(clone.resolve(edbt), "EDBT");
+        assert_eq!(clone.resolve(vldb), "VLDB");
+        assert_eq!(original.interner().len(), 1);
+        assert_eq!(original.interner().get("EDBT"), None);
+        assert_eq!(original.resolve(vldb), "VLDB");
+        // The split copied the table once; the original still interns on
+        // its own, and the two clones now assign symbols independently.
+        assert_eq!(original.sym("SIGMOD"), edbt);
+        assert_eq!(clone.interner().get("SIGMOD"), None);
+    }
+
+    #[test]
+    fn interning_an_existing_string_copies_nothing() {
+        let mut original = crate::Catalog::new(crate::Schema::single("R", &["A"]));
+        let vldb = original.sym("VLDB");
+        let mut clone = original.clone();
+        assert_eq!(clone.sym("VLDB"), vldb);
+        assert_eq!(clone.interner().len(), 1);
+        // Same bytes at the same address: the clones still share storage.
+        assert!(std::ptr::eq(original.resolve(vldb), clone.resolve(vldb)));
+        // A new string ends the sharing for the clone that interned it.
+        clone.sym("EDBT");
+        assert!(!std::ptr::eq(original.resolve(vldb), clone.resolve(vldb)));
     }
 
     #[test]

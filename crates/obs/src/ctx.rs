@@ -407,8 +407,23 @@ impl TaskCtx {
     /// flush when `f` returns (also on unwind). If this thread already
     /// records into the same observation (e.g. the observing thread helping
     /// the pool drain its own scope), `f` runs in the existing context.
+    ///
+    /// A capture taken outside any observation runs `f` unobserved: an
+    /// observation open on this thread (a thread helping a shared pool
+    /// drain other callers' tasks) is suspended until `f` returns, so a
+    /// task never reports into an observation it was not spawned under.
     pub fn run<R>(self, f: impl FnOnce() -> R) -> R {
         let Some((shared, path)) = self.inner else {
+            if !active() {
+                return f();
+            }
+            struct Resume(Option<LocalCtx>);
+            impl Drop for Resume {
+                fn drop(&mut self) {
+                    uninstall(self.0.take());
+                }
+            }
+            let _resume = Resume(uninstall(None));
             return f();
         };
         let same = LOCAL.with(|l| {
@@ -557,6 +572,41 @@ mod tests {
             assert!(handle.join().is_err());
         }
         assert_eq!(sink.last().unwrap().counter("before.panic"), Some(1));
+    }
+
+    #[test]
+    fn task_captured_unobserved_does_not_report_into_the_runner() {
+        let sink = Arc::new(MemorySink::new());
+        let (tx, rx) = std::sync::mpsc::channel();
+        // The capture happens on a thread with no observation, and only
+        // then does the observed thread run the task.
+        std::thread::spawn(move || tx.send(task_ctx()).unwrap())
+            .join()
+            .unwrap();
+        let ctx = rx.recv().unwrap();
+        assert!(!ctx.is_some());
+        {
+            let _obs = observe("runner", sink.clone());
+            let _own = span("own");
+            counter("own.count", 1);
+            let seen_active = ctx.run(|| {
+                let _t = span("foreign");
+                counter("foreign.count", 7);
+                histogram("foreign.sizes", 3);
+                active()
+            });
+            assert!(!seen_active, "the task ran unobserved");
+            // The runner's own observation resumes where it left off.
+            assert!(active());
+            counter("own.count", 1);
+        }
+        let r = sink.last().unwrap();
+        assert_eq!(r.counter("own.count"), Some(2));
+        assert_eq!(r.counter("foreign.count"), None);
+        assert!(r.histogram("foreign.sizes").is_none());
+        assert!(r.find_span(&["own", "foreign"]).is_none());
+        assert!(r.find_span(&["foreign"]).is_none());
+        assert_eq!(r.find_span(&["own"]).unwrap().count, 1);
     }
 
     #[test]

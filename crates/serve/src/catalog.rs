@@ -4,11 +4,11 @@
 //! A [`ServeCatalog`] owns one [`ic_model::Catalog`] (schema + interner +
 //! null generator) and a set of named instances built against it. Readers
 //! take an immutable [`Snapshot`] (`Arc`-shared); writers clone the current
-//! snapshot's contents, mutate the clone, and atomically swap it in. An
-//! in-flight request therefore computes against exactly the catalog state
-//! it was admitted under — a concurrent `load` can never tear the
-//! interner, the schema, or an instance out from under it ("old snapshot
-//! answered, new snapshot used afterward").
+//! snapshot, mutate the clone, and atomically swap it in. An in-flight
+//! request therefore computes against exactly the catalog state it was
+//! admitted under — a concurrent `load` can never tear the interner, the
+//! schema, or an instance out from under it ("old snapshot answered, new
+//! snapshot used afterward").
 //!
 //! Every mutation is one [`CatalogOp`] — `Put`, `Patch` or `Remove` —
 //! funnelled through [`ServeCatalog::apply`]. The op vocabulary is shared
@@ -19,9 +19,15 @@
 //! open. The legacy mutators (`register`, `register_with`,
 //! `load_csv_dir`, `remove`) are thin wrappers that build the op.
 //!
-//! Cloning the value catalog on every write is deliberate: loads are rare
-//! and bounded by CSV parsing anyway, while reads are the hot path and
-//! stay lock-free after the one `Mutex`-guarded `Arc` clone.
+//! A mutation costs what it changes, not what the catalog holds. Cloning
+//! a snapshot copies pointers: the interner's table is shared until the
+//! op interns a constant the catalog has not seen (one table copy, see
+//! [`ic_model::Interner`]), and the instances are a name-sorted list of
+//! `(name, pin)` pairs whose copy bumps two reference counts per entry.
+//! Every instance the op does not touch keeps its `Arc`, so consumers
+//! keyed by pointer identity (the sigmap cache, the search index) see
+//! exactly which names changed. Reads stay lock-free after the one
+//! `Mutex`-guarded `Arc` clone.
 
 use crate::lockutil::lock_recover;
 use ic_core::{apply_delta_repairing, Delta, DeltaError};
@@ -31,7 +37,6 @@ use ic_store::{
     decode_snapshot, encode_record, encode_snapshot, read_records, CatalogOp, DomainDelta, Storage,
     StoreError,
 };
-use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,6 +47,11 @@ use std::sync::{Arc, Mutex};
 /// published, after the swap, outside any catalog lock.
 pub type SnapshotObserver = Box<dyn Fn(&Snapshot) + Send + Sync>;
 
+/// A snapshot's instances: `(name, pin)` pairs sorted by name, without
+/// duplicates. Snapshots share the list until a mutation changes it, and
+/// a changed list still shares every name and pin it did not touch.
+pub(crate) type PinList = Arc<Vec<(Arc<str>, Arc<Instance>)>>;
+
 /// An immutable view of the catalog at one version. Everything a request
 /// needs — value domains and instances — is reachable from here and
 /// guaranteed internally consistent.
@@ -51,18 +61,31 @@ pub struct Snapshot {
     pub version: u64,
     /// The shared value domains (schema, interner, nulls).
     pub catalog: Catalog,
-    instances: BTreeMap<String, Arc<Instance>>,
+    instances: PinList,
 }
 
 impl Snapshot {
+    fn empty(version: u64, catalog: Catalog) -> Self {
+        Self {
+            version,
+            catalog,
+            instances: PinList::default(),
+        }
+    }
+
+    fn position(&self, name: &str) -> Result<usize, usize> {
+        self.instances.binary_search_by(|(n, _)| (**n).cmp(name))
+    }
+
     /// Looks up an instance by name.
     pub fn get(&self, name: &str) -> Option<&Arc<Instance>> {
-        self.instances.get(name)
+        let i = self.position(name).ok()?;
+        Some(&self.instances[i].1)
     }
 
     /// Instance names in sorted order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.instances.keys().map(String::as_str)
+        self.instances.iter().map(|(n, _)| &**n)
     }
 
     /// Number of registered instances.
@@ -78,7 +101,83 @@ impl Snapshot {
     /// Iterates `(name, instance)` pairs in name order — the shape
     /// consumed by cache sweeps and index synchronisation.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Arc<Instance>)> {
-        self.instances.iter().map(|(n, i)| (n.as_str(), i))
+        self.instances.iter().map(|(n, i)| (&**n, i))
+    }
+
+    /// The name-sorted pin list itself. Keep it (not the snapshot) to
+    /// diff a later snapshot against this one with [`diff_pins`]: it
+    /// holds the instances but not the value domains.
+    pub(crate) fn pins(&self) -> &PinList {
+        &self.instances
+    }
+
+    /// Registers `pin` under `name`, replacing any previous pin; returns
+    /// whether the name existed. A replaced entry keeps its name `Arc`.
+    fn put(&mut self, name: &str, pin: Arc<Instance>) -> bool {
+        let at = self.position(name);
+        let list = Arc::make_mut(&mut self.instances);
+        match at {
+            Ok(i) => {
+                list[i].1 = pin;
+                true
+            }
+            Err(i) => {
+                list.insert(i, (Arc::from(name), pin));
+                false
+            }
+        }
+    }
+
+    /// Drops `name`; returns whether it existed.
+    fn remove(&mut self, name: &str) -> bool {
+        let Ok(i) = self.position(name) else {
+            return false;
+        };
+        Arc::make_mut(&mut self.instances).remove(i);
+        true
+    }
+}
+
+/// Walks two name-sorted pin lists in one merge pass and reports every
+/// name whose pin differs: `Some(pin)` for a name `new` adds or maps to
+/// another `Arc` than `old` does, `None` for a name only `old` holds.
+/// A name with the same `Arc` in both costs a pointer comparison, and two
+/// lists that are one `Arc` cost nothing.
+pub(crate) fn diff_pins(
+    old: &PinList,
+    new: &PinList,
+    mut changed: impl FnMut(&str, Option<&Arc<Instance>>),
+) {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    if Arc::ptr_eq(old, new) {
+        return;
+    }
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let order = match (old.get(i), new.get(j)) {
+            (None, None) => return,
+            (Some(_), None) => Less,
+            (None, Some(_)) => Greater,
+            (Some((a, _)), Some((b, _))) if Arc::ptr_eq(a, b) => Equal,
+            (Some((a, _)), Some((b, _))) => a.cmp(b),
+        };
+        match order {
+            Less => {
+                changed(&old[i].0, None);
+                i += 1;
+            }
+            Greater => {
+                changed(&new[j].0, Some(&new[j].1));
+                j += 1;
+            }
+            Equal => {
+                if !Arc::ptr_eq(&old[i].1, &new[j].1) {
+                    changed(&new[j].0, Some(&new[j].1));
+                }
+                i += 1;
+                j += 1;
+            }
+        }
     }
 }
 
@@ -246,16 +345,16 @@ impl ServeCatalog {
     /// path: build instances against `catalog` first, then
     /// [`register`](Self::register) them.
     pub fn from_catalog(catalog: Catalog) -> Self {
+        Self::from_snapshot(Snapshot::empty(0, catalog), None)
+    }
+
+    fn from_snapshot(snapshot: Snapshot, store: Option<Box<dyn Storage>>) -> Self {
         Self {
-            current: Mutex::new(Arc::new(Snapshot {
-                version: 0,
-                catalog,
-                instances: BTreeMap::new(),
-            })),
+            current: Mutex::new(Arc::new(snapshot)),
             csv: CsvOptions::default(),
             subscribers: Mutex::new(Vec::new()),
             next_subscriber: AtomicU64::new(1),
-            store: Mutex::new(None),
+            store: Mutex::new(store),
         }
     }
 
@@ -266,7 +365,7 @@ impl ServeCatalog {
     /// [`apply`](Self::apply) to the WAL before publishing it.
     pub fn durable(schema: Schema, mut storage: Box<dyn Storage>) -> Result<Self, CatalogError> {
         // Recover: snapshot first, then replay whatever the WAL adds.
-        let (mut catalog, stored, mut version) =
+        let (mut catalog, stored, version) =
             match storage.read_snapshot().map_err(StoreError::Io)? {
                 Some(bytes) => {
                     let state = decode_snapshot(&bytes)?;
@@ -277,22 +376,22 @@ impl ServeCatalog {
                 }
                 None => (Catalog::new(schema), Vec::new(), 0),
             };
-        let mut instances: BTreeMap<String, Arc<Instance>> = stored
-            .into_iter()
-            .map(|(name, inst)| (name, Arc::new(inst)))
-            .collect();
-
         let wal = storage.read_wal().map_err(StoreError::Io)?;
         let (records, _valid) = read_records(&wal, &mut catalog, version)?;
+
+        let mut snap = Snapshot::empty(version, catalog);
+        for (name, inst) in stored {
+            snap.put(&name, Arc::new(inst));
+        }
         for record in records {
-            version = record.seq;
+            snap.version = record.seq;
             match record.op {
                 CatalogOp::Put { name, mut instance } => {
                     instance.set_name(&name);
-                    instances.insert(name, Arc::new(instance));
+                    snap.put(&name, Arc::new(instance));
                 }
                 CatalogOp::Patch { name, delta } => {
-                    let pin = instances.get(&name).ok_or_else(|| {
+                    let pin = snap.get(&name).ok_or_else(|| {
                         StoreError::Corrupt(format!("WAL patches unknown instance {name:?}"))
                     })?;
                     let mut inst = Instance::clone(pin);
@@ -302,10 +401,10 @@ impl ServeCatalog {
                             error,
                         }
                     })?;
-                    instances.insert(name, Arc::new(inst));
+                    snap.put(&name, Arc::new(inst));
                 }
                 CatalogOp::Remove { name } => {
-                    instances.remove(&name);
+                    snap.remove(&name);
                 }
             }
         }
@@ -313,23 +412,12 @@ impl ServeCatalog {
         // Compact: fold the replayed records into a fresh snapshot (this
         // also truncates the WAL, dropping any torn tail).
         let bytes = encode_snapshot(
-            version,
-            &catalog,
-            instances.iter().map(|(n, i)| (n.as_str(), &**i)),
+            snap.version,
+            &snap.catalog,
+            snap.iter().map(|(n, i)| (n, &**i)),
         );
         storage.install_snapshot(&bytes).map_err(StoreError::Io)?;
-
-        Ok(Self {
-            current: Mutex::new(Arc::new(Snapshot {
-                version,
-                catalog,
-                instances,
-            })),
-            csv: CsvOptions::default(),
-            subscribers: Mutex::new(Vec::new()),
-            next_subscriber: AtomicU64::new(1),
-            store: Mutex::new(Some(storage)),
-        })
+        Ok(Self::from_snapshot(snap, Some(storage)))
     }
 
     /// Whether mutations are being logged to a durability backend.
@@ -459,11 +547,10 @@ impl ServeCatalog {
                 inst.set_name(name);
                 let pin = Arc::new(inst);
                 outcome.instance = Some(Arc::clone(&pin));
-                outcome.existed = next.instances.insert(name.clone(), pin).is_some();
+                outcome.existed = next.put(name, pin);
             }
             CatalogOp::Patch { name, delta } => {
                 let pin = next
-                    .instances
                     .get(name)
                     .ok_or_else(|| CatalogError::UnknownInstance { name: name.clone() })?;
                 let mut inst = Instance::clone(pin);
@@ -476,11 +563,10 @@ impl ServeCatalog {
                     })?;
                 let pin = Arc::new(inst);
                 outcome.instance = Some(Arc::clone(&pin));
-                outcome.existed = true;
-                next.instances.insert(name.clone(), pin);
+                outcome.existed = next.put(name, pin);
             }
             CatalogOp::Remove { name } => {
-                outcome.existed = next.instances.remove(name).is_some();
+                outcome.existed = next.remove(name);
             }
         }
         Ok(outcome)
@@ -573,14 +659,13 @@ impl ServeCatalog {
     }
 
     /// Removes an instance; returns whether it existed. Thin wrapper over
-    /// [`apply`](Self::apply) with [`CatalogOp::Remove`] (a durable
-    /// append failure reads as "did not exist").
-    pub fn remove(&self, name: &str) -> bool {
+    /// [`apply`](Self::apply) with [`CatalogOp::Remove`]; a failed durable
+    /// append is an error, not "did not exist".
+    pub fn remove(&self, name: &str) -> Result<bool, CatalogError> {
         self.apply(CatalogOp::Remove {
             name: name.to_string(),
         })
         .map(|outcome| outcome.existed)
-        .unwrap_or(false)
     }
 }
 
@@ -588,6 +673,7 @@ impl ServeCatalog {
 mod tests {
     use super::*;
     use ic_model::RelId;
+    use ic_store::MemStorage;
 
     fn two_tuple_instance(cat: &mut Catalog, name: &str, a: &str, b: &str) -> Instance {
         let mut inst = Instance::new(name, cat);
@@ -686,8 +772,8 @@ mod tests {
     fn remove_and_list() {
         let sc = catalog_with(&["a", "b"]);
         assert_eq!(sc.snapshot().names().collect::<Vec<_>>(), ["a", "b"]);
-        assert!(sc.remove("a"));
-        assert!(!sc.remove("a"));
+        assert!(sc.remove("a").unwrap());
+        assert!(!sc.remove("a").unwrap());
         assert_eq!(sc.snapshot().len(), 1);
     }
 
@@ -724,7 +810,7 @@ mod tests {
 
         assert!(sc.unsubscribe(token));
         assert!(!sc.unsubscribe(token));
-        sc.remove("n");
+        assert!(sc.remove("n").unwrap());
         assert_eq!(seen.load(Ordering::SeqCst), before, "unsubscribed");
     }
 
@@ -804,8 +890,6 @@ mod tests {
 
     #[test]
     fn durable_catalog_recovers_wal_ops_across_reopen() {
-        use ic_store::MemStorage;
-
         let schema = || Schema::single("R", &["A", "B"]);
         let store = Arc::new(Mutex::new(MemStorage::new()));
 
@@ -823,7 +907,7 @@ mod tests {
             }]))
         })
         .unwrap();
-        assert!(sc.remove("gone"));
+        assert!(sc.remove("gone").unwrap());
         let before = sc.snapshot();
         drop(sc);
 
@@ -859,6 +943,232 @@ mod tests {
             ),
             Err(CatalogError::StoredSchemaMismatch)
         ));
+    }
+
+    /// A one-cell patch writing `value` over tuple 0's first attribute.
+    fn set_first_cell(sc: &ServeCatalog, name: &str, value: &str) -> ApplyOutcome {
+        sc.patch(name, |cat| {
+            Ok(Delta::new(vec![ic_core::DeltaOp::Modify {
+                id: TupleId(0),
+                attr: ic_model::AttrId(0),
+                value: cat.konst(value),
+            }]))
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn patch_with_known_constant_shares_interner_and_untouched_pins() {
+        let sc = catalog_with(&["a", "b", "c"]);
+        let before = sc.snapshot();
+        set_first_cell(&sc, "b", "a");
+        let after = sc.snapshot();
+        assert_eq!(after.version, before.version + 1);
+        let interned = before.catalog.interner().len();
+        assert_eq!(after.catalog.interner().len(), interned);
+        for sym in (0..interned as u32).map(ic_model::Sym) {
+            assert!(
+                std::ptr::eq(before.catalog.resolve(sym), after.catalog.resolve(sym)),
+                "the interner was copied"
+            );
+        }
+        for name in ["a", "c"] {
+            assert!(Arc::ptr_eq(
+                before.get(name).unwrap(),
+                after.get(name).unwrap()
+            ));
+        }
+        assert!(!Arc::ptr_eq(
+            before.get("b").unwrap(),
+            after.get("b").unwrap()
+        ));
+    }
+
+    #[test]
+    fn patch_with_new_constant_leaves_previous_interner_as_it_was() {
+        let sc = catalog_with(&["a", "b"]);
+        let before = sc.snapshot();
+        let strings: Vec<(String, *const u8)> = (0..before.catalog.interner().len() as u32)
+            .map(|i| {
+                let s = before.catalog.resolve(ic_model::Sym(i));
+                (s.to_string(), s.as_ptr())
+            })
+            .collect();
+        set_first_cell(&sc, "a", "brand-new");
+        let after = sc.snapshot();
+        assert_eq!(after.catalog.interner().len(), strings.len() + 1);
+        assert!(after.catalog.interner().get("brand-new").is_some());
+        assert_eq!(before.catalog.interner().len(), strings.len());
+        assert_eq!(before.catalog.interner().get("brand-new"), None);
+        for (i, (text, ptr)) in strings.iter().enumerate() {
+            let s = before.catalog.resolve(ic_model::Sym(i as u32));
+            assert_eq!((s, s.as_ptr()), (text.as_str(), *ptr));
+            assert_eq!(after.catalog.resolve(ic_model::Sym(i as u32)), text);
+        }
+        assert!(Arc::ptr_eq(
+            before.get("b").unwrap(),
+            after.get("b").unwrap()
+        ));
+    }
+
+    #[test]
+    fn diff_pins_reports_exactly_the_changed_names() {
+        let sc = catalog_with(&["a", "b", "c", "d"]);
+        let before = sc.snapshot();
+        set_first_cell(&sc, "b", "a");
+        sc.remove("c").unwrap();
+        sc.register_with("e", |cat| Ok(two_tuple_instance(cat, "e", "a", "b")))
+            .unwrap();
+        sc.register_with("0", |cat| Ok(two_tuple_instance(cat, "0", "a", "b")))
+            .unwrap();
+        let after = sc.snapshot();
+        let mut seen = Vec::new();
+        diff_pins(before.pins(), after.pins(), |name, pin| {
+            if let Some(pin) = pin {
+                assert!(Arc::ptr_eq(pin, after.get(name).unwrap()));
+            }
+            seen.push((name.to_string(), pin.is_some()));
+        });
+        let want = [("0", true), ("b", true), ("c", false), ("e", true)];
+        assert_eq!(seen, want.map(|(n, live)| (n.to_string(), live)).to_vec());
+        diff_pins(after.pins(), after.pins(), |name, _| {
+            panic!("{name} reported against itself")
+        });
+    }
+
+    /// A shared in-memory backend whose `append_wal` fails cleanly (writes
+    /// nothing) on its `fail_at`-th call, counting from 0.
+    struct FailingAppend {
+        mem: Arc<Mutex<MemStorage>>,
+        calls: usize,
+        fail_at: usize,
+    }
+
+    impl Storage for FailingAppend {
+        fn read_snapshot(&mut self) -> std::io::Result<Option<Vec<u8>>> {
+            self.mem.read_snapshot()
+        }
+
+        fn install_snapshot(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+            self.mem.install_snapshot(bytes)
+        }
+
+        fn read_wal(&mut self) -> std::io::Result<Vec<u8>> {
+            self.mem.read_wal()
+        }
+
+        fn append_wal(&mut self, record: &[u8]) -> std::io::Result<()> {
+            self.calls += 1;
+            if self.calls - 1 == self.fail_at {
+                return Err(std::io::Error::other("injected append failure"));
+            }
+            self.mem.append_wal(record)
+        }
+    }
+
+    /// Step `step` of a short put/patch/remove script; every step that
+    /// succeeds appends exactly one WAL record.
+    fn script_step(sc: &ServeCatalog, step: usize) -> Result<(), CatalogError> {
+        let patch = |name: &str, value: &'static str| {
+            sc.patch(name, |cat| {
+                Ok(Delta::new(vec![
+                    ic_core::DeltaOp::Modify {
+                        id: TupleId(0),
+                        attr: ic_model::AttrId(0),
+                        value: cat.konst(value),
+                    },
+                    ic_core::DeltaOp::Insert {
+                        rel: RelId(0),
+                        values: vec![cat.fresh_null(), cat.konst(value)],
+                    },
+                ]))
+            })
+            .map(drop)
+        };
+        let put = |name: &str, a: &str, b: &str| {
+            sc.register_with(name, |cat| Ok(two_tuple_instance(cat, name, a, b)))
+        };
+        match step {
+            0 => put("a", "x", "y"),
+            1 => put("b", "x", "z"),
+            2 => patch("a", "new-in-patch"),
+            3 => patch("b", "x"),
+            4 => sc.remove("a").map(drop),
+            5 => put("c", "z", "new-in-put"),
+            6 => patch("c", "y"),
+            7 => sc.remove("b").map(drop),
+            _ => unreachable!("the script has 8 steps"),
+        }
+    }
+
+    fn snapshot_bytes(snap: &Snapshot) -> Vec<u8> {
+        encode_snapshot(
+            snap.version,
+            &snap.catalog,
+            snap.iter().map(|(n, i)| (n, &**i)),
+        )
+    }
+
+    #[test]
+    fn failed_wal_append_leaves_published_snapshot_intact() {
+        let schema = || Schema::single("R", &["A", "B"]);
+        const STEPS: usize = 8;
+        for fail_at in 0..STEPS {
+            let mem = Arc::new(Mutex::new(MemStorage::new()));
+            let storage = FailingAppend {
+                mem: Arc::clone(&mem),
+                calls: 0,
+                fail_at,
+            };
+            let sc = ServeCatalog::durable(schema(), Box::new(storage)).unwrap();
+            // The acknowledged ops alone, applied without a WAL.
+            let reference = ServeCatalog::new(schema());
+            for step in 0..STEPS {
+                let before = sc.snapshot();
+                let result = script_step(&sc, step);
+                if step == fail_at {
+                    assert!(
+                        matches!(result, Err(CatalogError::Store(StoreError::Io(_)))),
+                        "step {step}: {result:?}"
+                    );
+                    let after = sc.snapshot();
+                    assert!(Arc::ptr_eq(&before, &after), "step {step} published");
+                    assert_eq!(after.version, before.version);
+                    assert_eq!(
+                        after.catalog.interner().len(),
+                        before.catalog.interner().len()
+                    );
+                    for ((_, b), (_, a)) in before.iter().zip(after.iter()) {
+                        assert!(Arc::ptr_eq(b, a));
+                    }
+                } else {
+                    assert_eq!(
+                        result.is_ok(),
+                        script_step(&reference, step).is_ok(),
+                        "fail_at {fail_at}, step {step}"
+                    );
+                }
+            }
+            let live = snapshot_bytes(&sc.snapshot());
+            assert_eq!(live, snapshot_bytes(&reference.snapshot()));
+            drop(sc);
+
+            let (snap, wal) = {
+                let mem = mem.lock().unwrap();
+                (
+                    mem.snapshot_bytes().map(<[u8]>::to_vec),
+                    mem.wal_bytes().to_vec(),
+                )
+            };
+            let reopened =
+                ServeCatalog::durable(schema(), Box::new(MemStorage::from_parts(snap, wal)))
+                    .unwrap();
+            assert_eq!(
+                snapshot_bytes(&reopened.snapshot()),
+                live,
+                "fail_at {fail_at}: recovery differs from the acknowledged ops"
+            );
+        }
     }
 
     #[test]

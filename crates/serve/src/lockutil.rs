@@ -8,14 +8,25 @@
 //! would turn every subsequent `.lock().unwrap()` into a panic and take
 //! the whole server down instead of degrading to a typed error.
 //!
-//! [`lock_recover`] recovers the guard from a poisoned mutex and is the
-//! only way serve code takes a lock.
+//! [`lock_recover`] (and [`read_recover`] / [`write_recover`] for the one
+//! `RwLock`) recover the guard from a poisoned lock and are the only way
+//! serve code takes a lock.
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Acquires `m`, recovering the guard if a previous holder panicked.
 pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Acquires `l` shared, recovering the guard if a writer panicked.
+pub(crate) fn read_recover<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Acquires `l` exclusively, recovering the guard if a writer panicked.
+pub(crate) fn write_recover<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 #[cfg(test)]

@@ -20,7 +20,9 @@
 //! A **worker host** thread runs [`ServerConfig::workers`] worker loops
 //! inside an [`ic_pool::scope`]. Workers are *deadline-aware*: a request
 //! whose deadline expired while queued is answered with a `budget` error
-//! without touching the comparison engine.
+//! without touching the comparison engine. A `search` answers from the
+//! snapshot the shared search index reflects: the admitted one, or the
+//! current one if a later search already indexed a newer snapshot.
 //!
 //! Note that server workers occupy pool threads for the lifetime of the
 //! server; `ic-pool`'s caller-helping keeps unrelated `par_map` users live
@@ -34,11 +36,11 @@
 //! [`ServerConfig::drain_grace`] to take their last bytes), and only then
 //! do the worker loops exit — no admitted request is ever dropped.
 
-use crate::catalog::{CatalogError, ServeCatalog, Snapshot};
+use crate::catalog::{diff_pins, CatalogError, PinList, ServeCatalog, Snapshot};
 use crate::conn::run_event_loop;
 use crate::frame::MAX_FRAME_LEN;
 use crate::json::Json;
-use crate::lockutil::lock_recover;
+use crate::lockutil::{lock_recover, read_recover, write_recover};
 use crate::poll::{Interest, Poller, WakeFd, TOKEN_LISTENER, TOKEN_WAKE};
 use crate::proto::{
     Algo, AttrRef, CompareScores, DecodeError, DiscoveredFdInfo, DiscoveredKeyInfo, ErrorCode,
@@ -56,7 +58,7 @@ use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -255,12 +257,12 @@ pub(crate) struct Shared {
     /// do not stay pinned (see [`SigMapCache`]).
     sig_cache: Arc<SigMapCache>,
     /// The sketch + signature prefilter index behind `search` requests,
-    /// synchronised lazily to the admitted snapshot.
+    /// synchronised lazily by [`index_view`].
     index: Arc<CatalogIndex>,
-    /// Highest catalog version the index has been synchronised to.
-    /// Guards [`ensure_index_synced`] so concurrent searches do not
-    /// duplicate sync work; lookups inside `topk` stay concurrent.
-    index_version: Mutex<u64>,
+    /// The version and pin list the index reflects. Searches hold it
+    /// shared for their whole `topk`, so no sync changes an entry under a
+    /// running search; a sync holds it exclusively (see [`index_view`]).
+    indexed: RwLock<(u64, PinList)>,
     pub(crate) requests: AtomicU64,
     completed: AtomicU64,
     pub(crate) overloaded: AtomicU64,
@@ -336,7 +338,7 @@ impl Server {
             stats_sink: Arc::new(StatsSink::new()),
             sig_cache,
             index: Arc::new(CatalogIndex::new(&SignatureConfig::default())),
-            index_version: Mutex::new(0),
+            indexed: RwLock::default(),
             requests: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             overloaded: AtomicU64::new(0),
@@ -1168,19 +1170,53 @@ fn run_compare(
     Response::Compared { id: job.id, scores }
 }
 
-/// Brings the prefilter index up to date with `snap`. The version guard
-/// serialises *sync work* (so concurrent searches over the same new
-/// snapshot build each entry once) while `topk` lookups stay concurrent on
-/// the index's own segment locks.
-fn ensure_index_synced(shared: &Shared, snap: &Snapshot) {
-    // A snapshot holding any instance has version ≥ 1 (mutations bump it),
-    // and version 0 means empty on both sides — so `>=` is safe.
-    let mut synced = lock_recover(&shared.index_version);
-    if *synced >= snap.version {
-        return;
+/// The snapshot a search runs against, and a shared hold on the index
+/// while it reflects exactly that snapshot: the query and every entry
+/// `topk` compares then come from one version, and a search's query
+/// always finds itself at 1.0.
+///
+/// Syncing diffs the pin list the index last reflected against the new
+/// one, so only names whose `Arc` changed are re-indexed or dropped: a
+/// patch costs the next search one entry, not a walk over the catalog.
+/// Syncs are exclusive, so concurrent searches build each entry once, and
+/// searches over an unchanged index share the lock. Only the pin list is
+/// kept, not the snapshot, so no old interner stays alive.
+///
+/// The index never rolls back. A search admitted under an older snapshot
+/// than the index already reflects (a later search synced first) runs
+/// against the current snapshot instead.
+fn index_view<'a>(
+    shared: &'a Shared,
+    admitted: &Arc<Snapshot>,
+) -> (Arc<Snapshot>, RwLockReadGuard<'a, (u64, PinList)>) {
+    let mut snap = Arc::clone(admitted);
+    loop {
+        // One version is one pin list: mutations bump the version, and
+        // version 0 means an empty catalog on both sides.
+        let view = read_recover(&shared.indexed);
+        if view.0 == snap.version {
+            return (snap, view);
+        }
+        let behind = view.0 < snap.version;
+        drop(view);
+        if !behind {
+            // Every synced version was published, so the current snapshot
+            // is at least as new as the index.
+            snap = shared.catalog.snapshot();
+            continue;
+        }
+        let mut synced = write_recover(&shared.indexed);
+        let (version, pins) = &*synced;
+        if *version < snap.version {
+            diff_pins(pins, snap.pins(), |name, pin| {
+                match pin {
+                    Some(pin) => shared.index.insert(name, pin),
+                    None => shared.index.remove(name),
+                };
+            });
+            *synced = (snap.version, Arc::clone(snap.pins()));
+        }
     }
-    shared.index.sync(snap.iter());
-    *synced = snap.version;
 }
 
 fn run_search(
@@ -1192,22 +1228,21 @@ fn run_search(
 ) -> Response {
     let _obs = ic_obs::observe(SEARCH_LABEL, shared.job_sink());
 
-    let Some(query) = job.snapshot.get(query_name) else {
+    let (snapshot, _view) = index_view(shared, &job.snapshot);
+    let Some(query) = snapshot.get(query_name) else {
         return Response::Error {
             id: job.id,
             code: ErrorCode::UnknownInstance,
-            message: "query vanished from the admitted snapshot".into(),
+            message: "query was removed from the catalog before the search ran".into(),
         };
     };
-
-    ensure_index_synced(shared, &job.snapshot);
 
     // The comparator carries **no** budget: every score a search returns
     // is exact and bit-identical to a direct unbudgeted `compare`. The
     // request deadline is enforced between comparisons by `topk` itself —
     // exceeding it fails the whole request with `budget` rather than
     // silently returning a truncated ranking.
-    let mut builder = Comparator::new(&job.snapshot.catalog);
+    let mut builder = Comparator::new(&snapshot.catalog);
     if let Some(lambda) = lambda {
         builder = builder.lambda(lambda);
     }
@@ -1318,5 +1353,110 @@ fn core_error(id: u64, e: &ic_core::Error) -> Response {
         id,
         code: ErrorCode::from_core(e),
         message: e.to_string(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ic_model::Schema;
+
+    /// A search admitted before a patch, but run after a later search
+    /// already synced the index past the patch, searches the snapshot the
+    /// index reflects: the patched query finds itself at 1.0. Against its
+    /// admitted snapshot, the pre-patch query would meet the patched entry.
+    #[test]
+    fn search_admitted_before_a_synced_patch_runs_on_the_index_snapshot() {
+        let catalog = Arc::new(ServeCatalog::new(Schema::single("R", &["A", "B"])));
+        for name in ["a", "b", "c"] {
+            catalog
+                .register_with(name, |cat| {
+                    let mut inst = Instance::new(name, cat);
+                    for row in ["x", "y", name] {
+                        let (v, w) = (cat.konst(row), cat.konst(&format!("{name}{row}")));
+                        inst.insert(RelId(0), vec![v, w]);
+                    }
+                    Ok(inst)
+                })
+                .unwrap();
+        }
+        let server =
+            Server::start(Arc::clone(&catalog), "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let shared = &server.shared;
+
+        let admitted = catalog.snapshot();
+        catalog
+            .patch("a", |cat| {
+                Ok(Delta::new(vec![DeltaOp::Modify {
+                    id: TupleId(0),
+                    attr: AttrId(1),
+                    value: cat.konst("patched"),
+                }]))
+            })
+            .unwrap();
+        let newer = catalog.snapshot();
+        let (used, view) = index_view(shared, &newer);
+        assert!(Arc::ptr_eq(&used, &newer));
+        drop(view);
+
+        let (used, view) = index_view(shared, &admitted);
+        assert_eq!((used.version, view.0), (newer.version, newer.version));
+        let query = used.get("a").unwrap();
+        assert!(Arc::ptr_eq(query, newer.get("a").unwrap()));
+        let cmp = Comparator::new(&used.catalog).build().unwrap();
+        let opts = SearchOptions::default();
+        let top = shared.index.topk(query, 1, &cmp, &opts).unwrap();
+        assert_eq!((top.hits[0].name.as_str(), top.hits[0].score), ("a", 1.0));
+        // The skew the fallback avoids: the admitted query misses itself.
+        let stale = admitted.get("a").unwrap();
+        let top = shared.index.topk(stale, 3, &cmp, &opts).unwrap();
+        assert!(top.hits.iter().all(|h| h.name != "a" || h.score < 1.0));
+        drop(view);
+        server.shutdown();
+    }
+
+    /// A sync waits for the searches holding the index: an entry never
+    /// changes under a running `topk`.
+    #[test]
+    fn sync_waits_for_searches_holding_the_index() {
+        let catalog = Arc::new(ServeCatalog::new(Schema::single("R", &["A"])));
+        let put = |value: &'static str| {
+            catalog
+                .register_with("a", |cat| {
+                    let mut inst = Instance::new("a", cat);
+                    inst.insert(RelId(0), vec![cat.konst(value)]);
+                    Ok(inst)
+                })
+                .unwrap();
+            catalog.snapshot()
+        };
+        let old = put("x");
+        let server =
+            Server::start(Arc::clone(&catalog), "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let shared = &server.shared;
+        let (_, view) = index_view(shared, &old);
+        let new = put("y");
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let (used, _view) = index_view(shared, &new);
+                tx.send(used.version).unwrap();
+            });
+            assert!(
+                rx.recv_timeout(Duration::from_millis(100)).is_err(),
+                "synced while a search held the index"
+            );
+            assert!(shared
+                .index
+                .entry_maps("a", old.get("a").unwrap())
+                .is_some());
+            drop(view);
+            assert_eq!(rx.recv().unwrap(), new.version);
+        });
+        assert!(shared
+            .index
+            .entry_maps("a", new.get("a").unwrap())
+            .is_some());
+        server.shutdown();
     }
 }

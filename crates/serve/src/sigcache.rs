@@ -220,7 +220,7 @@ mod tests {
         }
         assert_eq!(cache.len(), 3);
 
-        sc.remove("gone");
+        assert!(sc.remove("gone").unwrap());
         sc.register_with("replaced", |cat| {
             let mut inst = Instance::new("replaced", cat);
             let v = cat.konst("other");

@@ -110,7 +110,7 @@ fn recovery_survives_wal_truncation_at_every_byte() {
             ]))
         })
         .unwrap();
-    assert!(catalog.remove("doomed"));
+    assert!(catalog.remove("doomed").unwrap());
 
     let snapshot = store.lock().unwrap().snapshot_bytes().map(<[u8]>::to_vec);
     let wal_before = store.lock().unwrap().wal_bytes().to_vec();

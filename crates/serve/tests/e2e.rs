@@ -6,7 +6,10 @@
 use ic_core::Comparator;
 use ic_datagen::{generate_lake, mod_cell, Dataset, LakeParams};
 use ic_model::{Catalog, Instance, Schema};
-use ic_serve::{Algo, Client, CompareOptions, ErrorCode, ServeCatalog, Server, ServerConfig};
+use ic_serve::{
+    Algo, AttrRef, Client, CompareOptions, ErrorCode, PatchOp, PatchValue, ServeCatalog, Server,
+    ServerConfig,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -295,6 +298,27 @@ fn stats_report_per_request_spans() {
     server.wait();
 }
 
+/// Every `(name, signature score, pairs)` of `query` against the live
+/// catalog, ranked like `search` ranks: `(score desc, name asc)`.
+fn brute_force_ranking(
+    client: &mut Client,
+    catalog: &ServeCatalog,
+    query: &str,
+) -> Vec<(String, f64, u64)> {
+    let names: Vec<String> = catalog.snapshot().names().map(str::to_string).collect();
+    let mut ranking: Vec<(String, f64, u64)> = names
+        .into_iter()
+        .map(|name| {
+            let scores = client
+                .compare(query, &name, Algo::Signature, CompareOptions::default())
+                .unwrap();
+            (name, scores.signature.unwrap(), scores.pairs.unwrap())
+        })
+        .collect();
+    ranking.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    ranking
+}
+
 /// Acceptance criterion (top-k search): a served `search` returns hits
 /// whose names *and* scores are bit-identical to ranking the catalog with
 /// a client-side loop of unbudgeted `compare` calls — the prefilter index
@@ -308,11 +332,7 @@ fn served_search_is_bit_identical_to_client_side_compare_loop() {
         ..LakeParams::default()
     });
     let catalog = Arc::new(ServeCatalog::from_catalog(lake.catalog));
-    let names: Vec<String> = lake
-        .instances
-        .iter()
-        .map(|i| i.name().to_string())
-        .collect();
+    let instances = lake.instances.len();
     for inst in lake.instances {
         let name = inst.name().to_string();
         catalog.register(&name, inst).unwrap();
@@ -321,23 +341,11 @@ fn served_search_is_bit_identical_to_client_side_compare_loop() {
     let mut client = Client::new(server.local_addr()).unwrap();
 
     let (query, k) = ("c1v0", 5);
-    let mut brute: Vec<(String, f64, u64)> = names
-        .iter()
-        .map(|name| {
-            let scores = client
-                .compare(query, name, Algo::Signature, CompareOptions::default())
-                .unwrap();
-            (
-                name.clone(),
-                scores.signature.unwrap(),
-                scores.pairs.unwrap(),
-            )
-        })
-        .collect();
-    brute.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    let brute = brute_force_ranking(&mut client, &catalog, query);
+    assert_eq!(brute.len(), instances);
 
     let results = client.search(query, k, CompareOptions::default()).unwrap();
-    assert_eq!(results.total, names.len() as u64);
+    assert_eq!(results.total, instances as u64);
     assert_eq!(results.hits.len(), k as usize);
     for (hit, (bn, bs, bp)) in results.hits.iter().zip(brute.iter()) {
         assert_eq!(&hit.name, bn);
@@ -370,6 +378,77 @@ fn served_search_is_bit_identical_to_client_side_compare_loop() {
     server.wait();
 }
 
+/// The served index follows the catalog through mutations: after a wire
+/// `patch` of one instance, a `register` replacing a second and a
+/// `remove` of a third, `search` still equals the client-side `compare`
+/// loop bit for bit, counts one entry fewer, and never names the removed
+/// instance. The first search builds the index; the second syncs it by
+/// diffing the two snapshots' pin lists.
+#[test]
+fn served_search_follows_patch_replace_and_remove() {
+    let lake = generate_lake(&LakeParams {
+        clusters: 4,
+        versions_per_cluster: 3,
+        rows: 12,
+        ..LakeParams::default()
+    });
+    let catalog = Arc::new(ServeCatalog::from_catalog(lake.catalog));
+    for inst in lake.instances {
+        let name = inst.name().to_string();
+        catalog.register(&name, inst).unwrap();
+    }
+    let total = catalog.snapshot().len() as u64;
+    let server = start(Arc::clone(&catalog), ServerConfig::default());
+    let mut client = Client::new(server.local_addr()).unwrap();
+
+    let query = "c1v0";
+    let before = brute_force_ranking(&mut client, &catalog, query);
+    let first = client
+        .search(query, total, CompareOptions::default())
+        .unwrap();
+    assert_eq!(first.total, total);
+    assert_eq!(first.hits.len(), before.len());
+
+    let (patched, replaced, removed) = ("c1v1", "c1v2", "c0v0");
+    client
+        .patch(
+            patched,
+            vec![PatchOp::Modify {
+                tuple: 0,
+                attr: AttrRef::Index(0),
+                value: PatchValue::Const("patched-by-e2e".into()),
+            }],
+        )
+        .unwrap();
+    let donor = Instance::clone(catalog.snapshot().get("c3v0").unwrap());
+    catalog.register(replaced, donor).unwrap();
+    assert!(catalog.remove(removed).unwrap());
+
+    let after = brute_force_ranking(&mut client, &catalog, query);
+    let score_of = |ranking: &[(String, f64, u64)], name: &str| {
+        ranking.iter().find(|(n, ..)| n == name).map(|e| e.1)
+    };
+    assert_ne!(
+        score_of(&before, replaced),
+        score_of(&after, replaced),
+        "the replacement must move its score, or a stale index would pass"
+    );
+    for k in [5, total] {
+        let results = client.search(query, k, CompareOptions::default()).unwrap();
+        assert_eq!(results.total, total - 1);
+        assert_eq!(results.hits.len() as u64, k.min(total - 1));
+        assert!(results.hits.iter().all(|h| h.name != removed));
+        for (hit, (name, score, pairs)) in results.hits.iter().zip(after.iter()) {
+            assert_eq!(&hit.name, name);
+            assert_eq!(hit.score.to_bits(), score.to_bits(), "bit-identical scores");
+            assert_eq!(hit.pairs, *pairs);
+        }
+    }
+
+    client.shutdown().unwrap();
+    server.wait();
+}
+
 /// Acceptance criterion (cache leak bugfix): removing instances from the
 /// catalog evicts their sigcache entries — `SigMapCache::len()` returns to
 /// its pre-load level instead of pinning removed instances forever — and
@@ -389,9 +468,9 @@ fn remove_then_reload_evicts_sigcache_entries() {
 
     // Remove both; the catalog-subscription sweep must evict both entries
     // even though nothing ever looks those names up again.
-    assert!(catalog.remove("probe"));
+    assert!(catalog.remove("probe").unwrap());
     assert_eq!(server.sig_cache().len(), 1);
-    assert!(catalog.remove("base"));
+    assert!(catalog.remove("base").unwrap());
     assert_eq!(server.sig_cache().len(), pre_load, "back to pre-load level");
     assert_eq!(server.sig_cache().stats().evictions, 2);
 

@@ -33,7 +33,9 @@ fn main() {
 
     let cfg = SignatureConfig::default();
     let index = CatalogIndex::new(&cfg);
-    index.sync(pins.iter().map(|p| (p.name(), p)));
+    for p in &pins {
+        index.insert(p.name(), p);
+    }
     let cmp = Comparator::new(&lake.catalog).build().unwrap();
 
     // Search: which lake tables look like cluster 2's newest version?

@@ -117,6 +117,15 @@ cargo run -q --offline --release -p ic-bench --bin bench_search
 test -f target/ic-bench/BENCH_search.json
 echo "    wrote target/ic-bench/BENCH_search.json"
 
+# The benchmark (BENCHMARK.json) is a package of its own that compiles
+# against the ic-serve, ic-model and ic-store types; build it and run its
+# unit tests so an API change cannot break it unnoticed.
+echo "==> icbench build + unit tests"
+CARGO_TARGET_DIR=target/icbench cargo build --release --offline \
+    --manifest-path crates/bench/src/bin/icbench/Cargo.toml
+CARGO_TARGET_DIR=target/icbench cargo test -q --offline \
+    --manifest-path crates/bench/src/bin/icbench/Cargo.toml
+
 # Public docs must build clean across the workspace (broken intra-doc links
 # and malformed doc comments are errors, not warnings).
 echo "==> cargo doc --workspace --no-deps --offline (warnings denied)"

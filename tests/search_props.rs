@@ -77,7 +77,9 @@ fn assert_topk_is_brute_force(case: &Case, threads: usize) {
     let (cat, pins) = materialize(case);
     let cfg = SignatureConfig::default();
     let index = CatalogIndex::new(&cfg);
-    index.sync(pins.iter().map(|p| (p.name(), p)));
+    for p in &pins {
+        index.insert(p.name(), p);
+    }
 
     let cmp = Comparator::new(&cat).threads(threads).build().unwrap();
     let query = &pins[case.1 as usize % pins.len()];
