@@ -1,34 +1,23 @@
-//! The sharded catalog index: per-instance entries (sketch + signature
-//! posting hashes + pinned [`InstanceSigMaps`]) distributed over
-//! independently locked segments, and the [`CatalogIndex::topk`] search
-//! that prefilters by sketch + signature overlap before running the full
-//! comparison on survivors.
+//! The catalog index: per-instance entries (sketch + signature posting
+//! hashes + pinned [`InstanceSigMaps`]) in one lock-guarded slot arena,
+//! and the two-stage search over it: [`CatalogIndex::prefilter`] ranks
+//! every entry by sketch + signature overlap and picks the survivors, and
+//! [`Survivors::compare`] runs the full comparison on them.
 
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 use ic_core::{Comparator, Delta, DeltaError, Error, InstanceSigMaps, SignatureConfig};
 use ic_model::{FxHashMap, Instance, RelId, Sym, TupleId};
 
-use crate::sketch::{apply_delta_repairing_sketch, hash64, Sketch, SketchCounts};
+use crate::sketch::{apply_delta_repairing_sketch, hash64, jaccard_estimate, Sketch, SketchCounts};
 
 /// Seed of the signature-posting hash family (disjoint from the sketch
 /// family's).
 const SIG_SEED: u64 = 0x1C5E_ACC4_5EED_0002;
-
-/// Number of independently locked segments. Name-hashed; 16 keeps lock
-/// contention negligible for catalog mutation rates while staying cheap to
-/// scan at query time.
-const SEGMENTS: usize = 16;
-
-/// Recovers a mutex guard even if a previous holder panicked. Sound here
-/// because every guarded segment is consistent at all times: entries are
-/// swapped in/out whole, and posting lists are repaired in the same
-/// critical section as the entry map.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// Hashes one `(relation, mask, key)` signature bucket to a 64-bit posting
 /// key by folding the SplitMix64 finalizer over its parts.
@@ -54,40 +43,75 @@ fn signature_hashes(maps: &InstanceSigMaps) -> Box<[u64]> {
     hashes.into_boxed_slice()
 }
 
+/// What the prefilter reads of one instance: its signature maps, the
+/// posting hashes of their buckets, and its sketch. An indexed query
+/// lends its entry's summary instead of building one.
+#[derive(Debug)]
+struct Summary {
+    maps: Arc<InstanceSigMaps>,
+    sig_hashes: Box<[u64]>,
+    sketch: Sketch,
+}
+
+impl Summary {
+    fn new(maps: InstanceSigMaps, sketch: Sketch) -> Self {
+        Self {
+            sig_hashes: signature_hashes(&maps),
+            maps: Arc::new(maps),
+            sketch,
+        }
+    }
+}
+
 /// One indexed instance: the name, the pinned `Arc<Instance>` whose
 /// pointer identity keys invalidation (the same discipline as ic-serve's
-/// `SigMapCache`), the prebuilt signature maps, the sketch, and the
-/// posting hashes this entry occupies.
+/// `SigMapCache`), its summary, and the counts behind sketch repair.
 #[derive(Debug)]
 struct Entry {
     name: String,
     pin: Arc<Instance>,
-    maps: Arc<InstanceSigMaps>,
-    sketch: Sketch,
+    summary: Summary,
     /// Constant-occurrence counts backing incremental sketch repair.
     counts: SketchCounts,
-    sig_hashes: Box<[u64]>,
 }
 
-/// One index shard: slot-addressed entries plus the inverted posting map
-/// from signature hash to occupying slots.
+/// The index state behind the one lock: slot-addressed entries, the
+/// name-ordered name → slot map, and the inverted posting map from
+/// signature hash to occupying slots.
 #[derive(Debug, Default)]
-struct Segment {
+struct Arena {
     /// Slot-addressed entries; `None` marks a freed slot.
     entries: Vec<Option<Entry>>,
-    by_name: FxHashMap<String, usize>,
-    free: Vec<usize>,
-    /// Inverted index: signature hash → slots of entries indexed under it.
+    /// Name → slot in name order, so an entry's position in it is its
+    /// name ordinal.
+    by_name: BTreeMap<String, u32>,
+    free: Vec<u32>,
     postings: FxHashMap<u64, Vec<u32>>,
 }
 
-impl Segment {
-    fn remove_slot(&mut self, slot: usize) -> Entry {
-        let entry = self.entries[slot].take().expect("slot is live");
+impl Arena {
+    fn entry(&self, slot: u32) -> &Entry {
+        self.entries[slot as usize]
+            .as_ref()
+            .expect("by_name and postings name live slots")
+    }
+
+    fn get(&self, name: &str) -> Option<&Entry> {
+        self.by_name.get(name).map(|&slot| self.entry(slot))
+    }
+
+    /// The entry indexed under `query`'s name, if it pins `query` itself.
+    fn pinned(&self, query: &Instance) -> Option<&Entry> {
+        self.get(query.name())
+            .filter(|e| std::ptr::eq(Arc::as_ptr(&e.pin), query))
+    }
+
+    fn remove_slot(&mut self, slot: u32) -> Entry {
+        let entry = self.entries[slot as usize].take().expect("slot is live");
         self.by_name.remove(&entry.name);
-        for h in entry.sig_hashes.iter() {
+        for h in entry.summary.sig_hashes.iter() {
             if let Some(slots) = self.postings.get_mut(h) {
-                slots.retain(|&s| s as usize != slot);
+                slots.retain(|&s| s != slot);
                 if slots.is_empty() {
                     self.postings.remove(h);
                 }
@@ -98,19 +122,30 @@ impl Segment {
     }
 
     fn insert_entry(&mut self, entry: Entry) {
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                self.entries.push(None);
-                self.entries.len() - 1
-            }
-        };
-        for h in entry.sig_hashes.iter() {
-            self.postings.entry(*h).or_default().push(slot as u32);
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.entries.push(None);
+            (self.entries.len() - 1) as u32
+        });
+        for h in entry.summary.sig_hashes.iter() {
+            self.postings.entry(*h).or_default().push(slot);
         }
         self.by_name.insert(entry.name.clone(), slot);
-        self.entries[slot] = Some(entry);
+        self.entries[slot as usize] = Some(entry);
     }
+}
+
+/// One entry's prefilter rank. The derived order compares the fields top
+/// to bottom, which is the rank order `(overlap desc, sketch desc, name
+/// asc)`: integer compares only. Name ordinals are unique, so `slot` never
+/// decides.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Rank {
+    /// Distinct signature buckets shared with the query.
+    overlap: Reverse<u32>,
+    /// Agreeing minhash slots.
+    matches: Reverse<u32>,
+    ordinal: u32,
+    slot: u32,
 }
 
 /// Lifetime counters of one [`CatalogIndex`].
@@ -211,24 +246,94 @@ pub struct SearchOutcome {
     pub total: usize,
 }
 
-/// A sharded catalog-level similarity index.
+/// One survivor of the prefilter: an owned pin and its maps, so the full
+/// comparison needs no hold on the index.
+#[derive(Debug)]
+struct Survivor {
+    name: String,
+    pin: Arc<Instance>,
+    maps: Arc<InstanceSigMaps>,
+}
+
+/// The entries [`CatalogIndex::prefilter`] chose for the full comparison,
+/// in prefilter rank order, with owned pins and maps: the index may change
+/// (or be dropped) before [`Survivors::compare`] runs without changing its
+/// answer.
+#[derive(Debug)]
+pub struct Survivors {
+    query_maps: Arc<InstanceSigMaps>,
+    survivors: Vec<Survivor>,
+    k: usize,
+    total: usize,
+    deadline: Option<Instant>,
+    started: Instant,
+}
+
+impl Survivors {
+    /// Stage 3 of [`CatalogIndex::topk`]: the full signature comparison of
+    /// `query` (the instance [`CatalogIndex::prefilter`] ran for) with
+    /// every survivor, seeded with the prebuilt maps, then the top `k` by
+    /// `(score desc, name asc)`.
+    ///
+    /// The deadline of the prefilter's [`SearchOptions`] is checked
+    /// **between** comparisons (each one runs unbudgeted, so every returned
+    /// score is exact); expiry returns [`Error::Budget`].
+    pub fn compare(self, query: &Instance, cmp: &Comparator<'_>) -> Result<SearchOutcome, Error> {
+        let compared = self.survivors.len();
+        let mut hits: Vec<SearchHit> = Vec::with_capacity(compared);
+        for s in self.survivors {
+            if let Some(deadline) = self.deadline {
+                if Instant::now() >= deadline {
+                    return Err(Error::Budget {
+                        budget: None,
+                        elapsed: self.started.elapsed(),
+                    });
+                }
+            }
+            let out =
+                cmp.signature_with_maps(query, &s.pin, Some(&self.query_maps), Some(&s.maps))?;
+            hits.push(SearchHit {
+                name: s.name,
+                score: out.best.score(),
+                pairs: out.best.pairs.len(),
+            });
+        }
+        hits.sort_by(|a, b| {
+            b.score
+                .total_cmp(&a.score)
+                .then_with(|| a.name.cmp(&b.name))
+        });
+        hits.truncate(self.k);
+        Ok(SearchOutcome {
+            hits,
+            compared,
+            total: self.total,
+        })
+    }
+}
+
+/// A catalog-level similarity index.
 ///
-/// Entries are distributed over 16 independently locked shards
-/// by name hash, so index build/lookup stays concurrent with catalog
-/// load/replace. Invalidation is by pointer identity: an entry is valid
-/// for a name exactly while the catalog still maps that name to the same
-/// `Arc<Instance>` (the `SigMapCache` pin discipline): [`Self::insert`]
-/// with the same `Arc` is a no-op, with another `Arc` a rebuild, and a
-/// caller that follows a changing catalog calls it (or [`Self::remove`])
-/// only for the names whose pin changed.
+/// Entries live in one slot arena behind one `RwLock`: inserts, removals
+/// and delta repairs take it exclusively for a swap (entry maps are built
+/// outside it), and a search's prefilter takes it shared. Invalidation is
+/// by pointer identity: an entry is valid for a name exactly while the
+/// catalog still maps that name to the same `Arc<Instance>` (the
+/// `SigMapCache` pin discipline): [`Self::insert`] with the same `Arc` is
+/// a no-op, with another `Arc` a rebuild, and a caller that follows a
+/// changing catalog calls it (or [`Self::remove`]) only for the names
+/// whose pin changed.
 ///
-/// `topk` never trades correctness for speed: the prefilter only chooses
-/// *which* entries run the full comparison, every returned score is the
+/// A search is two stages. [`Self::prefilter`] scores every entry under
+/// one read lock and clones pins and maps for the survivors only;
+/// [`Survivors::compare`] then runs the full comparisons without the lock.
+/// [`Self::topk`] is exactly those two calls. The prefilter only chooses
+/// *which* entries run the full comparison: every returned score is the
 /// exact signature-algorithm score (bit-identical at any thread count),
 /// and ties order deterministically by name.
 #[derive(Debug)]
 pub struct CatalogIndex {
-    segments: Vec<Mutex<Segment>>,
+    arena: RwLock<Arena>,
     /// Map-shaping config (only `partial` + `max_signatures_per_tuple`
     /// matter; budget is stripped so maps always build deadline-free).
     map_cfg: SignatureConfig,
@@ -251,12 +356,10 @@ impl CatalogIndex {
     pub fn new(cfg: &SignatureConfig) -> Self {
         let map_cfg = SignatureConfig {
             budget: None,
-            ..cfg.clone()
+            ..*cfg
         };
         Self {
-            segments: (0..SEGMENTS)
-                .map(|_| Mutex::new(Segment::default()))
-                .collect(),
+            arena: RwLock::default(),
             map_cfg,
             inserts: AtomicU64::new(0),
             replacements: AtomicU64::new(0),
@@ -272,27 +375,28 @@ impl CatalogIndex {
             && self.map_cfg.max_signatures_per_tuple == cfg.max_signatures_per_tuple
     }
 
-    fn segment_of(&self, name: &str) -> &Mutex<Segment> {
-        let mut h = SIG_SEED;
-        for b in name.as_bytes() {
-            h = hash64(h, u64::from(*b));
-        }
-        &self.segments[(h % self.segments.len() as u64) as usize]
+    // The arena guards recover from poisoning. Sound because the arena is
+    // consistent at all times: entries are swapped in/out whole, and
+    // posting lists are repaired in the same critical section as the
+    // entry map.
+    fn read(&self) -> RwLockReadGuard<'_, Arena> {
+        self.arena.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Builds the entry payload for `(name, pin)` — outside any segment
-    /// lock, since map construction is the expensive part.
+    fn write(&self) -> RwLockWriteGuard<'_, Arena> {
+        self.arena.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Builds the entry for `(name, pin)` — outside the lock, since map
+    /// construction is the expensive part.
     fn build_entry(&self, name: &str, pin: &Arc<Instance>) -> Entry {
         let maps = InstanceSigMaps::build(pin, &self.map_cfg);
-        let sig_hashes = signature_hashes(&maps);
         let (sketch, counts) = Sketch::build_counted(pin);
         Entry {
             name: name.to_string(),
             pin: Arc::clone(pin),
-            maps: Arc::new(maps),
-            sketch,
+            summary: Summary::new(maps, sketch),
             counts,
-            sig_hashes,
         }
     }
 
@@ -300,52 +404,45 @@ impl CatalogIndex {
     /// differs. Returns `true` if the index changed (no-op when the same
     /// `Arc` is already indexed).
     pub fn insert(&self, name: &str, pin: &Arc<Instance>) -> bool {
+        if self
+            .read()
+            .get(name)
+            .is_some_and(|e| Arc::ptr_eq(&e.pin, pin))
         {
-            let seg = lock_recover(self.segment_of(name));
-            if let Some(&slot) = seg.by_name.get(name) {
-                let entry = seg.entries[slot].as_ref().expect("by_name slot is live");
-                if Arc::ptr_eq(&entry.pin, pin) {
-                    self.unchanged.fetch_add(1, Ordering::Relaxed);
-                    return false;
-                }
-            }
+            self.unchanged.fetch_add(1, Ordering::Relaxed);
+            return false;
         }
         let entry = self.build_entry(name, pin);
-        let mut seg = lock_recover(self.segment_of(name));
-        if let Some(&slot) = seg.by_name.get(name) {
+        let mut arena = self.write();
+        if let Some(&slot) = arena.by_name.get(name) {
             // Re-check under the lock: a racing insert may have landed.
-            let live = seg.entries[slot].as_ref().expect("by_name slot is live");
-            if Arc::ptr_eq(&live.pin, pin) {
+            if Arc::ptr_eq(&arena.entry(slot).pin, pin) {
                 self.unchanged.fetch_add(1, Ordering::Relaxed);
                 return false;
             }
-            seg.remove_slot(slot);
+            arena.remove_slot(slot);
             self.replacements.fetch_add(1, Ordering::Relaxed);
         } else {
             self.inserts.fetch_add(1, Ordering::Relaxed);
         }
-        seg.insert_entry(entry);
+        arena.insert_entry(entry);
         true
     }
 
     /// Drops `name` from the index. Returns `true` if it was indexed.
     pub fn remove(&self, name: &str) -> bool {
-        let mut seg = lock_recover(self.segment_of(name));
-        if let Some(&slot) = seg.by_name.get(name) {
-            seg.remove_slot(slot);
-            self.removals.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
+        let mut arena = self.write();
+        let Some(&slot) = arena.by_name.get(name) else {
+            return false;
+        };
+        arena.remove_slot(slot);
+        self.removals.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     /// Number of indexed entries.
     pub fn len(&self) -> usize {
-        self.segments
-            .iter()
-            .map(|s| lock_recover(s).by_name.len())
-            .sum()
+        self.read().by_name.len()
     }
 
     /// Whether the index is empty.
@@ -388,16 +485,15 @@ impl CatalogIndex {
     ) -> Result<(Arc<Instance>, Vec<TupleId>), DeltaApplyError> {
         // Snapshot the entry under the lock; repair outside it.
         let (old_pin, mut instance, mut maps, mut sketch, mut counts) = {
-            let seg = lock_recover(self.segment_of(name));
-            let Some(&slot) = seg.by_name.get(name) else {
+            let arena = self.read();
+            let Some(entry) = arena.get(name) else {
                 return Err(DeltaApplyError::NotIndexed(name.to_string()));
             };
-            let entry = seg.entries[slot].as_ref().expect("by_name slot is live");
             (
                 Arc::clone(&entry.pin),
                 (*entry.pin).clone(),
-                (*entry.maps).clone(),
-                entry.sketch.clone(),
+                (*entry.summary.maps).clone(),
+                entry.summary.sketch.clone(),
                 entry.counts.clone(),
             )
         };
@@ -409,28 +505,21 @@ impl CatalogIndex {
             delta,
         )
         .map_err(DeltaApplyError::Op)?;
-        let sig_hashes = signature_hashes(&maps);
         let entry = Entry {
             name: name.to_string(),
             pin: Arc::new(instance),
-            maps: Arc::new(maps),
-            sketch,
+            summary: Summary::new(maps, sketch),
             counts,
-            sig_hashes,
         };
         let new_pin = Arc::clone(&entry.pin);
-        let mut seg = lock_recover(self.segment_of(name));
-        match seg.by_name.get(name) {
-            Some(&slot) => {
-                let live = seg.entries[slot].as_ref().expect("by_name slot is live");
-                if !Arc::ptr_eq(&live.pin, &old_pin) {
-                    return Err(DeltaApplyError::Stale(name.to_string()));
-                }
-                seg.remove_slot(slot);
+        let mut arena = self.write();
+        match arena.by_name.get(name) {
+            Some(&slot) if Arc::ptr_eq(&arena.entry(slot).pin, &old_pin) => {
+                arena.remove_slot(slot);
             }
-            None => return Err(DeltaApplyError::Stale(name.to_string())),
+            _ => return Err(DeltaApplyError::Stale(name.to_string())),
         }
-        seg.insert_entry(entry);
+        arena.insert_entry(entry);
         self.replacements.fetch_add(1, Ordering::Relaxed);
         Ok((new_pin, inserted))
     }
@@ -439,17 +528,13 @@ impl CatalogIndex {
     /// pinned to `pin` (pointer identity). Lets callers reuse the index's
     /// maps for their own seeded comparisons.
     pub fn entry_maps(&self, name: &str, pin: &Arc<Instance>) -> Option<Arc<InstanceSigMaps>> {
-        let seg = lock_recover(self.segment_of(name));
-        let &slot = seg.by_name.get(name)?;
-        let entry = seg.entries[slot].as_ref().expect("by_name slot is live");
-        if Arc::ptr_eq(&entry.pin, pin) {
-            Some(Arc::clone(&entry.maps))
-        } else {
-            None
-        }
+        let arena = self.read();
+        let entry = arena.get(name)?;
+        Arc::ptr_eq(&entry.pin, pin).then(|| Arc::clone(&entry.summary.maps))
     }
 
-    /// Top-k most similar indexed instances to `query`.
+    /// Top-k most similar indexed instances to `query`: exactly
+    /// [`Self::prefilter`] followed by [`Survivors::compare`].
     ///
     /// Three stages: (1) cheap prefilter scores for **every** entry —
     /// signature overlap via the inverted postings plus the minhash domain
@@ -474,17 +559,135 @@ impl CatalogIndex {
         cmp: &Comparator<'_>,
         opts: &SearchOptions,
     ) -> Result<SearchOutcome, Error> {
+        self.prefilter(query, k, cmp, opts)?.compare(query, cmp)
+    }
+
+    /// Stages 1 and 2 of [`Self::topk`], under one read lock: rank every
+    /// entry into a compact integer record, keep every entry with overlap
+    /// or a sketch estimate at the threshold, and fill the rest of the
+    /// floor by partial selection, not a sort. Only survivors have their
+    /// name, pin and maps cloned. When `query` is itself indexed (the same
+    /// `Arc` under its own name), its entry's maps, posting hashes and
+    /// sketch are reused instead of rebuilt.
+    ///
+    /// Records an `index.prefilter` span with `index.entries` and
+    /// `index.survivors` counters into the active observation.
+    ///
+    /// # Panics
+    /// As [`Self::topk`].
+    pub fn prefilter(
+        &self,
+        query: &Instance,
+        k: usize,
+        cmp: &Comparator<'_>,
+        opts: &SearchOptions,
+    ) -> Result<Survivors, Error> {
         assert!(
             self.compatible_with(cmp.signature_config()),
-            "CatalogIndex::topk: comparator's partial/max_signatures_per_tuple \
+            "CatalogIndex::prefilter: comparator's partial/max_signatures_per_tuple \
              disagree with the index's map-shaping config"
         );
         let started = Instant::now();
-        let query_maps = cmp.build_maps(query)?;
-        let query_hashes = signature_hashes(&query_maps);
-        let query_sketch = Sketch::build(query);
+        let _span = ic_obs::span("index.prefilter");
+        // The comparator rejects a query of another schema when it builds
+        // its maps; an indexed query skips that build, so check here.
+        let expected = cmp.catalog().schema().len();
+        if query.num_relations() != expected {
+            return Err(Error::SchemaMismatch {
+                expected,
+                found: query.num_relations(),
+            });
+        }
+        let arena = self.read();
+        let built;
+        let probe = match arena.pinned(query) {
+            Some(entry) => &entry.summary,
+            None => {
+                built = Summary::new(cmp.build_maps(query)?, Sketch::build(query));
+                &built
+            }
+        };
 
-        // Stage 1: prefilter scores for every entry, segment by segment.
+        // Stage 1: rank every entry without cloning anything.
+        let mut overlap = vec![0u32; arena.entries.len()];
+        for h in probe.sig_hashes.iter() {
+            for &slot in arena.postings.get(h).into_iter().flatten() {
+                overlap[slot as usize] += 1;
+            }
+        }
+        let mut kept: Vec<Rank> = Vec::new();
+        let mut rest: Vec<Rank> = Vec::with_capacity(arena.by_name.len());
+        for (ordinal, &slot) in arena.by_name.values().enumerate() {
+            let matches = probe
+                .sketch
+                .matching_slots(&arena.entry(slot).summary.sketch);
+            let rank = Rank {
+                overlap: Reverse(overlap[slot as usize]),
+                matches: Reverse(matches as u32),
+                ordinal: ordinal as u32,
+                slot,
+            };
+            if rank.overlap.0 > 0 || jaccard_estimate(matches) >= opts.sketch_threshold {
+                kept.push(rank);
+            } else {
+                rest.push(rank);
+            }
+        }
+        let total = kept.len() + rest.len();
+
+        // Stage 2: the kept entries lead the rank order, so the survivors
+        // are they plus the best of the rest up to the floor.
+        let floor = k
+            .saturating_mul(opts.oversample.max(1))
+            .max(opts.min_candidates)
+            .min(total);
+        if let Some(fill) = floor.checked_sub(kept.len()).filter(|&n| n > 0) {
+            rest.select_nth_unstable(fill - 1);
+            kept.extend_from_slice(&rest[..fill]);
+        }
+        kept.sort_unstable();
+        let survivors: Vec<Survivor> = kept
+            .iter()
+            .map(|r| {
+                let entry = arena.entry(r.slot);
+                Survivor {
+                    name: entry.name.clone(),
+                    pin: Arc::clone(&entry.pin),
+                    maps: Arc::clone(&entry.summary.maps),
+                }
+            })
+            .collect();
+        ic_obs::counter("index.entries", total as u64);
+        ic_obs::counter("index.survivors", survivors.len() as u64);
+        Ok(Survivors {
+            query_maps: Arc::clone(&probe.maps),
+            survivors,
+            k,
+            total,
+            deadline: opts.deadline,
+            started,
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ic_datagen::{generate_lake, LakeParams};
+    use ic_model::{Catalog, Schema};
+
+    /// Stages 1–3 as the index ran them before ranking in place: clone
+    /// every entry, fully sort all of them by `(overlap desc, sketch desc,
+    /// name asc)`, keep the prefix that passes the filter or lies under the
+    /// floor, and compare it with freshly built query maps. Returns the
+    /// survivor names in rank order and the outcome.
+    fn reference_topk(
+        index: &CatalogIndex,
+        query: &Instance,
+        k: usize,
+        cmp: &Comparator<'_>,
+        opts: &SearchOptions,
+    ) -> (Vec<String>, SearchOutcome) {
         struct Candidate {
             name: String,
             pin: Arc<Instance>,
@@ -492,31 +695,31 @@ impl CatalogIndex {
             overlap: u32,
             sketch_sim: f64,
         }
-        let mut candidates: Vec<Candidate> = Vec::new();
-        for seg in &self.segments {
-            let seg = lock_recover(seg);
-            let mut overlap: FxHashMap<u32, u32> = FxHashMap::default();
-            for h in query_hashes.iter() {
-                if let Some(slots) = seg.postings.get(h) {
-                    for &slot in slots {
-                        *overlap.entry(slot).or_insert(0) += 1;
-                    }
+        let query_maps = cmp.build_maps(query).unwrap();
+        let query_hashes = signature_hashes(&query_maps);
+        let query_sketch = Sketch::build(query);
+        let arena = index.read();
+        let mut overlap: FxHashMap<u32, u32> = FxHashMap::default();
+        for h in query_hashes.iter() {
+            if let Some(slots) = arena.postings.get(h) {
+                for &slot in slots {
+                    *overlap.entry(slot).or_insert(0) += 1;
                 }
             }
-            for (slot, entry) in seg.entries.iter().enumerate() {
-                let Some(entry) = entry else { continue };
-                candidates.push(Candidate {
-                    name: entry.name.clone(),
-                    pin: Arc::clone(&entry.pin),
-                    maps: Arc::clone(&entry.maps),
-                    overlap: overlap.get(&(slot as u32)).copied().unwrap_or(0),
-                    sketch_sim: query_sketch.domain_jaccard(&entry.sketch),
-                });
-            }
         }
+        let mut candidates: Vec<Candidate> = Vec::new();
+        for (slot, entry) in arena.entries.iter().enumerate() {
+            let Some(entry) = entry else { continue };
+            candidates.push(Candidate {
+                name: entry.name.clone(),
+                pin: Arc::clone(&entry.pin),
+                maps: Arc::clone(&entry.summary.maps),
+                overlap: overlap.get(&(slot as u32)).copied().unwrap_or(0),
+                sketch_sim: query_sketch.domain_jaccard(&entry.summary.sketch),
+            });
+        }
+        drop(arena);
         let total = candidates.len();
-
-        // Stage 2: survivor selection by deterministic prefilter rank.
         candidates.sort_by(|a, b| {
             b.overlap
                 .cmp(&a.overlap)
@@ -534,54 +737,204 @@ impl CatalogIndex {
                 *i < keep_floor || c.overlap > 0 || c.sketch_sim >= opts.sketch_threshold
             })
             .count();
-
-        // Stage 3: full comparison on survivors, seeded with index maps.
-        let mut hits: Vec<SearchHit> = Vec::with_capacity(survivors);
-        for c in &candidates[..survivors] {
-            if let Some(deadline) = opts.deadline {
-                if Instant::now() >= deadline {
-                    return Err(Error::Budget {
-                        budget: None,
-                        elapsed: started.elapsed(),
-                    });
+        candidates.truncate(survivors);
+        let mut hits: Vec<SearchHit> = candidates
+            .iter()
+            .map(|c| {
+                let out = cmp
+                    .signature_with_maps(query, &c.pin, Some(&query_maps), Some(&c.maps))
+                    .unwrap();
+                SearchHit {
+                    name: c.name.clone(),
+                    score: out.best.score(),
+                    pairs: out.best.pairs.len(),
                 }
-            }
-            let out = cmp.signature_with_maps(query, &c.pin, Some(&query_maps), Some(&c.maps))?;
-            hits.push(SearchHit {
-                name: c.name.clone(),
-                score: out.best.score(),
-                pairs: out.best.pairs.len(),
-            });
-        }
+            })
+            .collect();
         hits.sort_by(|a, b| {
             b.score
                 .total_cmp(&a.score)
                 .then_with(|| a.name.cmp(&b.name))
         });
         hits.truncate(k);
-        Ok(SearchOutcome {
+        let names = candidates.into_iter().map(|c| c.name).collect();
+        let outcome = SearchOutcome {
             hits,
             compared: survivors,
             total,
-        })
+        };
+        (names, outcome)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    fn bits(out: &SearchOutcome) -> Vec<(String, u64, usize)> {
+        out.hits
+            .iter()
+            .map(|h| (h.name.clone(), h.score.to_bits(), h.pairs))
+            .collect()
+    }
+
+    /// Runs every parameter combination of the selection against the
+    /// reference for `query`.
+    fn assert_matches_reference(index: &CatalogIndex, query: &Instance, cmp: &Comparator<'_>) {
+        let n = index.len();
+        for k in [0, 1, 10, n - 1, n] {
+            for oversample in [0, 1, 4] {
+                for min_candidates in [0, 32, n + 5] {
+                    for sketch_threshold in [0.0, 0.5, 1.0, f64::NAN] {
+                        let opts = SearchOptions {
+                            sketch_threshold,
+                            oversample,
+                            min_candidates,
+                            deadline: None,
+                        };
+                        let case = format!(
+                            "query {} k={k} oversample={oversample} \
+                             min_candidates={min_candidates} threshold={sketch_threshold}",
+                            query.name()
+                        );
+                        let (names, want) = reference_topk(index, query, k, cmp, &opts);
+                        let survivors = index.prefilter(query, k, cmp, &opts).unwrap();
+                        let got: Vec<&str> = survivors
+                            .survivors
+                            .iter()
+                            .map(|s| s.name.as_str())
+                            .collect();
+                        assert_eq!(got, names, "survivors, {case}");
+                        assert_eq!(survivors.total, want.total, "{case}");
+                        let out = index.topk(query, k, cmp, &opts).unwrap();
+                        assert_eq!(
+                            (out.compared, out.total),
+                            (want.compared, want.total),
+                            "{case}"
+                        );
+                        assert_eq!(bits(&out), bits(&want), "hits, {case}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The queries of one oracle run: an indexed instance (its entry's
+    /// summary is reused), a copy of it under the same name but another
+    /// `Arc` (built from scratch), and an unindexed name.
+    fn queries(pins: &[Arc<Instance>]) -> Vec<Arc<Instance>> {
+        let mut renamed = Instance::clone(&pins[1]);
+        renamed.set_name("not-indexed");
+        vec![
+            Arc::clone(&pins[0]),
+            Arc::new(Instance::clone(&pins[0])),
+            Arc::new(renamed),
+        ]
+    }
+
+    /// Many rank ties: the lake's clusters share no constants, so every
+    /// query overlaps only its own cluster and the rest tie at zero.
+    #[test]
+    fn selection_matches_full_sort_on_a_generated_lake() {
+        let lake = generate_lake(&LakeParams {
+            clusters: 6,
+            versions_per_cluster: 4,
+            rows: 5,
+            arity: 3,
+            ..LakeParams::default()
+        });
+        let pins: Vec<Arc<Instance>> = lake.instances.iter().cloned().map(Arc::new).collect();
+        let index = CatalogIndex::default();
+        // Reverse insertion, so slot order is not name order.
+        for pin in pins.iter().rev() {
+            index.insert(pin.name(), pin);
+        }
+        let cmp = Comparator::new(&lake.catalog).build().unwrap();
+        for query in queries(&pins) {
+            assert_matches_reference(&index, &query, &cmp);
+        }
+    }
+
+    /// Overlaps and sketch matches of every size: rows drawn from a small
+    /// shared constant pool, with labeled nulls mixed in.
+    #[test]
+    fn selection_matches_full_sort_on_shared_constants() {
+        let mut cat = Catalog::new(Schema::single("R", &["a", "b", "c"]));
+        let pool: Vec<_> = (0..6).map(|i| cat.konst(&format!("p{i}"))).collect();
+        let mut pins = Vec::new();
+        for i in 0..20usize {
+            let mut inst = Instance::new(format!("s{:02}", (i * 7) % 20), &cat);
+            for r in 0..2 + i % 3 {
+                let last = if (i + r) % 4 == 0 {
+                    cat.fresh_null()
+                } else {
+                    pool[(r * 3) % 6]
+                };
+                inst.insert(
+                    RelId(0),
+                    vec![pool[(i + r) % 6], pool[(i * r + 1) % 6], last],
+                );
+            }
+            pins.push(Arc::new(inst));
+        }
+        // Reverse insertion, so ties in content are not in slot order.
+        let index = CatalogIndex::default();
+        for pin in pins.iter().rev() {
+            index.insert(pin.name(), pin);
+        }
+        // Free a slot and refill it, so a reused slot serves a new name.
+        assert!(index.remove(pins[3].name()));
+        assert!(index.insert(pins[3].name(), &pins[3]));
+        let cmp = Comparator::new(&cat).build().unwrap();
+        for query in queries(&pins) {
+            assert_matches_reference(&index, &query, &cmp);
+        }
+    }
 
     #[test]
-    fn lock_recover_survives_poison() {
-        let m = Mutex::new(5);
+    fn topk_records_one_prefilter_span_with_its_counts() {
+        let lake = generate_lake(&LakeParams {
+            clusters: 4,
+            rows: 5,
+            ..LakeParams::default()
+        });
+        let pins: Vec<Arc<Instance>> = lake.instances.iter().cloned().map(Arc::new).collect();
+        let index = CatalogIndex::default();
+        for pin in &pins {
+            index.insert(pin.name(), pin);
+        }
+        let cmp = Comparator::new(&lake.catalog).build().unwrap();
+        let opts = SearchOptions {
+            min_candidates: 2,
+            ..SearchOptions::default()
+        };
+        let sink = Arc::new(ic_obs::MemorySink::new());
+        let out = {
+            let _obs = ic_obs::observe("search", Arc::clone(&sink) as Arc<dyn ic_obs::Sink>);
+            index.topk(&pins[5], 1, &cmp, &opts).unwrap()
+        };
+        let report = sink.last().expect("one report");
+        assert_eq!(report.find_span(&["index.prefilter"]).unwrap().count, 1);
+        assert_eq!(report.counter("index.survivors"), Some(out.compared as u64));
+        assert_eq!(report.counter("index.entries"), Some(out.total as u64));
+        assert!(out.compared < out.total, "the prefilter must cut something");
+        // The indexed query lent its entry's maps: nothing was built.
+        assert!(report
+            .find_span(&["index.prefilter", "signature.sigmap_build"])
+            .is_none());
+    }
+
+    #[test]
+    fn a_poisoned_arena_stays_usable() {
+        let mut cat = Catalog::new(Schema::single("R", &["a"]));
+        let mut inst = Instance::new("x", &cat);
+        inst.insert(RelId(0), vec![cat.konst("v")]);
+        let pin = Arc::new(inst);
+        let index = CatalogIndex::default();
+        assert!(index.insert("x", &pin));
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _g = m.lock().unwrap();
+            let _guard = index.arena.write().unwrap();
             panic!("poison the lock");
         }));
-        assert!(m.is_poisoned());
-        assert_eq!(*lock_recover(&m), 5);
-        // And again, now that the guard from the recovery was dropped.
-        *lock_recover(&m) += 1;
-        assert_eq!(*lock_recover(&m), 6);
+        assert!(index.arena.is_poisoned());
+        assert_eq!(index.len(), 1);
+        assert!(index.remove("x"));
+        assert!(index.insert("x", &pin));
+        assert!(index.entry_maps("x", &pin).is_some());
     }
 }

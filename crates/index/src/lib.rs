@@ -12,23 +12,28 @@
 //! 2. **Signature inverted index** ([`CatalogIndex`]): the per-tuple
 //!    `(relation, mask, key)` signature buckets that
 //!    [`ic_core::InstanceSigMaps`] already computes, hashed into posting
-//!    lists sharded over independently locked segments, so index
-//!    build/lookup stays concurrent with catalog load/replace. Entries
-//!    are pinned by `Arc<Instance>` pointer identity — the same
-//!    invalidation discipline as ic-serve's `SigMapCache`.
+//!    lists of one slot arena behind one `RwLock`. Entry maps are built
+//!    outside the lock, so index build/lookup stays concurrent with
+//!    catalog load/replace. Entries are pinned by `Arc<Instance>` pointer
+//!    identity — the same invalidation discipline as ic-serve's
+//!    `SigMapCache`.
 //!
 //! [`CatalogIndex::topk`] prefilters by signature overlap + sketch
 //! estimate, then runs the full comparison **only on survivors**, seeded
-//! with the index's prebuilt maps. The prefilter chooses *which* entries
-//! are compared, never *how*: every returned score is bit-identical to a
-//! direct [`ic_core::Comparator::compare`] of the same pair at any thread
-//! count, and ties break deterministically by `(score desc, name asc)`.
+//! with the index's prebuilt maps. It is two calls, so a caller can end
+//! its hold on the index between them: [`CatalogIndex::prefilter`] ranks
+//! every entry under one read lock and returns [`Survivors`] that own
+//! their pins and maps, and [`Survivors::compare`] runs the comparisons.
+//! The prefilter chooses *which* entries are compared, never *how*: every
+//! returned score is bit-identical to a direct
+//! [`ic_core::Comparator::compare`] of the same pair at any thread count,
+//! and ties break deterministically by `(score desc, name asc)`.
 
 mod catalog_index;
 mod sketch;
 
 pub use catalog_index::{
-    CatalogIndex, DeltaApplyError, IndexStats, SearchHit, SearchOptions, SearchOutcome,
+    CatalogIndex, DeltaApplyError, IndexStats, SearchHit, SearchOptions, SearchOutcome, Survivors,
 };
 pub use sketch::{apply_delta_repairing_sketch, Sketch, SketchCounts, SKETCH_SLOTS};
 

@@ -40,6 +40,12 @@ fn slot_seeds() -> [u64; SKETCH_SLOTS] {
     seeds
 }
 
+/// The Jaccard estimate of `matching` agreeing minhash slots. Monotone in
+/// `matching`, so ranking by slot matches is ranking by estimate.
+pub(crate) fn jaccard_estimate(matching: usize) -> f64 {
+    matching as f64 / SKETCH_SLOTS as f64
+}
+
 /// Constant-occurrence counts over every cell of one instance — the
 /// bookkeeping that makes [`Sketch`] incrementally repairable under a
 /// [`Delta`]: an inserted constant only needs a min-update, and a minhash
@@ -184,13 +190,17 @@ impl Sketch {
     /// active domains: the fraction of agreeing slots. In `[0, 1]`;
     /// standard error ~1/√[`SKETCH_SLOTS`].
     pub fn domain_jaccard(&self, other: &Sketch) -> f64 {
-        let matching = self
-            .slots
+        jaccard_estimate(self.matching_slots(other))
+    }
+
+    /// How many minhash slots agree between the two sketches, in
+    /// `0..=SKETCH_SLOTS`: the integer behind [`Self::domain_jaccard`].
+    pub(crate) fn matching_slots(&self, other: &Sketch) -> usize {
+        self.slots
             .iter()
             .zip(other.slots.iter())
             .filter(|(a, b)| a == b)
-            .count();
-        matching as f64 / SKETCH_SLOTS as f64
+            .count()
     }
 
     /// A sound upper bound on the **one-to-one** similarity score between

@@ -20,7 +20,7 @@
 //!   request ids echoed in responses, and typed error payloads mapped from
 //!   [`ic_core::Error`].
 //! * [`server`] (Linux-only) — the serving runtime: a bounded request
-//!   queue feeding [`ic_pool`] workers, admission control (queue-full
+//!   queue feeding dedicated worker threads, admission control (queue-full
 //!   returns `overloaded` instead of blocking), per-request deadlines,
 //!   per-request [`ic_obs`] spans exported through `stats`, and graceful
 //!   drain-then-close shutdown. Connections are driven by a

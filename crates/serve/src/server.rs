@@ -17,16 +17,17 @@
 //! submitted — together with the catalog [`Snapshot`] taken at admission —
 //! into a **bounded queue**. If the queue is full the request is rejected
 //! *immediately* with a typed `overloaded` response instead of blocking.
-//! A **worker host** thread runs [`ServerConfig::workers`] worker loops
-//! inside an [`ic_pool::scope`]. Workers are *deadline-aware*: a request
-//! whose deadline expired while queued is answered with a `budget` error
-//! without touching the comparison engine. A `search` answers from the
-//! snapshot the shared search index reflects: the admitted one, or the
-//! current one if a later search already indexed a newer snapshot.
+//! [`ServerConfig::workers`] worker threads pull from the queue. Workers
+//! are *deadline-aware*: a request whose deadline expired while queued is
+//! answered with a `budget` error without touching the comparison engine.
+//! A `search` answers from the snapshot the shared search index reflects:
+//! the admitted one, or the current one if a later search already indexed
+//! a newer snapshot.
 //!
-//! Note that server workers occupy pool threads for the lifetime of the
-//! server; `ic-pool`'s caller-helping keeps unrelated `par_map` users live
-//! regardless, but size `workers` with that sharing in mind.
+//! Each worker is a thread of its own, not an `ic-pool` job, so no thread
+//! that helps drain a pool scope can pick up a worker loop and block in it
+//! until shutdown. Workers run their requests' nested `ic-pool` scopes
+//! inline (one thread each), as pool workers do.
 //!
 //! ## Shutdown
 //!
@@ -260,8 +261,9 @@ pub(crate) struct Shared {
     /// synchronised lazily by [`index_view`].
     index: Arc<CatalogIndex>,
     /// The version and pin list the index reflects. Searches hold it
-    /// shared for their whole `topk`, so no sync changes an entry under a
-    /// running search; a sync holds it exclusively (see [`index_view`]).
+    /// shared for their prefilter, so no sync changes an entry while a
+    /// search picks its survivors; a sync holds it exclusively (see
+    /// [`index_view`]).
     indexed: RwLock<(u64, PinList)>,
     pub(crate) requests: AtomicU64,
     completed: AtomicU64,
@@ -346,13 +348,15 @@ impl Server {
             conns: ConnCounters::default(),
         });
 
-        let worker_host = {
-            let shared = Arc::clone(&shared);
-            let rx = Arc::new(Mutex::new(rx));
-            std::thread::Builder::new()
-                .name("ic-serve-workers".into())
-                .spawn(move || run_workers(&shared, &rx))?
-        };
+        let rx = Arc::new(Mutex::new(rx));
+        let workers = (0..shared.cfg.workers.max(1))
+            .map(|i| {
+                let (shared, rx) = (Arc::clone(&shared), Arc::clone(&rx));
+                std::thread::Builder::new()
+                    .name(format!("ic-serve-worker-{i}"))
+                    .spawn(move || ic_pool::with_threads(1, || worker_loop(&shared, &rx)))
+            })
+            .collect::<io::Result<Vec<_>>>()?;
 
         let poller = Poller::new()?;
         let wake = Arc::new(WakeFd::new()?);
@@ -372,7 +376,7 @@ impl Server {
             shared,
             driver: Some(driver),
             wake,
-            worker_host: Some(worker_host),
+            workers,
             catalog_sub,
         })
     }
@@ -387,7 +391,8 @@ pub struct ServerHandle {
     /// The event-loop thread, and the eventfd that wakes it.
     driver: Option<JoinHandle<()>>,
     wake: Arc<WakeFd>,
-    worker_host: Option<JoinHandle<()>>,
+    /// The worker threads; empty once joined.
+    workers: Vec<JoinHandle<()>>,
     /// Token of the sigcache sweep subscription on the catalog; released
     /// on shutdown so the catalog does not keep calling into a dead
     /// server's cache.
@@ -468,13 +473,13 @@ impl ServerHandle {
             let _ = d.join();
         }
         drop(lock_recover(&self.shared.queue).take());
-        if let Some(w) = self.worker_host.take() {
+        for w in self.workers.drain(..) {
             let _ = w.join();
         }
     }
 
     fn joined(&self) -> bool {
-        self.worker_host.is_none()
+        self.workers.is_empty()
     }
 }
 
@@ -943,19 +948,8 @@ pub(crate) fn shutting_down_response(id: u64) -> Response {
 // ---------------------------------------------------------------------------
 // Workers
 
-/// Runs `cfg.workers` worker loops inside one `ic_pool` scope; returns when
-/// the queue sender is dropped (shutdown) *and* every queued job drained.
-fn run_workers(shared: &Arc<Shared>, rx: &Arc<Mutex<Receiver<Job>>>) {
-    let workers = shared.cfg.workers.max(1);
-    ic_pool::with_threads(workers, || {
-        ic_pool::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| worker_loop(shared, rx));
-            }
-        })
-    });
-}
-
+/// One worker thread's loop; returns when the queue sender is dropped
+/// (shutdown) *and* every queued job drained.
 fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>) {
     loop {
         // The guard is dropped as soon as `recv` returns: jobs are handed
@@ -1171,9 +1165,10 @@ fn run_compare(
 }
 
 /// The snapshot a search runs against, and a shared hold on the index
-/// while it reflects exactly that snapshot: the query and every entry
-/// `topk` compares then come from one version, and a search's query
-/// always finds itself at 1.0.
+/// while it reflects exactly that snapshot: the query and every survivor
+/// the prefilter picks then come from one version, and a search's query
+/// always finds itself at 1.0. The survivors own their pins and maps, so
+/// the search drops the hold before its full compares.
 ///
 /// Syncing diffs the pin list the index last reflected against the new
 /// one, so only names whose `Arc` changed are re-indexed or dropped: a
@@ -1228,7 +1223,7 @@ fn run_search(
 ) -> Response {
     let _obs = ic_obs::observe(SEARCH_LABEL, shared.job_sink());
 
-    let (snapshot, _view) = index_view(shared, &job.snapshot);
+    let (snapshot, view) = index_view(shared, &job.snapshot);
     let Some(query) = snapshot.get(query_name) else {
         return Response::Error {
             id: job.id,
@@ -1239,9 +1234,9 @@ fn run_search(
 
     // The comparator carries **no** budget: every score a search returns
     // is exact and bit-identical to a direct unbudgeted `compare`. The
-    // request deadline is enforced between comparisons by `topk` itself —
-    // exceeding it fails the whole request with `budget` rather than
-    // silently returning a truncated ranking.
+    // request deadline is enforced between comparisons by
+    // `Survivors::compare` — exceeding it fails the whole request with
+    // `budget` rather than silently returning a truncated ranking.
     let mut builder = Comparator::new(&snapshot.catalog);
     if let Some(lambda) = lambda {
         builder = builder.lambda(lambda);
@@ -1256,7 +1251,11 @@ fn run_search(
         ..SearchOptions::default()
     };
     let start = Instant::now();
-    match shared.index.topk(query, k, &cmp, &opts) {
+    let survivors = shared.index.prefilter(query, k, &cmp, &opts);
+    // The survivors own their pins and maps: a sync after a patch waits
+    // for prefilters only, not for full compares.
+    drop(view);
+    match survivors.and_then(|survivors| survivors.compare(query, &cmp)) {
         Ok(out) => Response::Searched {
             id: job.id,
             results: SearchResults {
@@ -1415,8 +1414,71 @@ mod tests {
         server.shutdown();
     }
 
+    /// A search's hold on the index ends at its prefilter: a sync for a
+    /// newer snapshot runs while the search still has its full compares
+    /// ahead, and those compares answer from the survivors' own pins.
+    #[test]
+    fn sync_runs_while_a_prefiltered_search_compares() {
+        let catalog = Arc::new(ServeCatalog::new(Schema::single("R", &["A", "B"])));
+        for name in ["a", "b"] {
+            catalog
+                .register_with(name, |cat| {
+                    let mut inst = Instance::new(name, cat);
+                    for row in ["x", "y"] {
+                        let (v, w) = (cat.konst(row), cat.konst(&format!("{name}{row}")));
+                        inst.insert(RelId(0), vec![v, w]);
+                    }
+                    Ok(inst)
+                })
+                .unwrap();
+        }
+        let server =
+            Server::start(Arc::clone(&catalog), "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let shared = &server.shared;
+
+        let old = catalog.snapshot();
+        let (used, view) = index_view(shared, &old);
+        let query = used.get("a").unwrap();
+        let cmp = Comparator::new(&used.catalog).build().unwrap();
+        let survivors = shared
+            .index
+            .prefilter(query, 1, &cmp, &SearchOptions::default())
+            .unwrap();
+        drop(view);
+
+        catalog
+            .patch("a", |cat| {
+                Ok(Delta::new(vec![DeltaOp::Modify {
+                    id: TupleId(0),
+                    attr: AttrId(1),
+                    value: cat.konst("patched"),
+                }]))
+            })
+            .unwrap();
+        let new = catalog.snapshot();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let (used, _view) = index_view(shared, &new);
+                tx.send(used.version).unwrap();
+            });
+            assert_eq!(
+                rx.recv_timeout(Duration::from_secs(10)),
+                Ok(new.version),
+                "the sync waited for a search past its prefilter"
+            );
+        });
+        assert!(shared
+            .index
+            .entry_maps("a", new.get("a").unwrap())
+            .is_some());
+        let top = survivors.compare(query, &cmp).unwrap();
+        assert_eq!((top.hits[0].name.as_str(), top.hits[0].score), ("a", 1.0));
+        server.shutdown();
+    }
+
     /// A sync waits for the searches holding the index: an entry never
-    /// changes under a running `topk`.
+    /// changes under a running prefilter.
     #[test]
     fn sync_waits_for_searches_holding_the_index() {
         let catalog = Arc::new(ServeCatalog::new(Schema::single("R", &["A"])));

@@ -119,10 +119,23 @@ impl Storage for std::sync::Arc<std::sync::Mutex<MemStorage>> {
 /// from, which re-produces the same state (ops are deterministic and the
 /// domain-delta base checks make an out-of-order replay fail loudly
 /// rather than corrupt silently).
+///
+/// A failed append is rolled back: the WAL is truncated to its length
+/// after the last acknowledged append, so a later record never lands
+/// behind torn bytes that would stop recovery short of it. If even the
+/// truncate fails, every later append fails until the storage is
+/// reopened.
 #[derive(Debug)]
 pub struct FileStorage {
     dir: PathBuf,
-    wal: Option<File>,
+    /// The open WAL and its length after the last acknowledged append.
+    wal: Option<(File, u64)>,
+    /// A failed append whose bytes could not be truncated away.
+    torn: bool,
+    /// Test hook: the next append writes only this many bytes of its
+    /// record, then fails.
+    #[cfg(test)]
+    short_write: Option<usize>,
 }
 
 const SNAP_FILE: &str = "catalog.snap";
@@ -133,7 +146,13 @@ impl FileStorage {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        Ok(Self { dir, wal: None })
+        Ok(Self {
+            dir,
+            wal: None,
+            torn: false,
+            #[cfg(test)]
+            short_write: None,
+        })
     }
 
     /// The data directory.
@@ -141,16 +160,30 @@ impl FileStorage {
         &self.dir
     }
 
-    fn wal_handle(&mut self) -> io::Result<&mut File> {
+    fn wal_handle(&mut self) -> io::Result<&mut (File, u64)> {
         if self.wal.is_none() {
-            self.wal = Some(
-                OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(self.dir.join(WAL_FILE))?,
-            );
+            let file = OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(self.dir.join(WAL_FILE))?;
+            let len = file.metadata()?.len();
+            self.wal = Some((file, len));
         }
         Ok(self.wal.as_mut().expect("just opened"))
+    }
+
+    /// Writes `record` at the end of the WAL and syncs it.
+    fn write_record(&mut self, record: &[u8]) -> io::Result<()> {
+        #[cfg(test)]
+        let short_write = self.short_write.take();
+        let (file, _) = self.wal_handle()?;
+        #[cfg(test)]
+        if let Some(cut) = short_write {
+            file.write_all(&record[..cut])?;
+            return Err(io::Error::other("injected short write"));
+        }
+        file.write_all(record)?;
+        file.sync_data()
     }
 
     /// Best-effort directory fsync so renames survive power loss (no-op
@@ -185,6 +218,7 @@ impl Storage for FileStorage {
         let wal = File::create(self.dir.join(WAL_FILE))?;
         wal.sync_all()?;
         self.wal = None;
+        self.torn = false;
         Ok(())
     }
 
@@ -201,9 +235,26 @@ impl Storage for FileStorage {
     }
 
     fn append_wal(&mut self, record: &[u8]) -> io::Result<()> {
-        let f = self.wal_handle()?;
-        f.write_all(record)?;
-        f.sync_data()
+        if self.torn {
+            return Err(io::Error::other(
+                "the WAL holds a failed append that could not be rolled back; reopen the storage",
+            ));
+        }
+        let written = self.write_record(record);
+        // No WAL handle means opening it failed, before any byte was written.
+        let Some((file, len)) = self.wal.as_mut() else {
+            return written;
+        };
+        match written {
+            Ok(()) => {
+                *len += record.len() as u64;
+                Ok(())
+            }
+            Err(e) => {
+                self.torn = file.set_len(*len).is_err();
+                Err(e)
+            }
+        }
     }
 }
 
@@ -247,6 +298,39 @@ mod tests {
             Some(&b"snapB"[..])
         );
         assert!(storage.read_wal().unwrap().is_empty());
+    }
+
+    /// A failed append leaves no bytes behind: at every cut point of a
+    /// record (all of it written, then a failed sync, included), the append
+    /// fails, a later append succeeds, and reopening recovers exactly the
+    /// acknowledged records.
+    #[test]
+    fn failed_append_is_rolled_back_at_every_cut_point() {
+        use crate::{encode_record, read_records, CatalogOp, DomainDelta};
+        use ic_model::{Catalog, Schema};
+
+        let catalog = || Catalog::new(Schema::single("R", &["A"]));
+        let record = |seq: u64, name: &str| {
+            let op = CatalogOp::Remove { name: name.into() };
+            encode_record(seq, &DomainDelta::capture(0, &catalog()), &op)
+        };
+        let (first, torn, later) = (record(1, "first"), record(2, "torn"), record(3, "later"));
+        let dir = temp_dir("torn-append");
+        for cut in 0..=torn.len() {
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut storage = FileStorage::open(&dir).unwrap();
+            storage.append_wal(&first).unwrap();
+            storage.short_write = Some(cut);
+            assert!(storage.append_wal(&torn).is_err(), "cut {cut}");
+            storage.append_wal(&later).unwrap();
+
+            let wal = FileStorage::open(&dir).unwrap().read_wal().unwrap();
+            assert_eq!(wal, [&first[..], &later[..]].concat(), "cut {cut}");
+            let (records, _) = read_records(&wal, &mut catalog(), 0).unwrap();
+            let seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
+            assert_eq!(seqs, [1, 3], "cut {cut}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

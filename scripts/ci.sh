@@ -14,6 +14,11 @@ cargo build --release --offline
 echo "==> cargo test -q --offline (default thread pool)"
 cargo test -q --offline
 
+# Every crate's own unit tests (the step above covers the root package
+# only); ic-serve has a step of its own below.
+echo "==> cargo test -q --offline --workspace --exclude ic-serve"
+cargo test -q --offline --workspace --exclude ic-serve
+
 # The parallel hot paths must be bit-identical in sequential mode; a second
 # pass with the pool forced to one thread catches any divergence (and any
 # code that only works when workers exist).
