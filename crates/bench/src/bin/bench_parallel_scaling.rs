@@ -13,7 +13,7 @@
 //! Run: `cargo run -p ic-bench --release --bin bench_parallel_scaling`
 
 use ic_bench::harness::{available_cores, Suite};
-use ic_core::{compare_many, signature_match, SignatureConfig};
+use ic_core::{signature_match, Comparator, SignatureConfig};
 use ic_datagen::{mod_cell, Dataset};
 use ic_model::{Catalog, Instance};
 
@@ -100,16 +100,20 @@ fn main() {
     // one catalog (the multi-dataset sweep shape).
     let sc = mod_cell(Dataset::Doctors, 600, 0.05, 7);
     let pairs: Vec<(&Instance, &Instance)> = (0..8).map(|_| (&sc.source, &sc.target)).collect();
-    let batch_base = ic_pool::with_threads(1, || compare_many(&pairs, &sc.catalog, &cfg));
+    let cmp = Comparator::new(&sc.catalog)
+        .build()
+        .expect("default config");
+    let compare_many = || cmp.compare_many(&pairs).expect("schemas match");
+    let batch_base = ic_pool::with_threads(1, compare_many);
     let mut medians = Vec::new();
     for threads in THREAD_STEPS {
-        let batch = ic_pool::with_threads(threads, || compare_many(&pairs, &sc.catalog, &cfg));
+        let batch = ic_pool::with_threads(threads, compare_many);
         for (b, g) in batch_base.iter().zip(&batch) {
             assert_identical(threads, &b.outcome, &g.outcome);
         }
         suite.measure(
             &format!("compare_many/doctors/8x600/threads/{threads}"),
-            || ic_pool::with_threads(threads, || compare_many(&pairs, &sc.catalog, &cfg)),
+            || ic_pool::with_threads(threads, compare_many),
         );
         medians.push(suite.records().last().expect("just measured").median);
     }

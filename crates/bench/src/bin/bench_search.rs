@@ -12,9 +12,9 @@
 //! Run: `cargo run -p ic-bench --release --bin bench_search`
 
 use ic_bench::harness::Suite;
-use ic_core::{Comparator, SignatureConfig};
+use ic_core::Comparator;
 use ic_datagen::{generate_lake, LakeParams};
-use ic_index::{CatalogIndex, SearchOptions};
+use ic_index::CatalogIndex;
 use ic_model::Instance;
 use std::sync::Arc;
 use std::time::Instant;
@@ -40,8 +40,7 @@ fn main() {
     suite.set_meta("rows", &ROWS.to_string());
     suite.set_meta("k", &K.to_string());
 
-    let cfg = SignatureConfig::default();
-    let index = CatalogIndex::new(&cfg);
+    let index = CatalogIndex::default();
     let t = Instant::now();
     for p in &pins {
         index.insert(p.name(), p);
@@ -52,7 +51,6 @@ fn main() {
     );
 
     let cmp = Comparator::new(&lake.catalog).build().unwrap();
-    let opts = SearchOptions::default();
 
     // Acceptance: probe queries spread across the lake. The brute-force
     // baseline scores *every* entry with the same comparator (seeded with
@@ -62,7 +60,7 @@ fn main() {
     for p in 0..PROBES {
         let query = &pins[lake.index_of(p * (CLUSTERS / PROBES), p % VERSIONS)];
         let query_maps = cmp.build_maps(query).unwrap();
-        let out = index.topk(query, K, &cmp, &opts).unwrap();
+        let out = index.topk(query, K, &cmp, None).unwrap();
         assert_eq!(out.total, pins.len());
         compared_total += out.compared;
 
@@ -111,7 +109,7 @@ fn main() {
     suite.measure("search/topk", || {
         let query = &pins[(q * 997) % pins.len()];
         q += 1;
-        index.topk(query, K, &cmp, &opts).unwrap().hits.len()
+        index.topk(query, K, &cmp, None).unwrap().hits.len()
     });
     let median = suite.records().last().expect("just measured").median;
     let qps = 1.0 / median.as_secs_f64().max(f64::MIN_POSITIVE);

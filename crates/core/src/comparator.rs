@@ -31,12 +31,13 @@ use crate::cache::{CacheError, CompareCache};
 use crate::delta::Delta;
 use crate::error::Error;
 use crate::exact::{exact_match, ExactConfig, ExactOutcome};
+use crate::explain::explain;
 use crate::mapping::MatchMode;
 use crate::score::ScoreConfig;
 use crate::signature::{
     signature_match, signature_match_seeded, InstanceSigMaps, SignatureConfig, SignatureOutcome,
 };
-use crate::similarity::{compare_many, compare_seeded, Comparison};
+use crate::similarity::Comparison;
 use ic_model::{Catalog, Instance};
 use std::time::Duration;
 
@@ -283,14 +284,24 @@ impl<'c> Comparator<'c> {
     }
 
     /// Batch variant of [`compare`](Self::compare): scores many pairs
-    /// concurrently, preserving input order; results are bit-identical to
-    /// a sequential loop at any thread count.
+    /// concurrently on the [`ic_pool`] workers, one comparison per pair,
+    /// preserving input order. Within a worker the per-pair algorithms
+    /// run sequentially (nested pool scopes execute inline), so the worker
+    /// count stays bounded. Results are bit-identical to a sequential loop
+    /// at any thread count.
     pub fn compare_many(&self, pairs: &[(&Instance, &Instance)]) -> Result<Vec<Comparison>, Error> {
         for &(l, r) in pairs {
             self.check_instance(l)?;
             self.check_instance(r)?;
         }
-        Ok(self.run(|| compare_many(pairs, self.catalog, &self.sig_cfg)))
+        Ok(self.run(|| {
+            let _span = crate::obs::span("compare_many");
+            crate::obs::counter("compare_many.pairs", pairs.len() as u64);
+            ic_pool::par_map(pairs, |&(left, right)| {
+                let _span = crate::obs::span("compare.pair");
+                self.explained(left, right, None, None)
+            })
+        }))
     }
 
     /// Runs the PTIME signature algorithm, returning the full outcome
@@ -345,16 +356,32 @@ impl<'c> Comparator<'c> {
     ) -> Result<Comparison, Error> {
         self.check_instance(left)?;
         self.check_instance(right)?;
-        Ok(self.run(|| {
-            compare_seeded(
-                left,
-                right,
-                self.catalog,
-                &self.sig_cfg,
-                left_maps,
-                right_maps,
-            )
-        }))
+        Ok(self.run(|| self.explained(left, right, left_maps, right_maps)))
+    }
+
+    /// The signature run and its explanation, under the `compare` span:
+    /// the body of every `compare*` method, run inside [`Self::run`].
+    fn explained(
+        &self,
+        left: &Instance,
+        right: &Instance,
+        left_maps: Option<&InstanceSigMaps>,
+        right_maps: Option<&InstanceSigMaps>,
+    ) -> Comparison {
+        let _span = crate::obs::span("compare");
+        let outcome = signature_match_seeded(
+            left,
+            right,
+            self.catalog,
+            &self.sig_cfg,
+            left_maps,
+            right_maps,
+        );
+        let diff = {
+            let _span = crate::obs::span("compare.explain");
+            explain(&outcome.best, left, right)
+        };
+        Comparison { outcome, diff }
     }
 
     /// Creates an empty [`CompareCache`] over this comparator — the entry
@@ -439,7 +466,6 @@ impl<'c> Comparator<'c> {
 mod tests {
     use super::*;
     use crate::score::ConfigError;
-    use crate::similarity::compare;
     use ic_model::{RelId, Schema};
 
     fn small_pair(cat: &mut Catalog) -> (Instance, Instance) {
@@ -466,21 +492,6 @@ mod tests {
             Error::Config(ConfigError::NonFiniteLambda(_))
         ));
         assert!(Comparator::new(&cat).lambda(0.3).build().is_ok());
-    }
-
-    #[test]
-    fn compare_matches_free_function() {
-        let mut cat = Catalog::new(Schema::single("R", &["A", "B"]));
-        let (l, r) = small_pair(&mut cat);
-        let cmp = Comparator::new(&cat).build().unwrap();
-        let via_facade = cmp.compare(&l, &r).unwrap();
-        let via_free = compare(&l, &r, &cat, &SignatureConfig::default());
-        assert_eq!(
-            via_facade.score().to_bits(),
-            via_free.score().to_bits(),
-            "facade must be bit-identical to the free function"
-        );
-        assert_eq!(via_facade.outcome.best.pairs, via_free.outcome.best.pairs);
     }
 
     #[test]

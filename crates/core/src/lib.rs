@@ -76,9 +76,6 @@ pub use signature::{
     signature_match, signature_match_seeded, InstanceSigMaps, SignatureConfig, SignatureOutcome,
     SignatureStats,
 };
-pub use similarity::{
-    compare, compare_both, compare_many, compare_seeded, similarity_exact, similarity_signature,
-    symmetric_difference_similarity, Comparison,
-};
+pub use similarity::{symmetric_difference_similarity, Comparison};
 pub use state::MatchState;
 pub use universe::{Side, Universe};

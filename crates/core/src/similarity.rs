@@ -1,15 +1,14 @@
-//! Top-level convenience API: one-call similarity computation.
+//! The comparison bundle and the ground baseline.
 //!
 //! `similarity(I, I') = max_{M ∈ 𝓜}(score(M))` (Def. 3.2). The exact
 //! algorithm realizes the maximum (NP-hard, Thm. 5.11); the signature
-//! algorithm approximates it greedily in PTIME.
+//! algorithm approximates it greedily in PTIME. Both run through
+//! [`crate::Comparator`]; [`Comparison`] is what its `compare` methods
+//! return.
 
-use crate::exact::{exact_match, ExactConfig, ExactOutcome};
-use crate::explain::{explain, InstanceDiff};
-use crate::signature::{
-    signature_match, signature_match_seeded, InstanceSigMaps, SignatureConfig, SignatureOutcome,
-};
-use ic_model::{Catalog, Instance, Value};
+use crate::explain::InstanceDiff;
+use crate::signature::SignatureOutcome;
+use ic_model::{Instance, Value};
 
 /// A one-call comparison bundle: the similarity score, the witnessing
 /// instance match, and the derived difference report.
@@ -26,105 +25,6 @@ impl Comparison {
     pub fn score(&self) -> f64 {
         self.outcome.best.score()
     }
-}
-
-/// Compares two instances with the signature algorithm and derives the
-/// explanation in one call — the common "what changed and how much?" query.
-pub fn compare(
-    left: &Instance,
-    right: &Instance,
-    catalog: &Catalog,
-    cfg: &SignatureConfig,
-) -> Comparison {
-    let _span = crate::obs::span("compare");
-    let outcome = signature_match(left, right, catalog, cfg);
-    let diff = {
-        let _span = crate::obs::span("compare.explain");
-        explain(&outcome.best, left, right)
-    };
-    Comparison { outcome, diff }
-}
-
-/// [`compare`] seeded with prebuilt [`InstanceSigMaps`] for either side —
-/// byte-identical to [`compare`] under the seeding contract of
-/// [`signature_match_seeded`], skipping the signature-map builds.
-pub fn compare_seeded(
-    left: &Instance,
-    right: &Instance,
-    catalog: &Catalog,
-    cfg: &SignatureConfig,
-    left_maps: Option<&InstanceSigMaps>,
-    right_maps: Option<&InstanceSigMaps>,
-) -> Comparison {
-    let _span = crate::obs::span("compare");
-    let outcome = signature_match_seeded(left, right, catalog, cfg, left_maps, right_maps);
-    let diff = {
-        let _span = crate::obs::span("compare.explain");
-        explain(&outcome.best, left, right)
-    };
-    Comparison { outcome, diff }
-}
-
-/// Batch variant of [`compare`]: scores many instance pairs concurrently on
-/// the [`ic_pool`] workers, one comparison per pair, preserving input order.
-///
-/// Each comparison is independent, so the pairs partition freely across
-/// threads; within a worker the per-pair algorithms run sequentially
-/// (nested [`ic_pool`] scopes execute inline), keeping the worker count
-/// bounded. Results are bit-identical to calling [`compare`] in a loop —
-/// at any `IC_POOL_THREADS` setting.
-///
-/// This is the entry point for multi-dataset sweeps (see
-/// `bench_parallel_scaling` in `ic-bench`), where batch-level parallelism
-/// dominates the intra-comparison kind.
-pub fn compare_many(
-    pairs: &[(&Instance, &Instance)],
-    catalog: &Catalog,
-    cfg: &SignatureConfig,
-) -> Vec<Comparison> {
-    let _span = crate::obs::span("compare_many");
-    crate::obs::counter("compare_many.pairs", pairs.len() as u64);
-    ic_pool::par_map(pairs, |&(left, right)| {
-        let _span = crate::obs::span("compare.pair");
-        compare(left, right, catalog, cfg)
-    })
-}
-
-/// Computes the similarity of two instances with the exact algorithm under
-/// the given configuration. See [`exact_match`] for the full outcome.
-pub fn similarity_exact(
-    left: &Instance,
-    right: &Instance,
-    catalog: &Catalog,
-    cfg: &ExactConfig,
-) -> f64 {
-    exact_match(left, right, catalog, cfg).best.score()
-}
-
-/// Computes the similarity of two instances with the signature algorithm.
-/// See [`signature_match`] for the full outcome.
-pub fn similarity_signature(
-    left: &Instance,
-    right: &Instance,
-    catalog: &Catalog,
-    cfg: &SignatureConfig,
-) -> f64 {
-    signature_match(left, right, catalog, cfg).best.score()
-}
-
-/// Both algorithms on the same inputs — convenience for evaluations that
-/// report the pair (exact, signature).
-pub fn compare_both(
-    left: &Instance,
-    right: &Instance,
-    catalog: &Catalog,
-    exact_cfg: &ExactConfig,
-    sig_cfg: &SignatureConfig,
-) -> (ExactOutcome, SignatureOutcome) {
-    (
-        exact_match(left, right, catalog, exact_cfg),
-        signature_match(left, right, catalog, sig_cfg),
-    )
 }
 
 /// The normalized symmetric-difference similarity for **ground** instances
@@ -166,10 +66,22 @@ pub fn symmetric_difference_similarity(left: &Instance, right: &Instance) -> f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::MatchMode;
-    use ic_model::{RelId, Schema};
+    use crate::exact::{exact_match, ExactConfig};
+    use crate::signature::{signature_match, SignatureConfig};
+    use crate::Comparator;
+    use ic_model::{Catalog, RelId, Schema};
 
     const EPS: f64 = 1e-9;
+
+    fn exact_score(l: &Instance, r: &Instance, cat: &Catalog) -> f64 {
+        exact_match(l, r, cat, &ExactConfig::default()).best.score()
+    }
+
+    fn signature_score(l: &Instance, r: &Instance, cat: &Catalog) -> f64 {
+        signature_match(l, r, cat, &SignatureConfig::default())
+            .best
+            .score()
+    }
 
     #[test]
     fn exact_and_signature_agree_on_easy_case() {
@@ -181,8 +93,8 @@ mod tests {
         l.insert(rel, vec![a, b]);
         l.insert(rel, vec![b, n]);
         let r = l.clone();
-        let e = similarity_exact(&l, &r, &cat, &ExactConfig::default());
-        let s = similarity_signature(&l, &r, &cat, &SignatureConfig::default());
+        let e = exact_score(&l, &r, &cat);
+        let s = signature_score(&l, &r, &cat);
         assert!((e - s).abs() < EPS);
         assert!((e - 1.0).abs() < EPS);
     }
@@ -202,8 +114,8 @@ mod tests {
             l.insert(rel, vec![consts[i], n]);
             r.insert(rel, vec![consts[(i + 1) % 4], m]);
         }
-        let e = similarity_exact(&l, &r, &cat, &ExactConfig::default());
-        let s = similarity_signature(&l, &r, &cat, &SignatureConfig::default());
+        let e = exact_score(&l, &r, &cat);
+        let s = signature_score(&l, &r, &cat);
         assert!(s <= e + EPS, "signature {s} exceeds exact {e}");
     }
 
@@ -234,7 +146,7 @@ mod tests {
         let mut r = Instance::new("J", &cat);
         r.insert(rel, vec![n2]);
         assert_eq!(symmetric_difference_similarity(&l, &r), 0.0);
-        let s = similarity_exact(&l, &r, &cat, &ExactConfig::default());
+        let s = exact_score(&l, &r, &cat);
         assert!((s - 1.0).abs() < EPS);
     }
 
@@ -263,7 +175,11 @@ mod tests {
         l.insert(rel, vec![b]);
         let mut r = Instance::new("J", &cat);
         r.insert(rel, vec![a]);
-        let c = compare(&l, &r, &cat, &SignatureConfig::default());
+        let c = Comparator::new(&cat)
+            .build()
+            .unwrap()
+            .compare(&l, &r)
+            .unwrap();
         assert!(c.score() > 0.0 && c.score() < 1.0);
         assert_eq!(c.diff.unchanged.len(), 1);
         assert_eq!(c.diff.deleted.len(), 1);
@@ -276,7 +192,7 @@ mod tests {
         let rel = RelId(0);
         let mut instances = Vec::new();
         for v in 0..6 {
-            let mut inst = Instance::new(&format!("I{v}"), &cat);
+            let mut inst = Instance::new(format!("I{v}"), &cat);
             for i in 0..8 {
                 let a = cat.konst(&format!("a{}", (i + v) % 5));
                 let b = if (i + v) % 3 == 0 {
@@ -290,36 +206,27 @@ mod tests {
         }
         let pairs: Vec<(&Instance, &Instance)> =
             instances.windows(2).map(|w| (&w[0], &w[1])).collect();
-        let cfg = SignatureConfig::default();
-        let batch = compare_many(&pairs, &cat, &cfg);
+        let cmp = Comparator::new(&cat).build().unwrap();
+        let batch = cmp.compare_many(&pairs).unwrap();
         assert_eq!(batch.len(), pairs.len());
         for (c, &(l, r)) in batch.iter().zip(&pairs) {
-            let solo = compare(l, r, &cat, &cfg);
+            let solo = cmp.compare(l, r).unwrap();
             assert_eq!(c.score().to_bits(), solo.score().to_bits());
             assert_eq!(c.outcome.best.pairs, solo.outcome.best.pairs);
         }
         // Empty input short-circuits.
-        assert!(compare_many(&[], &cat, &cfg).is_empty());
+        assert!(cmp.compare_many(&[]).unwrap().is_empty());
     }
 
     #[test]
-    fn compare_both_returns_consistent_outcomes() {
+    fn both_returns_consistent_outcomes() {
         let mut cat = Catalog::new(Schema::single("R", &["A"]));
         let rel = RelId(0);
         let a = cat.konst("a");
         let mut l = Instance::new("I", &cat);
         l.insert(rel, vec![a]);
         let r = l.clone();
-        let (e, s) = compare_both(
-            &l,
-            &r,
-            &cat,
-            &ExactConfig {
-                mode: MatchMode::one_to_one(),
-                ..Default::default()
-            },
-            &SignatureConfig::default(),
-        );
+        let (e, s) = Comparator::new(&cat).build().unwrap().both(&l, &r).unwrap();
         assert!(e.optimal);
         assert!((e.best.score() - s.best.score()).abs() < EPS);
     }

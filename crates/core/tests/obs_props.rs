@@ -5,15 +5,14 @@
 //!     `pool.*` family) is identical at any thread count,
 //! (b) a span's total time dominates the sum of its children's totals in
 //!     single-threaded runs, and
-//! (c) the [`Comparator`] facade is bit-identical to the legacy free
-//!     functions on random `ic-datagen` instances — observed or not.
+//! (c) the [`Comparator`] facade is bit-identical to the low-level
+//!     `signature_match` / `exact_match` on random `ic-datagen` instances —
+//!     observed or not.
 
 #![cfg(feature = "obs")]
 
 use ic_core::obs::{MemorySink, Report, SpanNode};
-use ic_core::{
-    compare_many, exact_match, signature_match, Comparator, ExactConfig, MatchMode, SignatureConfig,
-};
+use ic_core::{exact_match, signature_match, Comparator, ExactConfig, MatchMode, SignatureConfig};
 use ic_datagen::{build_scenario, Dataset, Scenario, ScenarioParams};
 use std::sync::Arc;
 
@@ -102,10 +101,11 @@ fn span_totals_dominate_children_when_sequential() {
 }
 
 /// (c) The facade adds validation, thread pinning and observation but must
-/// never change a result: `Comparator` outputs are bit-identical to the
-/// legacy free functions on random instances, with and without a sink.
+/// never change a result: `Comparator` outputs, single and batched, are
+/// bit-identical to the low-level `signature_match` / `exact_match` on
+/// random instances, with and without a sink.
 #[test]
-fn comparator_is_bit_identical_to_free_functions() {
+fn comparator_is_bit_identical_to_low_level_matchers() {
     for seed in [5u64, 23, 71] {
         let sc = scenario(80, seed);
         let sig_cfg = SignatureConfig {
@@ -145,11 +145,11 @@ fn comparator_is_bit_identical_to_free_functions() {
 
         let pairs = [(&sc.source, &sc.target), (&sc.target, &sc.source)];
         let facade_many = cmp.compare_many(&pairs).unwrap();
-        let free_many = compare_many(&pairs, &sc.catalog, &sig_cfg);
-        assert_eq!(facade_many.len(), free_many.len());
-        for (f, g) in facade_many.iter().zip(&free_many) {
-            assert_eq!(f.score().to_bits(), g.score().to_bits());
-            assert_eq!(f.outcome.best.pairs, g.outcome.best.pairs);
+        assert_eq!(facade_many.len(), pairs.len());
+        for (f, &(l, r)) in facade_many.iter().zip(&pairs) {
+            let g = signature_match(l, r, &sc.catalog, &sig_cfg);
+            assert_eq!(f.score().to_bits(), g.best.score().to_bits());
+            assert_eq!(f.outcome.best.pairs, g.best.pairs);
         }
     }
 }

@@ -4,10 +4,7 @@
 //! configurations must be rejected at the API boundary instead of
 //! panicking mid-search.
 
-use ic_core::{
-    compare_many, score_state, signature_match, Comparator, MatchState, ScoreConfig,
-    SignatureConfig,
-};
+use ic_core::{score_state, signature_match, Comparator, MatchState, ScoreConfig, SignatureConfig};
 use ic_model::{Catalog, Instance, RelId, Schema, Value};
 use ic_testkit::{Gen, Runner};
 use rand::RngExt;
@@ -165,10 +162,10 @@ fn signature_match_invariant_above_parallel_thresholds() {
 fn compare_many_invariant_across_thread_counts() {
     let (cat, left, right) = large_pair(200);
     let pairs: Vec<(&Instance, &Instance)> = vec![(&left, &right), (&right, &left), (&left, &left)];
-    let cfg = SignatureConfig::default();
-    let base = ic_pool::with_threads(1, || compare_many(&pairs, &cat, &cfg));
+    let cmp = Comparator::new(&cat).build().unwrap();
+    let base = ic_pool::with_threads(1, || cmp.compare_many(&pairs).unwrap());
     for threads in [2usize, 8] {
-        let par = ic_pool::with_threads(threads, || compare_many(&pairs, &cat, &cfg));
+        let par = ic_pool::with_threads(threads, || cmp.compare_many(&pairs).unwrap());
         assert_eq!(base.len(), par.len());
         for (b, p) in base.iter().zip(&par) {
             assert_eq!(

@@ -2,7 +2,8 @@
 //! hashes + pinned [`InstanceSigMaps`]) in one lock-guarded slot arena,
 //! and the two-stage search over it: [`CatalogIndex::prefilter`] ranks
 //! every entry by sketch + signature overlap and picks the survivors, and
-//! [`Survivors::compare`] runs the full comparison on them.
+//! [`Survivors::compare`] runs the full comparison on them. An entry is
+//! only ever built whole, by [`CatalogIndex::insert`], and never patched.
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
@@ -10,14 +11,32 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
-use ic_core::{Comparator, Delta, DeltaError, Error, InstanceSigMaps, SignatureConfig};
-use ic_model::{FxHashMap, Instance, RelId, Sym, TupleId};
+use ic_core::{Comparator, Error, InstanceSigMaps, SignatureConfig};
+use ic_model::{FxHashMap, Instance, RelId, Sym};
 
-use crate::sketch::{apply_delta_repairing_sketch, hash64, jaccard_estimate, Sketch, SketchCounts};
+use crate::sketch::{hash64, jaccard_estimate, Sketch};
 
 /// Seed of the signature-posting hash family (disjoint from the sketch
 /// family's).
 const SIG_SEED: u64 = 0x1C5E_ACC4_5EED_0002;
+
+/// The prefilter keeps every entry whose sketch Jaccard estimate is at
+/// least this, even with no signature overlap.
+const SKETCH_THRESHOLD: f64 = 0.5;
+
+/// The prefilter keeps at least `OVERSAMPLE · k` entries by rank...
+const OVERSAMPLE: usize = 4;
+
+/// ...and at least this many, so a small `k` still compares a margin.
+const MIN_CANDIDATES: usize = 32;
+
+/// Whether a comparator built from `cfg` can consume the index's maps,
+/// which are always built under the default config: the map-shaping
+/// fields (`partial`, `max_signatures_per_tuple`) must agree with it.
+fn compatible_with(cfg: &SignatureConfig) -> bool {
+    let maps = SignatureConfig::default();
+    cfg.partial == maps.partial && cfg.max_signatures_per_tuple == maps.max_signatures_per_tuple
+}
 
 /// Hashes one `(relation, mask, key)` signature bucket to a 64-bit posting
 /// key by folding the SplitMix64 finalizer over its parts.
@@ -65,14 +84,12 @@ impl Summary {
 
 /// One indexed instance: the name, the pinned `Arc<Instance>` whose
 /// pointer identity keys invalidation (the same discipline as ic-serve's
-/// `SigMapCache`), its summary, and the counts behind sketch repair.
+/// `SigMapCache`), and its summary.
 #[derive(Debug)]
 struct Entry {
     name: String,
     pin: Arc<Instance>,
     summary: Summary,
-    /// Constant-occurrence counts backing incremental sketch repair.
-    counts: SketchCounts,
 }
 
 /// The index state behind the one lock: slot-addressed entries, the
@@ -163,66 +180,6 @@ pub struct IndexStats {
     pub unchanged: u64,
 }
 
-/// Tuning knobs of [`CatalogIndex::topk`]. The defaults favor recall: the
-/// prefilter only cuts entries that share *no* whole-tuple signature with
-/// the query **and** fall below the sketch threshold, and it always keeps
-/// at least `max(oversample·k, min_candidates)` entries by prefilter rank.
-#[derive(Debug, Clone)]
-pub struct SearchOptions {
-    /// Keep entries whose sketch Jaccard estimate is at least this, even
-    /// with zero signature overlap.
-    pub sketch_threshold: f64,
-    /// Always fully compare at least `oversample · k` candidates.
-    pub oversample: usize,
-    /// Floor on the number of fully compared candidates.
-    pub min_candidates: usize,
-    /// Optional wall-clock deadline, checked **between** survivor
-    /// comparisons (individual comparisons run unbudgeted so every
-    /// returned score is exact). Expiry returns [`Error::Budget`].
-    pub deadline: Option<Instant>,
-}
-
-impl Default for SearchOptions {
-    fn default() -> Self {
-        Self {
-            sketch_threshold: 0.5,
-            oversample: 4,
-            min_candidates: 32,
-            deadline: None,
-        }
-    }
-}
-
-/// Why [`CatalogIndex::apply_delta`] did not update an entry. In every
-/// case the index is left exactly as it was.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DeltaApplyError {
-    /// The name is not indexed.
-    NotIndexed(String),
-    /// The entry's pin was concurrently replaced while the delta was being
-    /// applied; the caller's view of the instance is outdated.
-    Stale(String),
-    /// An op in the delta failed validation.
-    Op(DeltaError),
-}
-
-impl std::fmt::Display for DeltaApplyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::NotIndexed(name) => write!(f, "instance {name:?} is not indexed"),
-            Self::Stale(name) => {
-                write!(
-                    f,
-                    "entry {name:?} was concurrently replaced; delta not applied"
-                )
-            }
-            Self::Op(e) => write!(f, "delta rejected: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for DeltaApplyError {}
-
 /// One search result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchHit {
@@ -265,7 +222,6 @@ pub struct Survivors {
     survivors: Vec<Survivor>,
     k: usize,
     total: usize,
-    deadline: Option<Instant>,
     started: Instant,
 }
 
@@ -275,14 +231,19 @@ impl Survivors {
     /// every survivor, seeded with the prebuilt maps, then the top `k` by
     /// `(score desc, name asc)`.
     ///
-    /// The deadline of the prefilter's [`SearchOptions`] is checked
-    /// **between** comparisons (each one runs unbudgeted, so every returned
-    /// score is exact); expiry returns [`Error::Budget`].
-    pub fn compare(self, query: &Instance, cmp: &Comparator<'_>) -> Result<SearchOutcome, Error> {
+    /// `deadline`, if any, is checked **between** comparisons (each one
+    /// runs unbudgeted, so every returned score is exact); expiry returns
+    /// [`Error::Budget`].
+    pub fn compare(
+        self,
+        query: &Instance,
+        cmp: &Comparator<'_>,
+        deadline: Option<Instant>,
+    ) -> Result<SearchOutcome, Error> {
         let compared = self.survivors.len();
         let mut hits: Vec<SearchHit> = Vec::with_capacity(compared);
         for s in self.survivors {
-            if let Some(deadline) = self.deadline {
+            if let Some(deadline) = deadline {
                 if Instant::now() >= deadline {
                     return Err(Error::Budget {
                         budget: None,
@@ -314,15 +275,20 @@ impl Survivors {
 
 /// A catalog-level similarity index.
 ///
-/// Entries live in one slot arena behind one `RwLock`: inserts, removals
-/// and delta repairs take it exclusively for a swap (entry maps are built
-/// outside it), and a search's prefilter takes it shared. Invalidation is
-/// by pointer identity: an entry is valid for a name exactly while the
+/// Entries live in one slot arena behind one `RwLock`: inserts and
+/// removals take it exclusively for a swap (entry maps are built outside
+/// it), and a search's prefilter takes it shared. Invalidation is by
+/// pointer identity: an entry is valid for a name exactly while the
 /// catalog still maps that name to the same `Arc<Instance>` (the
 /// `SigMapCache` pin discipline): [`Self::insert`] with the same `Arc` is
-/// a no-op, with another `Arc` a rebuild, and a caller that follows a
-/// changing catalog calls it (or [`Self::remove`]) only for the names
-/// whose pin changed.
+/// a no-op, with another `Arc` a rebuild of the whole entry, and a caller
+/// that follows a changing catalog calls it (or [`Self::remove`]) only for
+/// the names whose pin changed. These two are the only ways to change the
+/// index.
+///
+/// Entry maps are built under [`SignatureConfig::default`], so a search
+/// needs a comparator of the same map shape (complete matches, the default
+/// signature cap); its mode and scoring may differ.
 ///
 /// A search is two stages. [`Self::prefilter`] scores every entry under
 /// one read lock and clones pins and maps for the survivors only;
@@ -331,50 +297,16 @@ impl Survivors {
 /// *which* entries run the full comparison: every returned score is the
 /// exact signature-algorithm score (bit-identical at any thread count),
 /// and ties order deterministically by name.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CatalogIndex {
     arena: RwLock<Arena>,
-    /// Map-shaping config (only `partial` + `max_signatures_per_tuple`
-    /// matter; budget is stripped so maps always build deadline-free).
-    map_cfg: SignatureConfig,
     inserts: AtomicU64,
     replacements: AtomicU64,
     removals: AtomicU64,
     unchanged: AtomicU64,
 }
 
-impl Default for CatalogIndex {
-    fn default() -> Self {
-        Self::new(&SignatureConfig::default())
-    }
-}
-
 impl CatalogIndex {
-    /// Creates an empty index whose signature maps are shaped by `cfg`
-    /// (only [`SignatureConfig::partial`] and
-    /// [`SignatureConfig::max_signatures_per_tuple`] matter).
-    pub fn new(cfg: &SignatureConfig) -> Self {
-        let map_cfg = SignatureConfig {
-            budget: None,
-            ..*cfg
-        };
-        Self {
-            arena: RwLock::default(),
-            map_cfg,
-            inserts: AtomicU64::new(0),
-            replacements: AtomicU64::new(0),
-            removals: AtomicU64::new(0),
-            unchanged: AtomicU64::new(0),
-        }
-    }
-
-    /// Whether a comparator built from `cfg` can consume this index's maps
-    /// (the map-shaping fields agree).
-    pub fn compatible_with(&self, cfg: &SignatureConfig) -> bool {
-        self.map_cfg.partial == cfg.partial
-            && self.map_cfg.max_signatures_per_tuple == cfg.max_signatures_per_tuple
-    }
-
     // The arena guards recover from poisoning. Sound because the arena is
     // consistent at all times: entries are swapped in/out whole, and
     // posting lists are repaired in the same critical section as the
@@ -389,14 +321,12 @@ impl CatalogIndex {
 
     /// Builds the entry for `(name, pin)` — outside the lock, since map
     /// construction is the expensive part.
-    fn build_entry(&self, name: &str, pin: &Arc<Instance>) -> Entry {
-        let maps = InstanceSigMaps::build(pin, &self.map_cfg);
-        let (sketch, counts) = Sketch::build_counted(pin);
+    fn build_entry(name: &str, pin: &Arc<Instance>) -> Entry {
+        let maps = InstanceSigMaps::build(pin, &SignatureConfig::default());
         Entry {
             name: name.to_string(),
             pin: Arc::clone(pin),
-            summary: Summary::new(maps, sketch),
-            counts,
+            summary: Summary::new(maps, Sketch::build(pin)),
         }
     }
 
@@ -412,7 +342,7 @@ impl CatalogIndex {
             self.unchanged.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        let entry = self.build_entry(name, pin);
+        let entry = Self::build_entry(name, pin);
         let mut arena = self.write();
         if let Some(&slot) = arena.by_name.get(name) {
             // Re-check under the lock: a racing insert may have landed.
@@ -461,69 +391,6 @@ impl CatalogIndex {
         }
     }
 
-    /// Applies `delta` to the indexed instance `name` **incrementally**:
-    /// instead of rebuilding the entry from scratch, the pinned instance,
-    /// its signature maps, its sketch and the sketch's domain counts are
-    /// cloned and repaired in place (via
-    /// [`ic_core::apply_delta_repairing`] /
-    /// [`apply_delta_repairing_sketch`]), then the entry is swapped whole.
-    /// The repaired entry is bit-identical to one freshly built from the
-    /// mutated instance — only the per-op repair work is paid, not a full
-    /// map/sketch rebuild.
-    ///
-    /// Returns the new pin (the caller's catalog should adopt it — the old
-    /// `Arc<Instance>` no longer keys this entry) and the ids of inserted
-    /// tuples.
-    ///
-    /// Unlike the underlying prefix-applying primitives, this is
-    /// **all-or-nothing**: repair runs on private clones, so any error
-    /// ([`DeltaApplyError`]) leaves the indexed entry untouched.
-    pub fn apply_delta(
-        &self,
-        name: &str,
-        delta: &Delta,
-    ) -> Result<(Arc<Instance>, Vec<TupleId>), DeltaApplyError> {
-        // Snapshot the entry under the lock; repair outside it.
-        let (old_pin, mut instance, mut maps, mut sketch, mut counts) = {
-            let arena = self.read();
-            let Some(entry) = arena.get(name) else {
-                return Err(DeltaApplyError::NotIndexed(name.to_string()));
-            };
-            (
-                Arc::clone(&entry.pin),
-                (*entry.pin).clone(),
-                (*entry.summary.maps).clone(),
-                entry.summary.sketch.clone(),
-                entry.counts.clone(),
-            )
-        };
-        let inserted = apply_delta_repairing_sketch(
-            &mut instance,
-            Some(&mut maps),
-            &mut sketch,
-            &mut counts,
-            delta,
-        )
-        .map_err(DeltaApplyError::Op)?;
-        let entry = Entry {
-            name: name.to_string(),
-            pin: Arc::new(instance),
-            summary: Summary::new(maps, sketch),
-            counts,
-        };
-        let new_pin = Arc::clone(&entry.pin);
-        let mut arena = self.write();
-        match arena.by_name.get(name) {
-            Some(&slot) if Arc::ptr_eq(&arena.entry(slot).pin, &old_pin) => {
-                arena.remove_slot(slot);
-            }
-            _ => return Err(DeltaApplyError::Stale(name.to_string())),
-        }
-        arena.insert_entry(entry);
-        self.replacements.fetch_add(1, Ordering::Relaxed);
-        Ok((new_pin, inserted))
-    }
-
     /// The prebuilt signature maps of `name`, if indexed **and** still
     /// pinned to `pin` (pointer identity). Lets callers reuse the index's
     /// maps for their own seeded comparisons.
@@ -539,10 +406,14 @@ impl CatalogIndex {
     /// Three stages: (1) cheap prefilter scores for **every** entry —
     /// signature overlap via the inverted postings plus the minhash domain
     /// estimate; (2) survivor selection — entries with signature overlap
-    /// or a sketch estimate ≥ `opts.sketch_threshold`, padded to at least
-    /// `max(oversample·k, min_candidates)` by prefilter rank `(overlap
-    /// desc, sketch desc, name asc)`; (3) the full signature comparison on
-    /// survivors only, seeded with the index's prebuilt maps.
+    /// or a sketch estimate ≥ 0.5, padded to at least `max(4·k, 32)` by
+    /// prefilter rank `(overlap desc, sketch desc, name asc)`; (3) the
+    /// full signature comparison on survivors only, seeded with the
+    /// index's prebuilt maps.
+    ///
+    /// `deadline`, if any, is checked **between** survivor comparisons;
+    /// each comparison runs unbudgeted, so every returned score is exact,
+    /// and expiry returns [`Error::Budget`].
     ///
     /// Scores are bit-identical to a brute-force [`Comparator::compare`]
     /// loop at any thread count (the seeded-maps contract), and the final
@@ -550,16 +421,18 @@ impl CatalogIndex {
     /// every entry survives, so the result *is* the brute-force ranking.
     ///
     /// # Panics
-    /// Panics if `cmp`'s map-shaping config disagrees with this index's
-    /// (the [`ic_core::signature_match_seeded`] seeding contract).
+    /// Panics if `cmp`'s map-shaping config (`partial`,
+    /// `max_signatures_per_tuple`) differs from the default the index
+    /// builds its maps under (the [`ic_core::signature_match_seeded`]
+    /// seeding contract).
     pub fn topk(
         &self,
         query: &Instance,
         k: usize,
         cmp: &Comparator<'_>,
-        opts: &SearchOptions,
+        deadline: Option<Instant>,
     ) -> Result<SearchOutcome, Error> {
-        self.prefilter(query, k, cmp, opts)?.compare(query, cmp)
+        self.prefilter(query, k, cmp)?.compare(query, cmp, deadline)
     }
 
     /// Stages 1 and 2 of [`Self::topk`], under one read lock: rank every
@@ -580,10 +453,9 @@ impl CatalogIndex {
         query: &Instance,
         k: usize,
         cmp: &Comparator<'_>,
-        opts: &SearchOptions,
     ) -> Result<Survivors, Error> {
         assert!(
-            self.compatible_with(cmp.signature_config()),
+            compatible_with(cmp.signature_config()),
             "CatalogIndex::prefilter: comparator's partial/max_signatures_per_tuple \
              disagree with the index's map-shaping config"
         );
@@ -627,7 +499,7 @@ impl CatalogIndex {
                 ordinal: ordinal as u32,
                 slot,
             };
-            if rank.overlap.0 > 0 || jaccard_estimate(matches) >= opts.sketch_threshold {
+            if rank.overlap.0 > 0 || jaccard_estimate(matches) >= SKETCH_THRESHOLD {
                 kept.push(rank);
             } else {
                 rest.push(rank);
@@ -637,10 +509,7 @@ impl CatalogIndex {
 
         // Stage 2: the kept entries lead the rank order, so the survivors
         // are they plus the best of the rest up to the floor.
-        let floor = k
-            .saturating_mul(opts.oversample.max(1))
-            .max(opts.min_candidates)
-            .min(total);
+        let floor = k.saturating_mul(OVERSAMPLE).max(MIN_CANDIDATES).min(total);
         if let Some(fill) = floor.checked_sub(kept.len()).filter(|&n| n > 0) {
             rest.select_nth_unstable(fill - 1);
             kept.extend_from_slice(&rest[..fill]);
@@ -664,7 +533,6 @@ impl CatalogIndex {
             survivors,
             k,
             total,
-            deadline: opts.deadline,
             started,
         })
     }
@@ -675,19 +543,21 @@ mod tests {
     use super::*;
     use ic_datagen::{generate_lake, LakeParams};
     use ic_model::{Catalog, Schema};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     /// Stages 1–3 as the index ran them before ranking in place: clone
     /// every entry, fully sort all of them by `(overlap desc, sketch desc,
     /// name asc)`, keep the prefix that passes the filter or lies under the
     /// floor, and compare it with freshly built query maps. Returns the
-    /// survivor names in rank order and the outcome.
+    /// survivor names in rank order, how many of them passed the filter
+    /// (the rest fill the floor), and the outcome.
     fn reference_topk(
         index: &CatalogIndex,
         query: &Instance,
         k: usize,
         cmp: &Comparator<'_>,
-        opts: &SearchOptions,
-    ) -> (Vec<String>, SearchOutcome) {
+    ) -> (Vec<String>, usize, SearchOutcome) {
         struct Candidate {
             name: String,
             pin: Arc<Instance>,
@@ -726,16 +596,13 @@ mod tests {
                 .then_with(|| b.sketch_sim.total_cmp(&a.sketch_sim))
                 .then_with(|| a.name.cmp(&b.name))
         });
-        let keep_floor = k
-            .saturating_mul(opts.oversample.max(1))
-            .max(opts.min_candidates)
-            .min(total);
+        let keep_floor = k.saturating_mul(OVERSAMPLE).max(MIN_CANDIDATES).min(total);
+        let passes = |c: &Candidate| c.overlap > 0 || c.sketch_sim >= SKETCH_THRESHOLD;
+        let passed = candidates.iter().filter(|c| passes(c)).count();
         let survivors = candidates
             .iter()
             .enumerate()
-            .take_while(|(i, c)| {
-                *i < keep_floor || c.overlap > 0 || c.sketch_sim >= opts.sketch_threshold
-            })
+            .take_while(|(i, c)| *i < keep_floor || passes(c))
             .count();
         candidates.truncate(survivors);
         let mut hits: Vec<SearchHit> = candidates
@@ -763,7 +630,7 @@ mod tests {
             compared: survivors,
             total,
         };
-        (names, outcome)
+        (names, passed, outcome)
     }
 
     fn bits(out: &SearchOutcome) -> Vec<(String, u64, usize)> {
@@ -773,45 +640,39 @@ mod tests {
             .collect()
     }
 
-    /// Runs every parameter combination of the selection against the
-    /// reference for `query`.
-    fn assert_matches_reference(index: &CatalogIndex, query: &Instance, cmp: &Comparator<'_>) {
+    /// Runs the selection against the reference for `query` at every `k`
+    /// of the grid. Returns how many cases selected partially: entries
+    /// below the filter filled the floor and others were cut.
+    fn assert_matches_reference(
+        index: &CatalogIndex,
+        query: &Instance,
+        cmp: &Comparator<'_>,
+    ) -> usize {
         let n = index.len();
+        let mut partial = 0;
         for k in [0, 1, 10, n - 1, n] {
-            for oversample in [0, 1, 4] {
-                for min_candidates in [0, 32, n + 5] {
-                    for sketch_threshold in [0.0, 0.5, 1.0, f64::NAN] {
-                        let opts = SearchOptions {
-                            sketch_threshold,
-                            oversample,
-                            min_candidates,
-                            deadline: None,
-                        };
-                        let case = format!(
-                            "query {} k={k} oversample={oversample} \
-                             min_candidates={min_candidates} threshold={sketch_threshold}",
-                            query.name()
-                        );
-                        let (names, want) = reference_topk(index, query, k, cmp, &opts);
-                        let survivors = index.prefilter(query, k, cmp, &opts).unwrap();
-                        let got: Vec<&str> = survivors
-                            .survivors
-                            .iter()
-                            .map(|s| s.name.as_str())
-                            .collect();
-                        assert_eq!(got, names, "survivors, {case}");
-                        assert_eq!(survivors.total, want.total, "{case}");
-                        let out = index.topk(query, k, cmp, &opts).unwrap();
-                        assert_eq!(
-                            (out.compared, out.total),
-                            (want.compared, want.total),
-                            "{case}"
-                        );
-                        assert_eq!(bits(&out), bits(&want), "hits, {case}");
-                    }
-                }
+            let case = format!("query {} k={k}", query.name());
+            let (names, passed, want) = reference_topk(index, query, k, cmp);
+            let survivors = index.prefilter(query, k, cmp).unwrap();
+            let got: Vec<&str> = survivors
+                .survivors
+                .iter()
+                .map(|s| s.name.as_str())
+                .collect();
+            assert_eq!(got, names, "survivors, {case}");
+            assert_eq!(survivors.total, want.total, "{case}");
+            let out = index.topk(query, k, cmp, None).unwrap();
+            assert_eq!(
+                (out.compared, out.total),
+                (want.compared, want.total),
+                "{case}"
+            );
+            assert_eq!(bits(&out), bits(&want), "hits, {case}");
+            if passed < want.compared && want.compared < want.total {
+                partial += 1;
             }
         }
+        partial
     }
 
     /// The queries of one oracle run: an indexed instance (its entry's
@@ -828,11 +689,12 @@ mod tests {
     }
 
     /// Many rank ties: the lake's clusters share no constants, so every
-    /// query overlaps only its own cluster and the rest tie at zero.
+    /// query overlaps only its own cluster and the rest tie at zero. With
+    /// 48 entries the floor (32, or 40 at `k` = 10) cuts some of them.
     #[test]
     fn selection_matches_full_sort_on_a_generated_lake() {
         let lake = generate_lake(&LakeParams {
-            clusters: 6,
+            clusters: 12,
             versions_per_cluster: 4,
             rows: 5,
             arity: 3,
@@ -845,30 +707,32 @@ mod tests {
             index.insert(pin.name(), pin);
         }
         let cmp = Comparator::new(&lake.catalog).build().unwrap();
-        for query in queries(&pins) {
-            assert_matches_reference(&index, &query, &cmp);
-        }
+        let partial: usize = queries(&pins)
+            .iter()
+            .map(|query| assert_matches_reference(&index, query, &cmp))
+            .sum();
+        assert!(partial > 0, "no case selected partially");
     }
 
-    /// Overlaps and sketch matches of every size: rows drawn from a small
-    /// shared constant pool, with labeled nulls mixed in.
+    /// Overlaps and sketch matches of every size: rows drawn from windows
+    /// of six constants in a shared pool, with labeled nulls mixed in.
+    /// Nearby windows overlap and distant ones are disjoint, so entries
+    /// both pass and fail the filter.
     #[test]
     fn selection_matches_full_sort_on_shared_constants() {
         let mut cat = Catalog::new(Schema::single("R", &["a", "b", "c"]));
-        let pool: Vec<_> = (0..6).map(|i| cat.konst(&format!("p{i}"))).collect();
+        let pool: Vec<_> = (0..24).map(|i| cat.konst(&format!("p{i}"))).collect();
         let mut pins = Vec::new();
-        for i in 0..20usize {
-            let mut inst = Instance::new(format!("s{:02}", (i * 7) % 20), &cat);
+        for i in 0..48usize {
+            let mut inst = Instance::new(format!("s{:02}", (i * 7) % 48), &cat);
+            let c = |x: usize| pool[(2 * (i % 12) + x % 6) % 24];
             for r in 0..2 + i % 3 {
                 let last = if (i + r) % 4 == 0 {
                     cat.fresh_null()
                 } else {
-                    pool[(r * 3) % 6]
+                    c(r * 3)
                 };
-                inst.insert(
-                    RelId(0),
-                    vec![pool[(i + r) % 6], pool[(i * r + 1) % 6], last],
-                );
+                inst.insert(RelId(0), vec![c(i + r), c(i * r + 1), last]);
             }
             pins.push(Arc::new(inst));
         }
@@ -881,15 +745,147 @@ mod tests {
         assert!(index.remove(pins[3].name()));
         assert!(index.insert(pins[3].name(), &pins[3]));
         let cmp = Comparator::new(&cat).build().unwrap();
-        for query in queries(&pins) {
-            assert_matches_reference(&index, &query, &cmp);
+        let partial: usize = queries(&pins)
+            .iter()
+            .map(|query| assert_matches_reference(&index, query, &cmp))
+            .sum();
+        assert!(partial > 0, "no case selected partially");
+    }
+
+    /// Checks the arena against its entries: every posting names a live
+    /// slot whose entry holds that hash, and names it once; every hash of
+    /// a live entry is posted; `by_name` maps exactly the live slots, each
+    /// under its entry's name; and the free list is exactly the dead slots.
+    fn assert_arena_consistent(index: &CatalogIndex, case: &str) {
+        let arena = index.read();
+        let (live, dead): (Vec<u32>, Vec<u32>) =
+            (0..arena.entries.len() as u32).partition(|&s| arena.entries[s as usize].is_some());
+        let mut posted = 0;
+        for (h, slots) in &arena.postings {
+            let mut unique = slots.clone();
+            unique.sort_unstable();
+            unique.dedup();
+            assert!(!slots.is_empty(), "empty posting list, {case}");
+            assert_eq!(unique.len(), slots.len(), "slot posted twice, {case}");
+            for &slot in slots {
+                let entry = arena.entries[slot as usize].as_ref();
+                assert!(
+                    entry.is_some_and(|e| e.summary.sig_hashes.binary_search(h).is_ok()),
+                    "posting of slot {slot} is dead or stale, {case}"
+                );
+            }
+            posted += slots.len();
+        }
+        let hashes: usize = live
+            .iter()
+            .map(|&s| arena.entry(s).summary.sig_hashes.len())
+            .sum();
+        assert_eq!(posted, hashes, "unposted hash of a live entry, {case}");
+        let mut named: Vec<u32> = arena.by_name.values().copied().collect();
+        named.sort_unstable();
+        assert_eq!(named, live, "by_name vs live slots, {case}");
+        for (name, &slot) in &arena.by_name {
+            assert_eq!(&arena.entry(slot).name, name, "{case}");
+        }
+        let mut free = arena.free.clone();
+        free.sort_unstable();
+        assert_eq!(free, dead, "free list vs dead slots, {case}");
+    }
+
+    /// `insert` and `remove`, the only mutators, keep the arena consistent
+    /// under any mix of new inserts, replacements, unchanged inserts and
+    /// removals, and leave an index that searches exactly like one built
+    /// fresh from the same (name, pin) set. About 50 of the 60 names are
+    /// live at a time, so the final searches select partially.
+    #[test]
+    fn any_insert_remove_sequence_keeps_the_arena_consistent() {
+        const NAMES: usize = 60;
+        let lake = generate_lake(&LakeParams {
+            clusters: 15,
+            versions_per_cluster: 4,
+            rows: 5,
+            arity: 3,
+            ..LakeParams::default()
+        });
+        // Three pins per name, drawn from across the lake, so names share
+        // contents and a replacement may change a cluster.
+        let pool: Vec<[Arc<Instance>; 3]> = (0..NAMES)
+            .map(|i| {
+                std::array::from_fn(|v| {
+                    let mut inst = lake.instances[(i + 17 * v) % lake.instances.len()].clone();
+                    inst.set_name(format!("n{i:02}"));
+                    Arc::new(inst)
+                })
+            })
+            .collect();
+        let cmp = Comparator::new(&lake.catalog).build().unwrap();
+        for seed in 0..3u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let index = CatalogIndex::default();
+            let mut live: Vec<Option<usize>> = vec![None; NAMES];
+            let mut want = IndexStats::default();
+            for step in 0..400 {
+                let i = rng.random_range(0..NAMES);
+                let name = pool[i][0].name();
+                match live[i] {
+                    None => {
+                        let v = rng.random_range(0..3usize);
+                        assert!(index.insert(name, &pool[i][v]));
+                        live[i] = Some(v);
+                        want.inserts += 1;
+                    }
+                    Some(v) => match rng.random_range(0..5) {
+                        0 => {
+                            assert!(index.remove(name));
+                            live[i] = None;
+                            want.removals += 1;
+                        }
+                        1 | 2 => {
+                            assert!(!index.insert(name, &pool[i][v]));
+                            want.unchanged += 1;
+                        }
+                        _ => {
+                            let w = (v + rng.random_range(1..3usize)) % 3;
+                            assert!(index.insert(name, &pool[i][w]));
+                            live[i] = Some(w);
+                            want.replacements += 1;
+                        }
+                    },
+                }
+                assert_arena_consistent(&index, &format!("seed {seed} step {step}"));
+            }
+            want.entries = live.iter().flatten().count() as u64;
+            assert_eq!(index.stats(), want, "seed {seed}");
+
+            let live: Vec<&Arc<Instance>> = live
+                .iter()
+                .enumerate()
+                .filter_map(|(i, v)| v.map(|v| &pool[i][v]))
+                .collect();
+            let fresh = CatalogIndex::default();
+            for pin in &live {
+                fresh.insert(pin.name(), pin);
+            }
+            for query in &live {
+                for k in [1, 10] {
+                    let got = index.topk(query, k, &cmp, None).unwrap();
+                    let want = fresh.topk(query, k, &cmp, None).unwrap();
+                    let case = format!("seed {seed} query {} k={k}", query.name());
+                    assert_eq!(
+                        (got.compared, got.total),
+                        (want.compared, want.total),
+                        "{case}"
+                    );
+                    assert_eq!(bits(&got), bits(&want), "hits, {case}");
+                }
+            }
         }
     }
 
     #[test]
     fn topk_records_one_prefilter_span_with_its_counts() {
         let lake = generate_lake(&LakeParams {
-            clusters: 4,
+            clusters: 12,
             rows: 5,
             ..LakeParams::default()
         });
@@ -899,14 +895,10 @@ mod tests {
             index.insert(pin.name(), pin);
         }
         let cmp = Comparator::new(&lake.catalog).build().unwrap();
-        let opts = SearchOptions {
-            min_candidates: 2,
-            ..SearchOptions::default()
-        };
         let sink = Arc::new(ic_obs::MemorySink::new());
         let out = {
             let _obs = ic_obs::observe("search", Arc::clone(&sink) as Arc<dyn ic_obs::Sink>);
-            index.topk(&pins[5], 1, &cmp, &opts).unwrap()
+            index.topk(&pins[5], 1, &cmp, None).unwrap()
         };
         let report = sink.last().expect("one report");
         assert_eq!(report.find_span(&["index.prefilter"]).unwrap().count, 1);
@@ -917,6 +909,16 @@ mod tests {
         assert!(report
             .find_span(&["index.prefilter", "signature.sigmap_build"])
             .is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "map-shaping")]
+    fn prefilter_rejects_a_comparator_of_another_map_shape() {
+        let mut cat = Catalog::new(Schema::single("R", &["a"]));
+        let mut inst = Instance::new("x", &cat);
+        inst.insert(RelId(0), vec![cat.konst("v")]);
+        let cmp = Comparator::new(&cat).partial(true).build().unwrap();
+        let _ = CatalogIndex::default().prefilter(&inst, 1, &cmp);
     }
 
     #[test]

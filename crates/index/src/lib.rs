@@ -5,10 +5,10 @@
 //! O(catalog) full comparisons per query. This crate layers two cheap
 //! filters in front of the full signature comparison:
 //!
-//! 1. **Sketches** ([`Sketch`]): a schema fingerprint plus a minhash of
-//!    the constant active domain (labeled nulls excluded), hashed with the
-//!    in-tree deterministic [`rand`] primitives — a coarse first cut and a
-//!    domain-overlap estimate.
+//! 1. **Sketches** ([`Sketch`]): a minhash of the constant active domain
+//!    (labeled nulls excluded), hashed with the in-tree deterministic
+//!    [`rand`] primitives — a coarse first cut and a domain-overlap
+//!    estimate.
 //! 2. **Signature inverted index** ([`CatalogIndex`]): the per-tuple
 //!    `(relation, mask, key)` signature buckets that
 //!    [`ic_core::InstanceSigMaps`] already computes, hashed into posting
@@ -16,14 +16,20 @@
 //!    outside the lock, so index build/lookup stays concurrent with
 //!    catalog load/replace. Entries are pinned by `Arc<Instance>` pointer
 //!    identity — the same invalidation discipline as ic-serve's
-//!    `SigMapCache`.
+//!    `SigMapCache` — and [`CatalogIndex::insert`] rebuilds an entry
+//!    whole when its pin changes; there is no other way to update one.
 //!
 //! [`CatalogIndex::topk`] prefilters by signature overlap + sketch
 //! estimate, then runs the full comparison **only on survivors**, seeded
-//! with the index's prebuilt maps. It is two calls, so a caller can end
-//! its hold on the index between them: [`CatalogIndex::prefilter`] ranks
-//! every entry under one read lock and returns [`Survivors`] that own
-//! their pins and maps, and [`Survivors::compare`] runs the comparisons.
+//! with the index's prebuilt maps. The survivors are every entry with
+//! overlap or a sketch estimate ≥ 0.5, padded by rank to at least
+//! `max(4·k, 32)`; those three numbers are fixed. The only per-search
+//! input besides the query, `k` and the comparator is an optional
+//! deadline, checked between survivor comparisons. A search is two calls,
+//! so a caller can end its hold on the index between them:
+//! [`CatalogIndex::prefilter`] ranks every entry under one read lock and
+//! returns [`Survivors`] that own their pins and maps, and
+//! [`Survivors::compare`] runs the comparisons.
 //! The prefilter chooses *which* entries are compared, never *how*: every
 //! returned score is bit-identical to a direct
 //! [`ic_core::Comparator::compare`] of the same pair at any thread count,
@@ -32,10 +38,8 @@
 mod catalog_index;
 mod sketch;
 
-pub use catalog_index::{
-    CatalogIndex, DeltaApplyError, IndexStats, SearchHit, SearchOptions, SearchOutcome, Survivors,
-};
-pub use sketch::{apply_delta_repairing_sketch, Sketch, SketchCounts, SKETCH_SLOTS};
+pub use catalog_index::{CatalogIndex, IndexStats, SearchHit, SearchOutcome, Survivors};
+pub use sketch::{Sketch, SKETCH_SLOTS};
 
 #[cfg(test)]
 mod tests {
@@ -90,21 +94,17 @@ mod tests {
     #[test]
     fn topk_matches_brute_force_and_prunes() {
         let mut cat = catalog();
-        let entries = clustered(&mut cat, 6, 4);
+        // 48 entries: more than the prefilter's floor of 32 at k = 4.
+        let entries = clustered(&mut cat, 12, 4);
         let index = indexed(&entries);
-        assert_eq!(index.stats().inserts, 24);
-        assert_eq!(index.len(), 24);
+        assert_eq!(index.stats().inserts, 48);
+        assert_eq!(index.len(), 48);
 
         let cmp = Comparator::new(&cat).build().unwrap();
         let query = &entries[5].1; // c1v1
-        let opts = SearchOptions {
-            min_candidates: 4,
-            oversample: 1,
-            ..SearchOptions::default()
-        };
-        let out = index.topk(query, 4, &cmp, &opts).unwrap();
-        assert_eq!(out.total, 24);
-        assert!(out.compared < 24, "prefilter must cut something");
+        let out = index.topk(query, 4, &cmp, None).unwrap();
+        assert_eq!(out.total, 48);
+        assert!(out.compared < 48, "prefilter must cut something");
 
         // Brute force over everything, same ordering rule.
         let mut brute: Vec<(String, f64)> = entries
@@ -128,81 +128,10 @@ mod tests {
         let index = indexed(&entries);
         let cmp = Comparator::new(&cat).build().unwrap();
         let out = index
-            .topk(
-                &entries[0].1,
-                entries.len(),
-                &cmp,
-                &SearchOptions::default(),
-            )
+            .topk(&entries[0].1, entries.len(), &cmp, None)
             .unwrap();
         assert_eq!(out.compared, entries.len(), "k = n compares everything");
         assert_eq!(out.hits.len(), entries.len());
-    }
-
-    #[test]
-    fn apply_delta_repairs_entry_to_match_fresh_build() {
-        use ic_core::{Delta, DeltaOp};
-
-        let mut cat = catalog();
-        let entries = clustered(&mut cat, 2, 2);
-        let index = indexed(&entries);
-
-        let (x, y) = (cat.konst("newx"), cat.konst("newy"));
-        let victim = entries[0].1.tuples(REL)[0].id();
-        let delta = Delta::new(vec![
-            DeltaOp::Insert {
-                rel: REL,
-                values: vec![x, y, x],
-            },
-            DeltaOp::Delete { id: victim },
-        ]);
-        let (new_pin, inserted) = index.apply_delta("c0v0", &delta).unwrap();
-        assert_eq!(inserted.len(), 1);
-        assert!(index.entry_maps("c0v0", &new_pin).is_some());
-        assert!(
-            index.entry_maps("c0v0", &entries[0].1).is_none(),
-            "old pin no longer keys the entry"
-        );
-
-        // The repaired entry must behave exactly like a freshly indexed
-        // one: seeded comparisons through its repaired maps are
-        // bit-identical to comparisons through maps built from scratch.
-        let cmp = Comparator::new(&cat).build().unwrap();
-        let repaired_maps = index.entry_maps("c0v0", &new_pin).unwrap();
-        let fresh_maps = cmp.build_maps(&new_pin).unwrap();
-        let other = &entries[3].1;
-        let seeded = cmp
-            .signature_with_maps(&new_pin, other, Some(&repaired_maps), None)
-            .unwrap();
-        let fresh = cmp
-            .signature_with_maps(&new_pin, other, Some(&fresh_maps), None)
-            .unwrap();
-        assert_eq!(seeded.best.score().to_bits(), fresh.best.score().to_bits());
-
-        // Postings were repaired too: the mutated instance finds itself
-        // through the prefilter at the exact self-similarity score.
-        let out = index
-            .topk(&new_pin, 1, &cmp, &SearchOptions::default())
-            .unwrap();
-        assert_eq!(out.hits[0].name, "c0v0");
-        assert_eq!(out.hits[0].score, 1.0);
-
-        // Failures leave the index untouched.
-        assert!(matches!(
-            index.apply_delta("nope", &delta),
-            Err(DeltaApplyError::NotIndexed(_))
-        ));
-        let bad = Delta::new(vec![DeltaOp::Delete {
-            id: ic_model::TupleId(u32::MAX),
-        }]);
-        assert!(matches!(
-            index.apply_delta("c0v0", &bad),
-            Err(DeltaApplyError::Op(_))
-        ));
-        assert!(
-            index.entry_maps("c0v0", &new_pin).is_some(),
-            "failed delta must not replace the entry"
-        );
     }
 
     #[test]

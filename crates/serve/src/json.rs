@@ -21,7 +21,7 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number (always an `f64`; integers up to 2^53 are exact).
+    /// Any number (always an `f64`; integers below 2^53 are exact).
     Num(f64),
     /// A string.
     Str(String),
@@ -67,10 +67,12 @@ impl Json {
     }
 
     /// The numeric payload as an exact unsigned integer: `None` unless the
-    /// number is a non-negative integer below 2^53 (exactly representable).
+    /// number is a non-negative integer below 2^53. 2^53 itself is out: the
+    /// text 2^53 + 1 parses to the same `f64`, so it may not be what the
+    /// peer sent.
     pub fn as_u64(&self) -> Option<u64> {
         let n = self.as_f64()?;
-        if n >= 0.0 && n <= 9_007_199_254_740_992.0 && n.fract() == 0.0 {
+        if (0.0..9_007_199_254_740_992.0).contains(&n) && n.fract() == 0.0 {
             Some(n as u64)
         } else {
             None
@@ -520,7 +522,11 @@ mod tests {
     fn as_u64_bounds() {
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Num(1.5).as_u64(), None);
-        assert_eq!(Json::Num(9_007_199_254_740_992.0).as_u64(), Some(1 << 53));
+        assert_eq!(
+            Json::Num(9_007_199_254_740_991.0).as_u64(),
+            Some((1 << 53) - 1)
+        );
+        assert_eq!(Json::Num(9_007_199_254_740_992.0).as_u64(), None);
         assert_eq!(Json::Num(1e300).as_u64(), None);
     }
 }

@@ -1479,6 +1479,27 @@ mod tests {
         ));
     }
 
+    /// 2^53 + 1 parses to the `f64` 2^53, so an id at or above 2^53 could
+    /// not be echoed verbatim: it is rejected, not rounded.
+    #[test]
+    fn id_from_2_pow_53_is_a_shape_error() {
+        for payload in [
+            &b"{\"id\":9007199254740993,\"kind\":\"list\"}"[..],
+            b"{\"id\":9007199254740992,\"kind\":\"list\"}",
+        ] {
+            assert!(matches!(
+                Request::decode(payload),
+                Err(DecodeError::Shape(_))
+            ));
+        }
+        assert_eq!(
+            Request::decode(b"{\"id\":9007199254740991,\"kind\":\"list\"}").unwrap(),
+            Request::List {
+                id: 9_007_199_254_740_991
+            }
+        );
+    }
+
     #[test]
     fn compare_defaults_algo_to_signature() {
         let req =

@@ -49,8 +49,8 @@ use crate::proto::{
     SpanStat,
 };
 use crate::sigcache::SigMapCache;
-use ic_core::{apply_delta_repairing, Comparator, Delta, DeltaOp, SignatureConfig};
-use ic_index::{CatalogIndex, SearchOptions};
+use ic_core::{apply_delta_repairing, Comparator, Delta, DeltaOp};
+use ic_index::CatalogIndex;
 use ic_model::{AttrId, Instance, NullId, RelId, TupleId, Value};
 use ic_obs::StatsSink;
 use std::io;
@@ -339,7 +339,7 @@ impl Server {
             queue: Mutex::new(Some(tx)),
             stats_sink: Arc::new(StatsSink::new()),
             sig_cache,
-            index: Arc::new(CatalogIndex::new(&SignatureConfig::default())),
+            index: Arc::new(CatalogIndex::default()),
             indexed: RwLock::default(),
             requests: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -1246,16 +1246,12 @@ fn run_search(
         Err(e) => return core_error(job.id, &e),
     };
 
-    let opts = SearchOptions {
-        deadline: job.deadline,
-        ..SearchOptions::default()
-    };
     let start = Instant::now();
-    let survivors = shared.index.prefilter(query, k, &cmp, &opts);
+    let survivors = shared.index.prefilter(query, k, &cmp);
     // The survivors own their pins and maps: a sync after a patch waits
     // for prefilters only, not for full compares.
     drop(view);
-    match survivors.and_then(|survivors| survivors.compare(query, &cmp)) {
+    match survivors.and_then(|survivors| survivors.compare(query, &cmp, job.deadline)) {
         Ok(out) => Response::Searched {
             id: job.id,
             results: SearchResults {
@@ -1403,12 +1399,11 @@ mod tests {
         let query = used.get("a").unwrap();
         assert!(Arc::ptr_eq(query, newer.get("a").unwrap()));
         let cmp = Comparator::new(&used.catalog).build().unwrap();
-        let opts = SearchOptions::default();
-        let top = shared.index.topk(query, 1, &cmp, &opts).unwrap();
+        let top = shared.index.topk(query, 1, &cmp, None).unwrap();
         assert_eq!((top.hits[0].name.as_str(), top.hits[0].score), ("a", 1.0));
         // The skew the fallback avoids: the admitted query misses itself.
         let stale = admitted.get("a").unwrap();
-        let top = shared.index.topk(stale, 3, &cmp, &opts).unwrap();
+        let top = shared.index.topk(stale, 3, &cmp, None).unwrap();
         assert!(top.hits.iter().all(|h| h.name != "a" || h.score < 1.0));
         drop(view);
         server.shutdown();
@@ -1440,10 +1435,7 @@ mod tests {
         let (used, view) = index_view(shared, &old);
         let query = used.get("a").unwrap();
         let cmp = Comparator::new(&used.catalog).build().unwrap();
-        let survivors = shared
-            .index
-            .prefilter(query, 1, &cmp, &SearchOptions::default())
-            .unwrap();
+        let survivors = shared.index.prefilter(query, 1, &cmp).unwrap();
         drop(view);
 
         catalog
@@ -1472,7 +1464,7 @@ mod tests {
             .index
             .entry_maps("a", new.get("a").unwrap())
             .is_some());
-        let top = survivors.compare(query, &cmp).unwrap();
+        let top = survivors.compare(query, &cmp, None).unwrap();
         assert_eq!((top.hits[0].name.as_str(), top.hits[0].score), ("a", 1.0));
         server.shutdown();
     }

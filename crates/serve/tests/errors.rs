@@ -91,6 +91,33 @@ fn undecodable_payload_keeps_connection_alive() {
     server.shutdown();
 }
 
+/// An id the server cannot echo verbatim (2^53 + 1 reads as the `f64`
+/// 2^53) is a `bad_request` under id 0, and the connection stays open.
+#[test]
+fn id_above_2_pow_53_is_a_bad_request_not_a_rounded_echo() {
+    let server = server_with(ServerConfig::default());
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = FrameReader::new(stream);
+
+    write_frame(&mut writer, b"{\"id\":9007199254740993,\"kind\":\"list\"}").unwrap();
+    match Response::decode(&reader.next_frame().unwrap()).unwrap() {
+        Response::Error { id, code, .. } => {
+            assert_eq!(code, ErrorCode::BadRequest);
+            assert_eq!(id, 0, "an id that cannot be echoed is not salvaged");
+        }
+        other => panic!("expected bad_request error, got {other:?}"),
+    }
+
+    write_frame(&mut writer, &Request::List { id: 9 }.encode()).unwrap();
+    match Response::decode(&reader.next_frame().unwrap()).unwrap() {
+        Response::Listing { id, .. } => assert_eq!(id, 9),
+        other => panic!("expected listing, got {other:?}"),
+    }
+
+    server.shutdown();
+}
+
 #[test]
 fn unknown_instance_is_a_typed_error() {
     let server = server_with(ServerConfig::default());

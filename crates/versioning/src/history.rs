@@ -11,37 +11,18 @@
 //! similarity starting from a given endpoint; [`find_endpoints`] guesses the
 //! endpoints as the pair with the *lowest* similarity.
 
-use ic_core::{signature_match, signature_match_seeded, InstanceSigMaps, SignatureConfig};
+use ic_core::{signature_match_seeded, InstanceSigMaps, SignatureConfig};
 use ic_model::{Catalog, Instance};
 
 /// Computes the symmetric pairwise similarity matrix of `versions` with the
 /// signature algorithm (diagonal = 1).
+///
+/// Each version's per-relation signature maps are built **once** and seed
+/// every comparison the version takes part in: `n` map builds instead of
+/// the `n(n−1)` of comparing each pair from scratch. The matrix is
+/// bit-identical to the from-scratch one under the seeding contract of
+/// [`signature_match_seeded`].
 pub fn similarity_matrix(
-    versions: &[&Instance],
-    catalog: &Catalog,
-    cfg: &SignatureConfig,
-) -> Vec<Vec<f64>> {
-    let n = versions.len();
-    let mut m = vec![vec![1.0f64; n]; n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let s = signature_match(versions[i], versions[j], catalog, cfg)
-                .best
-                .score();
-            m[i][j] = s;
-            m[j][i] = s;
-        }
-    }
-    m
-}
-
-/// [`similarity_matrix`] over shared signature maps: each version's
-/// per-relation maps are built **once** and seed every comparison the
-/// version participates in — `n` index builds instead of the `n(n−1)`
-/// a from-scratch matrix performs (each of the `n(n−1)/2` pairs builds
-/// both sides). Bit-identical to [`similarity_matrix`] under the seeding
-/// contract of [`signature_match_seeded`].
-pub fn similarity_matrix_cached(
     versions: &[&Instance],
     catalog: &Catalog,
     cfg: &SignatureConfig,
@@ -67,51 +48,6 @@ pub fn similarity_matrix_cached(
             m[i][j] = s;
             m[j][i] = s;
         }
-    }
-    m
-}
-
-/// Parallel variant of [`similarity_matrix`]: the `n(n−1)/2` comparisons
-/// are independent, so they are fanned out over `threads` scoped workers.
-/// Produces exactly the same matrix.
-pub fn similarity_matrix_parallel(
-    versions: &[&Instance],
-    catalog: &Catalog,
-    cfg: &SignatureConfig,
-    threads: usize,
-) -> Vec<Vec<f64>> {
-    let n = versions.len();
-    let pairs: Vec<(usize, usize)> = (0..n)
-        .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
-        .collect();
-    let threads = threads.max(1).min(pairs.len().max(1));
-    let chunk = pairs.len().div_ceil(threads);
-    let mut results: Vec<(usize, usize, f64)> = Vec::with_capacity(pairs.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk.max(1))
-            .map(|chunk_pairs| {
-                scope.spawn(move || {
-                    chunk_pairs
-                        .iter()
-                        .map(|&(i, j)| {
-                            let s = signature_match(versions[i], versions[j], catalog, cfg)
-                                .best
-                                .score();
-                            (i, j, s)
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            results.extend(h.join().expect("worker panicked"));
-        }
-    });
-    let mut m = vec![vec![1.0f64; n]; n];
-    for (i, j, s) in results {
-        m[i][j] = s;
-        m[j][i] = s;
     }
     m
 }
@@ -162,6 +98,7 @@ pub fn reconstruct_chain(matrix: &[Vec<f64>], start: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ic_core::signature_match;
     use ic_datagen::{evolve_chain, Dataset, EvolveParams};
 
     #[test]
@@ -202,8 +139,28 @@ mod tests {
         }
     }
 
+    /// The matrix compared pair by pair from scratch, without shared maps.
+    fn scratch_matrix(
+        versions: &[&Instance],
+        catalog: &Catalog,
+        cfg: &SignatureConfig,
+    ) -> Vec<Vec<f64>> {
+        let n = versions.len();
+        let mut m = vec![vec![1.0f64; n]; n];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let s = signature_match(versions[i], versions[j], catalog, cfg)
+                    .best
+                    .score();
+                m[i][j] = s;
+                m[j][i] = s;
+            }
+        }
+        m
+    }
+
     #[test]
-    fn cached_matrix_is_bit_identical_to_sequential() {
+    fn shared_maps_matrix_is_bit_identical_to_scratch() {
         let chain = evolve_chain(Dataset::Iris, 60, 4, &EvolveParams::default(), 21);
         let refs: Vec<&ic_model::Instance> = chain.versions.iter().collect();
         for cfg in [
@@ -213,25 +170,13 @@ mod tests {
                 ..Default::default()
             },
         ] {
-            let seq = similarity_matrix(&refs, &chain.catalog, &cfg);
-            let cached = similarity_matrix_cached(&refs, &chain.catalog, &cfg);
-            for (row_s, row_c) in seq.iter().zip(&cached) {
+            let scratch = scratch_matrix(&refs, &chain.catalog, &cfg);
+            let shared = similarity_matrix(&refs, &chain.catalog, &cfg);
+            for (row_s, row_c) in scratch.iter().zip(&shared) {
                 for (a, b) in row_s.iter().zip(row_c) {
                     assert_eq!(a.to_bits(), b.to_bits(), "partial={}", cfg.partial);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn parallel_matrix_equals_sequential() {
-        let chain = evolve_chain(Dataset::Iris, 40, 3, &EvolveParams::default(), 13);
-        let refs: Vec<&ic_model::Instance> = chain.versions.iter().collect();
-        let cfg = SignatureConfig::default();
-        let seq = similarity_matrix(&refs, &chain.catalog, &cfg);
-        for threads in [1, 2, 8] {
-            let par = similarity_matrix_parallel(&refs, &chain.catalog, &cfg, threads);
-            assert_eq!(seq, par, "threads = {threads}");
         }
     }
 

@@ -152,7 +152,7 @@ mod tests {
 
     #[test]
     fn shuffle_is_not_representable() {
-        let (mut cat, old, rel) = setup(30);
+        let (_, old, rel) = setup(30);
         let mut rng = StdRng::seed_from_u64(5);
         let mut new = old.clone();
         crate::ops::shuffle_rows(&mut new, rel, &mut rng);

@@ -18,7 +18,7 @@ use ic_model::{align_instances, Catalog, Instance};
 // across pairs. Lakes whose tables already share one catalog skip the
 // alignment and *can* reuse per-table maps — see
 // [`find_duplicate_groups_shared`] and
-// [`crate::history::similarity_matrix_cached`].
+// [`crate::history::similarity_matrix`].
 
 /// A table in the lake: its own catalog plus its instance.
 #[derive(Debug)]
@@ -88,7 +88,7 @@ pub fn find_duplicate_groups(
 /// flags set and no string-similarity weight (the default configuration
 /// qualifies). Other configurations score every pair. Either way the
 /// groups are identical to clustering a full
-/// [`crate::history::similarity_matrix_cached`]: a pruned pair's true
+/// [`crate::history::similarity_matrix`]: a pruned pair's true
 /// score is below `threshold`, so it could never have joined a group.
 pub fn find_duplicate_groups_shared(
     tables: &[&Instance],
@@ -275,7 +275,7 @@ mod tests {
         let groups = find_duplicate_groups_shared(&refs, &cat, 0.8, &cfg);
         assert_eq!(groups, vec![vec![0, 1], vec![2, 3]]);
         // Scores agree with from-scratch signature matching, bit for bit.
-        let m = crate::history::similarity_matrix_cached(&refs, &cat, &cfg);
+        let m = crate::history::similarity_matrix(&refs, &cat, &cfg);
         for i in 0..refs.len() {
             for j in (i + 1)..refs.len() {
                 let scratch = signature_match(refs[i], refs[j], &cat, &cfg).best.score();
@@ -288,7 +288,7 @@ mod tests {
     fn sketch_pruned_groups_equal_full_matrix_groups() {
         // A lake of disjoint clusters plus one tiny outlier: the sketch
         // bound prunes cross-size pairs, yet the groups must equal
-        // clustering the full cached similarity matrix — for the prunable
+        // clustering the full similarity matrix — for the prunable
         // default config *and* for a general-mode config where pruning is
         // unsound and therefore disabled.
         let lake = ic_datagen::generate_lake(&ic_datagen::LakeParams {
@@ -312,7 +312,7 @@ mod tests {
         ] {
             for threshold in [0.6, 0.9] {
                 let fast = find_duplicate_groups_shared(&tables, &cat, threshold, &cfg);
-                let m = crate::history::similarity_matrix_cached(&tables, &cat, &cfg);
+                let m = crate::history::similarity_matrix(&tables, &cat, &cfg);
                 let full = cluster_by_similarity(tables.len(), threshold, |i, j| m[i][j]);
                 assert_eq!(fast, full, "threshold {threshold}");
             }

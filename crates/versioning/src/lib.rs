@@ -17,10 +17,7 @@ pub mod ops;
 
 pub use compare::{compare_versions, MatchCounts, VersionComparison};
 pub use diff::{diff_lines, diff_versions, serialize_instance_lines, serialize_lines, DiffStats};
-pub use history::{
-    find_endpoints, reconstruct_chain, similarity_matrix, similarity_matrix_cached,
-    similarity_matrix_parallel,
-};
+pub use history::{find_endpoints, reconstruct_chain, similarity_matrix};
 pub use incremental::instance_delta;
 pub use lake::{
     find_duplicate_groups, find_duplicate_groups_shared, rank_by_similarity, table_similarity,

@@ -13,7 +13,7 @@
 
 use instance_comparison::core::{Comparator, SignatureConfig};
 use instance_comparison::datagen::{generate_lake, LakeParams};
-use instance_comparison::index::{CatalogIndex, SearchOptions};
+use instance_comparison::index::CatalogIndex;
 use instance_comparison::model::Instance;
 use instance_comparison::versioning::find_duplicate_groups_shared;
 use std::sync::Arc;
@@ -31,8 +31,7 @@ fn main() {
     });
     let pins: Vec<Arc<Instance>> = lake.instances.iter().cloned().map(Arc::new).collect();
 
-    let cfg = SignatureConfig::default();
-    let index = CatalogIndex::new(&cfg);
+    let index = CatalogIndex::default();
     for p in &pins {
         index.insert(p.name(), p);
     }
@@ -41,9 +40,7 @@ fn main() {
     // Search: which lake tables look like cluster 2's newest version?
     let query = &pins[lake.index_of(2, 3)];
     let k = 5;
-    let out = index
-        .topk(query, k, &cmp, &SearchOptions::default())
-        .unwrap();
+    let out = index.topk(query, k, &cmp, None).unwrap();
     println!("query: {}  (lake of {} tables)\n", query.name(), out.total);
     println!("{:<8} {:>8} {:>7}", "table", "score", "pairs");
     for hit in &out.hits {
@@ -81,7 +78,8 @@ fn main() {
     // shared-catalog variant reuses signature maps and skips pairs whose
     // sketch bound already rules the threshold out.
     let tables: Vec<&Instance> = lake.instances.iter().collect();
-    let groups = find_duplicate_groups_shared(&tables, &lake.catalog, 0.6, &cfg);
+    let groups =
+        find_duplicate_groups_shared(&tables, &lake.catalog, 0.6, &SignatureConfig::default());
     println!("\nnear-duplicate groups (threshold 0.6):");
     for g in groups {
         let names: Vec<&str> = g.iter().map(|&i| lake.instances[i].name()).collect();

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example partial_matching`
 
-use instance_comparison::core::{compare, explain, CellChange, ScoreConfig, SignatureConfig};
+use instance_comparison::core::{CellChange, Comparator};
 use instance_comparison::datagen::{mod_cell_typos, Dataset};
 
 fn main() {
@@ -16,8 +16,11 @@ fn main() {
         sc.target.num_tuples()
     );
 
-    let complete_cfg = SignatureConfig::default();
-    let complete = compare(&sc.source, &sc.target, &sc.catalog, &complete_cfg);
+    let compare = |builder: instance_comparison::core::ComparatorBuilder<'_>| {
+        let cmp = builder.build().expect("valid config");
+        cmp.compare(&sc.source, &sc.target).expect("schemas match")
+    };
+    let complete = compare(Comparator::new(&sc.catalog));
     println!(
         "complete matching:        score {:.3}  ({} matched, {} deleted, {} inserted)",
         complete.score(),
@@ -26,11 +29,7 @@ fn main() {
         complete.diff.inserted.len()
     );
 
-    let partial_cfg = SignatureConfig {
-        partial: true,
-        ..SignatureConfig::default()
-    };
-    let partial = compare(&sc.source, &sc.target, &sc.catalog, &partial_cfg);
+    let partial = compare(Comparator::new(&sc.catalog).partial(true));
     println!(
         "partial matching:         score {:.3}  ({} matched, {} updated pairs)",
         partial.score(),
@@ -38,22 +37,17 @@ fn main() {
         partial.diff.updated.len()
     );
 
-    let strsim_cfg = SignatureConfig {
-        partial: true,
-        score: ScoreConfig {
-            string_sim_weight: Some(0.8),
-            ..ScoreConfig::default()
-        },
-        ..SignatureConfig::default()
-    };
-    let strsim = compare(&sc.source, &sc.target, &sc.catalog, &strsim_cfg);
+    let strsim = compare(
+        Comparator::new(&sc.catalog)
+            .partial(true)
+            .string_sim_weight(0.8),
+    );
     println!("partial + levenshtein:    score {:.3}", strsim.score());
 
     // Show a couple of the conflicts the partial match surfaced.
-    let diff = explain(&partial.outcome.best, &sc.source, &sc.target);
     println!("\nexample conflicts found by the partial match:");
     let mut shown = 0;
-    for p in &diff.updated {
+    for p in &partial.diff.updated {
         let has_conflict = p
             .cells
             .iter()

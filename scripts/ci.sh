@@ -11,13 +11,24 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
+# The root package's suites at the default thread pool, among them:
+# - the incremental delta re-scoring path, bit-identical to from-scratch
+#   comparison (incremental_props also pins this internally at 1 and 4
+#   comparator threads);
+# - constraint discovery (DESIGN.md §12): possible-world g3 intervals,
+#   classical-g3 collapse on null-free data, and bit-identical lattice
+#   output (discovery_props);
+# - the search path, which must stay exact: topk over the whole catalog
+#   reproduces the brute-force ranking bit-for-bit at 1 and 4 comparator
+#   threads (search_props).
 echo "==> cargo test -q --offline (default thread pool)"
 cargo test -q --offline
 
-# Every crate's own unit tests (the step above covers the root package
-# only); ic-serve has a step of its own below.
-echo "==> cargo test -q --offline --workspace --exclude ic-serve"
-cargo test -q --offline --workspace --exclude ic-serve
+# Every other crate's own tests, once each; ic-serve has a step of its own
+# below. This covers the ic-store format/WAL unit tests of catalog
+# durability (DESIGN.md §11).
+echo "==> cargo test -q --offline --workspace --exclude ic-serve --exclude instance-comparison"
+cargo test -q --offline --workspace --exclude ic-serve --exclude instance-comparison
 
 # The parallel hot paths must be bit-identical in sequential mode; a second
 # pass with the pool forced to one thread catches any divergence (and any
@@ -25,11 +36,8 @@ cargo test -q --offline --workspace --exclude ic-serve
 echo "==> cargo test -q --offline (IC_POOL_THREADS=1)"
 IC_POOL_THREADS=1 cargo test -q --offline -p ic-core -p ic-pool
 
-# The incremental delta re-scoring path must be bit-identical to
-# from-scratch comparison under both pool configurations (the property
-# suite also pins this internally at 1 and 4 comparator threads).
-echo "==> incremental property suite (default thread pool)"
-cargo test -q --offline --test incremental_props
+# The incremental suite again with the pool forced to one thread, so the
+# delta path is bit-identical under both pool configurations.
 echo "==> incremental property suite (IC_POOL_THREADS=1)"
 IC_POOL_THREADS=1 cargo test -q --offline --test incremental_props
 
@@ -65,15 +73,12 @@ echo "    wrote target/ic-bench/obs_report.jsonl"
 echo "==> cargo test -q --offline -p ic-serve"
 cargo test -q --offline -p ic-serve
 
-# Catalog durability (DESIGN.md §11): the ic-store format/WAL unit tests,
-# then the recovery property suite — a WAL truncated at every byte
-# boundary of its final record must recover the pre-crash catalog minus at
-# most the torn op, with bit-identical compare scores — at 1 and 4
-# comparator threads. The durability e2e in the same file also runs the
-# serve binary twice over one --data-dir (load + wire patch + restart +
-# bit-identical re-compare).
-echo "==> cargo test -q --offline -p ic-store"
-cargo test -q --offline -p ic-store
+# Catalog durability (DESIGN.md §11): the recovery property suite — a WAL
+# truncated at every byte boundary of its final record must recover the
+# pre-crash catalog minus at most the torn op, with bit-identical compare
+# scores — at 1 and 4 comparator threads. The durability e2e in the same
+# file also runs the serve binary twice over one --data-dir (load + wire
+# patch + restart + bit-identical re-compare).
 echo "==> durability property + restart e2e suite (IC_POOL_THREADS=1)"
 IC_POOL_THREADS=1 cargo test -q --offline -p ic-serve --test durability
 echo "==> durability property + restart e2e suite (IC_POOL_THREADS=4)"
@@ -94,11 +99,8 @@ cargo run -q --offline --release -p ic-bench --bin bench_serve_throughput
 test -f target/ic-bench/BENCH_serve.json
 echo "    wrote target/ic-bench/BENCH_serve.json"
 
-# Constraint discovery (DESIGN.md §12): possible-world g3 intervals,
-# classical-g3 collapse on null-free data, and bit-identical lattice
-# output at both pool thread counts.
-echo "==> discovery property suite (default thread pool)"
-cargo test -q --offline --test discovery_props
+# The discovery suite again with the pool forced to one thread, so the
+# lattice output is bit-identical at both pool thread counts.
 echo "==> discovery property suite (IC_POOL_THREADS=1)"
 IC_POOL_THREADS=1 cargo test -q --offline --test discovery_props
 
@@ -109,11 +111,6 @@ echo "==> bench_discovery (planted-constraint recall + epsilon grid + rows/s)"
 cargo run -q --offline --release -p ic-bench --bin bench_discovery
 test -f target/ic-bench/BENCH_discovery.json
 echo "    wrote target/ic-bench/BENCH_discovery.json"
-
-# The search path must stay exact: topk over the whole catalog reproduces
-# the brute-force ranking bit-for-bit at 1 and 4 comparator threads.
-echo "==> search property suite (topk == brute force, threads 1 and 4)"
-cargo test -q --offline --test search_props
 
 # The index's point: recall@10 of 1.0 on a 10k-instance lake while fully
 # comparing <20% of the catalog, with query throughput as a JSON artifact.

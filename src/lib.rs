@@ -24,7 +24,7 @@
 //! | [`cleaning`] | FDs, error injection, repair systems, F1 metrics |
 //! | [`versioning`] | version ops, diff baseline, comparison stats |
 //! | [`discovery`] | approximate keys/FDs under possible-world g3 |
-//! | [`index`] | top-k similarity search: sketches, sharded inverted index |
+//! | [`index`] | top-k similarity search: sketches, signature inverted index |
 //! | [`obs`] | spans, metrics, observation sinks (span trees, JSONL) |
 //! | [`serve`] | similarity service: instance catalog, wire protocol, server, client |
 //!
@@ -70,8 +70,8 @@
 /// ```
 pub mod prelude {
     pub use ic_core::{
-        compare, exact_match, explain, is_homomorphic, isomorphic, render_diff, signature_match,
-        Comparator, Error, ExactConfig, InstanceMatch, MatchMode, ScoreConfig, SignatureConfig,
+        exact_match, explain, is_homomorphic, isomorphic, render_diff, signature_match, Comparator,
+        Error, ExactConfig, InstanceMatch, MatchMode, ScoreConfig, SignatureConfig,
     };
     pub use ic_model::{Catalog, Instance, RelId, Schema, TupleId, Value};
 }

@@ -8,8 +8,8 @@
 //! `IC_TESTKIT_SEED`, shrinking on failure.
 
 use ic_testkit::{Gen, Runner};
-use instance_comparison::core::{Comparator, SignatureConfig};
-use instance_comparison::index::{CatalogIndex, SearchOptions};
+use instance_comparison::core::Comparator;
+use instance_comparison::index::CatalogIndex;
 use instance_comparison::model::{Catalog, Instance, RelId, Schema};
 use rand::RngExt;
 use std::sync::Arc;
@@ -75,8 +75,7 @@ fn materialize(case: &Case) -> (Catalog, Vec<Arc<Instance>>) {
 /// order exactly like the brute-force scan, bit-identically.
 fn assert_topk_is_brute_force(case: &Case, threads: usize) {
     let (cat, pins) = materialize(case);
-    let cfg = SignatureConfig::default();
-    let index = CatalogIndex::new(&cfg);
+    let index = CatalogIndex::default();
     for p in &pins {
         index.insert(p.name(), p);
     }
@@ -84,9 +83,7 @@ fn assert_topk_is_brute_force(case: &Case, threads: usize) {
     let cmp = Comparator::new(&cat).threads(threads).build().unwrap();
     let query = &pins[case.1 as usize % pins.len()];
     let k = pins.len();
-    let out = index
-        .topk(query, k, &cmp, &SearchOptions::default())
-        .unwrap();
+    let out = index.topk(query, k, &cmp, None).unwrap();
     assert_eq!(out.total, pins.len(), "index must cover the whole lake");
     assert_eq!(
         out.compared, out.total,
