@@ -1,19 +1,20 @@
-//! Incremental delta re-scoring ([`ic_core::CompareCache`]) vs from-scratch
-//! comparison, across delta sizes, on a 1k-tuple Bikeshare pair.
+//! Signature-map repair ([`ic_core::InstanceSigMaps::repair`]) vs
+//! from-scratch comparison, across delta sizes, on a 1k-tuple Bikeshare
+//! pair.
 //!
 //! For each delta size the binary measures (a) applying a fresh batch of
-//! cell modifications to the cached right instance and re-comparing
-//! through the cache — sigmap buckets repaired in place, both sides'
-//! maps reused — and (b) applying the same kind of batch to a plain
-//! instance and comparing from scratch. Before any timing it asserts the
-//! two paths agree bit for bit, and it checks the acceptance criterion:
-//! a single-tuple delta performs ≥ 5× less sigmap index work than a full
-//! rebuild (recorded as `rebuild_ratio_delta1`).
+//! cell modifications to a copy of the right instance, repairing its
+//! signature maps from the old copy to the new one, and re-comparing
+//! seeded with both sides' maps, and (b) applying the same kind of batch
+//! to a plain instance and comparing from scratch. Before any timing it
+//! asserts the two paths agree bit for bit, and it checks the acceptance
+//! criterion: a single-tuple delta performs ≥ 5× less sigmap index work
+//! than a full build of the pair (recorded as `rebuild_ratio_delta1`).
 //!
 //! Run: `cargo run -p ic-bench --release --bin bench_incremental`
 
 use ic_bench::harness::Suite;
-use ic_core::{Comparator, Delta, DeltaOp};
+use ic_core::{Comparator, Delta, DeltaOp, InstanceSigMaps};
 use ic_datagen::{mod_cell, Dataset};
 use ic_model::{AttrId, Instance, TupleId, Value};
 
@@ -38,6 +39,16 @@ fn make_delta(ids: &[TupleId], arity: usize, pool: &[Value], round: &mut usize, 
     Delta::new(ops)
 }
 
+/// Applies `delta` to a copy of `old` and repairs `maps` from `old` to the
+/// copy, as serve does for a patch. Returns the copy and the repair's
+/// index operations.
+fn step(maps: &mut InstanceSigMaps, old: &Instance, delta: &Delta) -> (Instance, u64) {
+    let mut new = old.clone();
+    delta.apply(&mut new).unwrap();
+    let ops = maps.repair(old, &new, delta);
+    (new, ops)
+}
+
 fn main() {
     let sc = mod_cell(Dataset::Bikeshare, ROWS, 0.05, 42);
     let mut catalog = sc.catalog;
@@ -56,19 +67,20 @@ fn main() {
 
     let cmp = Comparator::new(&catalog).build().unwrap();
 
+    let source_maps = cmp.build_maps(&sc.source).unwrap();
+
     // Acceptance criterion: index work of one full sigmap build of the
     // pair vs the repair work of a single-tuple delta (unindex + reindex).
     {
-        let mut cache = cmp.compare_cache();
-        cache.insert_owned("source", sc.source.clone()).unwrap();
-        cache.insert_owned("target", sc.target.clone()).unwrap();
-        cache.compare("source", "target").unwrap();
-        let full = cache.stats().tuples_indexed_full;
+        // A full build indexes every tuple of arity ≤ 128 once: here, every
+        // tuple of the pair.
+        assert!(arity <= 128);
+        let full = (sc.source.num_tuples() + sc.target.num_tuples()) as u64;
         let mut round = 0;
         let delta = make_delta(&ids, arity, &pool, &mut round, 1);
-        cache.compare_delta("source", "target", &delta).unwrap();
-        let repair = cache.stats().tuples_indexed_repair.max(1);
-        let ratio = full as f64 / repair as f64;
+        let mut maps = cmp.build_maps(&sc.target).unwrap();
+        let (_, repair) = step(&mut maps, &sc.target, &delta);
+        let ratio = full as f64 / repair.max(1) as f64;
         suite.set_meta("rebuild_ratio_delta1", &format!("{ratio:.1}"));
         assert!(
             ratio >= 5.0,
@@ -78,28 +90,29 @@ fn main() {
     }
 
     for k in DELTA_SIZES {
-        // Incremental path: cache primed once, then each iteration applies
-        // a fresh k-modification delta and re-compares through the cache.
-        let mut cache = cmp.compare_cache();
-        cache.insert_owned("source", sc.source.clone()).unwrap();
-        cache.insert_owned("target", sc.target.clone()).unwrap();
-        cache.compare("source", "target").unwrap();
+        // Repair path: maps built once, then each iteration applies a
+        // fresh k-modification delta to a copy of the current instance,
+        // repairs the maps and re-compares seeded with both sides' maps.
+        let mut maps = cmp.build_maps(&sc.target).unwrap();
         let mut round = 0;
 
-        // Bit-identity check outside the timed region: the incrementally
-        // repaired comparison equals a from-scratch run on the same state.
+        // Bit-identity check outside the timed region: the repaired maps
+        // equal a fresh build, and the seeded comparison equals a
+        // from-scratch run on the same state.
         let delta = make_delta(&ids, arity, &pool, &mut round, k);
-        let inc = cache.compare_delta("source", "target", &delta).unwrap();
-        let fresh = cmp
-            .compare(&sc.source, cache.instance("target").unwrap())
+        let (mut cur, _) = step(&mut maps, &sc.target, &delta);
+        assert!(maps == cmp.build_maps(&cur).unwrap());
+        let inc = cmp
+            .compare_with_maps(&sc.source, &cur, Some(&source_maps), Some(&maps))
             .unwrap();
+        let fresh = cmp.compare(&sc.source, &cur).unwrap();
         assert_eq!(inc.score().to_bits(), fresh.score().to_bits());
         assert_eq!(inc.outcome.best.pairs, fresh.outcome.best.pairs);
 
         suite.measure(&format!("incremental/delta{k}"), || {
             let delta = make_delta(&ids, arity, &pool, &mut round, k);
-            cache
-                .compare_delta("source", "target", &delta)
+            cur = step(&mut maps, &cur, &delta).0;
+            cmp.compare_with_maps(&sc.source, &cur, Some(&source_maps), Some(&maps))
                 .unwrap()
                 .score()
         });

@@ -27,8 +27,6 @@
 //! configuration (caught at `build`), per-call schema mismatches, and —
 //! for the `_strict` variants — exhausted budgets.
 
-use crate::cache::{CacheError, CompareCache};
-use crate::delta::Delta;
 use crate::error::Error;
 use crate::exact::{exact_match, ExactConfig, ExactOutcome};
 use crate::explain::explain;
@@ -251,7 +249,7 @@ impl<'c> Comparator<'c> {
 
     /// Rejects instances that were not built for this comparator's catalog
     /// (their relation ids would be interpreted against the wrong schema).
-    pub(crate) fn check_instance(&self, inst: &Instance) -> Result<(), Error> {
+    fn check_instance(&self, inst: &Instance) -> Result<(), Error> {
         let expected = self.catalog.schema().len();
         if inst.num_relations() != expected {
             return Err(Error::SchemaMismatch {
@@ -263,7 +261,7 @@ impl<'c> Comparator<'c> {
     }
 
     /// Runs `f` under this comparator's thread-count pin and observer.
-    pub(crate) fn run<R>(&self, f: impl FnOnce() -> R) -> R {
+    fn run<R>(&self, f: impl FnOnce() -> R) -> R {
         let threads = self.threads;
         let with_pool = move || match threads {
             Some(n) => ic_pool::with_threads(n, f),
@@ -382,27 +380,6 @@ impl<'c> Comparator<'c> {
             explain(&outcome.best, left, right)
         };
         Comparison { outcome, diff }
-    }
-
-    /// Creates an empty [`CompareCache`] over this comparator — the entry
-    /// point of the incremental delta re-scoring path.
-    pub fn compare_cache(&self) -> CompareCache<'_> {
-        CompareCache::new(self)
-    }
-
-    /// Convenience for the hot loop: apply `delta` to the cached `right`
-    /// instance of `cache` and re-compare against the cached `left`,
-    /// reusing both sides' signature maps. Equivalent to
-    /// [`CompareCache::compare_delta`]; the cache must have been created
-    /// from a comparator with the same configuration (normally this one).
-    pub fn compare_delta(
-        &self,
-        cache: &mut CompareCache<'_>,
-        left: &str,
-        right: &str,
-        delta: &Delta,
-    ) -> Result<Comparison, CacheError> {
-        cache.compare_delta(left, right, delta)
     }
 
     /// Runs the exact branch-and-bound. A budget/node-limit stop is *not*

@@ -2,20 +2,16 @@
 //!
 //! A [`Delta`] is an ordered list of [`DeltaOp`]s — inserts, deletes, and
 //! single-cell modifications — describing how one instance version evolves
-//! into the next. It is the update model of the incremental comparison
-//! path ([`crate::CompareCache`]): applying a delta through the cache
-//! repairs the retained signature maps in place instead of rebuilding
-//! them, while [`Delta::apply`] alone is the plain (cache-free) semantics
-//! both paths must agree with.
+//! into the next. [`Delta::apply`] is its semantics. Signature maps built
+//! for the old version are brought forward to the new one by
+//! [`crate::InstanceSigMaps::repair`] instead of being rebuilt.
 //!
 //! Ops are validated against the instance as they are applied; the first
 //! invalid op aborts with a [`DeltaError`] and leaves the instance with
-//! every *earlier* op applied (callers that need atomicity should apply to
-//! a clone, which is what [`crate::CompareCache`] effectively does by
-//! evicting the entry on failure).
+//! every *earlier* op applied (callers that need atomicity apply to a
+//! clone and discard it on error).
 
-use crate::signature::InstanceSigMaps;
-use ic_model::{AttrId, Instance, RelId, Tuple, TupleId, Value};
+use ic_model::{AttrId, Instance, RelId, TupleId, Value};
 
 /// One tuple-level edit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,103 +92,6 @@ impl std::fmt::Display for DeltaError {
 
 impl std::error::Error for DeltaError {}
 
-/// What applying one op did — enough context for an index repair: the
-/// removed/overwritten tuple's old contents and its relation.
-#[derive(Debug, Clone)]
-pub(crate) enum Applied {
-    /// A tuple was inserted and received this id.
-    Inserted { rel: RelId, id: TupleId },
-    /// A tuple was deleted; `old` holds its former contents.
-    Deleted { rel: RelId, old: Tuple },
-    /// A cell was overwritten; `old` holds the tuple's former contents.
-    Modified { rel: RelId, old: Tuple, id: TupleId },
-}
-
-/// Validates and applies one op.
-pub(crate) fn apply_op(instance: &mut Instance, op: &DeltaOp) -> Result<Applied, DeltaError> {
-    match op {
-        DeltaOp::Insert { rel, values } => {
-            if rel.0 as usize >= instance.num_relations() {
-                return Err(DeltaError::UnknownRelation(*rel));
-            }
-            if let Some(first) = instance.tuples(*rel).first() {
-                if first.arity() != values.len() {
-                    return Err(DeltaError::ArityMismatch {
-                        rel: *rel,
-                        expected: first.arity(),
-                        found: values.len(),
-                    });
-                }
-            }
-            let id = instance.insert(*rel, values.clone());
-            Ok(Applied::Inserted { rel: *rel, id })
-        }
-        DeltaOp::Delete { id } => {
-            let Some((rel, _)) = instance.loc(*id) else {
-                return Err(DeltaError::UnknownTuple(*id));
-            };
-            let old = instance.tuple(*id).expect("loc implies live").clone();
-            instance.remove(*id);
-            Ok(Applied::Deleted { rel, old })
-        }
-        DeltaOp::Modify { id, attr, value } => {
-            let Some((rel, _)) = instance.loc(*id) else {
-                return Err(DeltaError::UnknownTuple(*id));
-            };
-            let old = instance.tuple(*id).expect("loc implies live").clone();
-            if attr.0 as usize >= old.arity() {
-                return Err(DeltaError::AttrOutOfRange {
-                    id: *id,
-                    attr: *attr,
-                    arity: old.arity(),
-                });
-            }
-            instance.set_value(*id, *attr, *value);
-            Ok(Applied::Modified { rel, old, id: *id })
-        }
-    }
-}
-
-/// Applies `delta` to `instance` in op order, repairing `maps` (when
-/// given) after every op so the signature index stays consistent with the
-/// mutated instance — the incremental-repair core shared by
-/// [`crate::CompareCache::apply_delta`] and the serve-layer `patch` path.
-///
-/// Returns the ids assigned to inserted tuples. The first invalid op
-/// aborts with a [`DeltaError`]; every *earlier* op stays applied **and
-/// repaired**, so `maps` still indexes exactly the instance's current
-/// tuples — callers needing atomicity apply to a clone and discard it on
-/// error.
-pub fn apply_delta_repairing(
-    instance: &mut Instance,
-    mut maps: Option<&mut InstanceSigMaps>,
-    delta: &Delta,
-) -> Result<Vec<TupleId>, DeltaError> {
-    let mut inserted = Vec::new();
-    for op in &delta.ops {
-        match apply_op(instance, op)? {
-            Applied::Inserted { rel, id } => {
-                if let Some(maps) = maps.as_deref_mut() {
-                    maps.index_tuple(instance, rel, id);
-                }
-                inserted.push(id);
-            }
-            Applied::Deleted { rel, old } => {
-                if let Some(maps) = maps.as_deref_mut() {
-                    maps.unindex_tuple(rel, &old);
-                }
-            }
-            Applied::Modified { rel, old, id } => {
-                if let Some(maps) = maps.as_deref_mut() {
-                    maps.unindex_tuple(rel, &old);
-                    maps.index_tuple(instance, rel, id);
-                }
-            }
-        }
-    }
-    Ok(inserted)
-}
-
 /// An ordered sequence of tuple-level edits.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Delta {
@@ -220,7 +119,46 @@ impl Delta {
     /// assigned to inserted tuples. The first invalid op aborts; earlier
     /// ops stay applied (see the module docs).
     pub fn apply(&self, instance: &mut Instance) -> Result<Vec<TupleId>, DeltaError> {
-        apply_delta_repairing(instance, None, self)
+        let mut inserted = Vec::new();
+        for op in &self.ops {
+            match op {
+                DeltaOp::Insert { rel, values } => {
+                    if rel.0 as usize >= instance.num_relations() {
+                        return Err(DeltaError::UnknownRelation(*rel));
+                    }
+                    if let Some(first) = instance.tuples(*rel).first() {
+                        if first.arity() != values.len() {
+                            return Err(DeltaError::ArityMismatch {
+                                rel: *rel,
+                                expected: first.arity(),
+                                found: values.len(),
+                            });
+                        }
+                    }
+                    inserted.push(instance.insert(*rel, values.clone()));
+                }
+                DeltaOp::Delete { id } => {
+                    if !instance.remove(*id) {
+                        return Err(DeltaError::UnknownTuple(*id));
+                    }
+                }
+                DeltaOp::Modify { id, attr, value } => {
+                    let arity = instance
+                        .tuple(*id)
+                        .ok_or(DeltaError::UnknownTuple(*id))?
+                        .arity();
+                    if attr.0 as usize >= arity {
+                        return Err(DeltaError::AttrOutOfRange {
+                            id: *id,
+                            attr: *attr,
+                            arity,
+                        });
+                    }
+                    instance.set_value(*id, *attr, *value);
+                }
+            }
+        }
+        Ok(inserted)
     }
 }
 

@@ -36,7 +36,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod comparator;
 pub mod compat;
 pub mod delta;
@@ -56,10 +55,9 @@ pub mod strsim;
 pub mod unionfind;
 pub mod universe;
 
-pub use cache::{CacheError, CacheStats, CompareCache};
 pub use comparator::{Comparator, ComparatorBuilder};
 pub use compat::{c_compatible, compatible_tuples, pair_compatible, CandidateIndex};
-pub use delta::{apply_delta_repairing, Delta, DeltaError, DeltaOp};
+pub use delta::{Delta, DeltaError, DeltaOp};
 pub use error::Error;
 pub use exact::{exact_match, ExactConfig, ExactOutcome};
 pub use explain::{

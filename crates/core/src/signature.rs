@@ -23,6 +23,7 @@
 //! conflicting cells stay misaligned rather than failing a pair.
 
 use crate::compat::CandidateIndex;
+use crate::delta::{Delta, DeltaOp};
 use crate::mapping::{InstanceMatch, MatchMode, Pair};
 use crate::score::{optimistic_pair_score, score_state, ScoreConfig};
 use crate::state::MatchState;
@@ -146,7 +147,7 @@ type KeyedTuples = FxHashMap<Box<[Sym]>, Vec<TupleId>>;
 
 /// Signature map of one side of one relation: for each distinct attribute
 /// set (mask), the tuples keyed by their signature on that set.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct SigMap {
     /// `(mask, key → tuples)` sorted by decreasing mask size.
     buckets: Vec<(u128, KeyedTuples)>,
@@ -333,10 +334,9 @@ fn tuple_masks(t: &Tuple, partial: bool, max_per_tuple: usize) -> Vec<u128> {
 /// A fresh [`signature_match`] rebuilds one `SigMap` per relation per
 /// side; seeding [`signature_match_seeded`] with prebuilt maps skips those
 /// builds entirely. The **bit-identity contract**: a map produced by
-/// [`InstanceSigMaps::build`] and then repaired with
-/// [`InstanceSigMaps::unindex_tuple`] / [`InstanceSigMaps::index_tuple`]
-/// after each instance mutation is structurally identical to a map freshly
-/// built over the mutated instance — same buckets in the same order, same
+/// [`InstanceSigMaps::build`] and then brought forward with
+/// [`InstanceSigMaps::repair`] after each delta equals (`==`) a map freshly
+/// built over the new instance — same buckets in the same order, same
 /// tuple lists in relation-storage order — so a seeded run returns exactly
 /// the bytes a from-scratch run would, at any pool thread count.
 ///
@@ -348,15 +348,11 @@ fn tuple_masks(t: &Tuple, partial: bool, max_per_tuple: usize) -> Vec<u128> {
 /// `max_signatures_per_tuple` fields of the build config; seeding a run
 /// whose config disagrees on those fields is a contract violation
 /// ([`signature_match_seeded`] panics).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstanceSigMaps {
     partial: bool,
     max_per_tuple: usize,
     rels: Vec<SigMap>,
-    /// Tuples indexed by the initial full build.
-    built_tuples: u64,
-    /// Index repair operations (unindex + index) applied since the build.
-    repair_ops: u64,
 }
 
 impl InstanceSigMaps {
@@ -366,21 +362,16 @@ impl InstanceSigMaps {
     /// a deadline; fans out over [`ic_pool`] like the in-run build.
     pub fn build(instance: &Instance, cfg: &SignatureConfig) -> Self {
         let _span = crate::obs::span("signature.sigmap_build");
-        let mut rels = Vec::with_capacity(instance.num_relations());
-        let mut built_tuples = 0u64;
-        for r in 0..instance.num_relations() {
-            let rel = RelId(r as u16);
-            let tuples = instance.tuples(rel);
-            built_tuples += tuples.iter().filter(|t| t.arity() <= 128).count() as u64;
-            let (map, _) = SigMap::build(tuples, cfg.partial, cfg.max_signatures_per_tuple, None);
-            rels.push(map);
-        }
+        let rels = (0..instance.num_relations())
+            .map(|r| {
+                let tuples = instance.tuples(RelId(r as u16));
+                SigMap::build(tuples, cfg.partial, cfg.max_signatures_per_tuple, None).0
+            })
+            .collect();
         Self {
             partial: cfg.partial,
             max_per_tuple: cfg.max_signatures_per_tuple,
             rels,
-            built_tuples,
-            repair_ops: 0,
         }
     }
 
@@ -390,40 +381,54 @@ impl InstanceSigMaps {
         self.partial == cfg.partial && self.max_per_tuple == cfg.max_signatures_per_tuple
     }
 
-    /// Tuples indexed by the initial full build (arity ≤ 128 only).
-    pub fn built_tuples(&self) -> u64 {
-        self.built_tuples
-    }
-
-    /// Index repair operations applied since the build: one per tuple
-    /// removed from or inserted into the index (a cell modification counts
-    /// two). The from-scratch equivalent of a repair is
-    /// [`InstanceSigMaps::built_tuples`] operations, so the ratio of the
-    /// two is the index-work saving of the incremental path.
-    pub fn repair_ops(&self) -> u64 {
-        self.repair_ops
-    }
-
-    /// Removes `t` (about to be deleted from, or just modified in, relation
-    /// `rel`) from the index. Call with the tuple's *old* contents.
-    pub fn unindex_tuple(&mut self, rel: RelId, t: &Tuple) {
-        let n = self.rels[rel.0 as usize].remove_tuple(t, self.partial, self.max_per_tuple);
-        self.repair_ops += n;
-        crate::obs::counter("sig.sigmap.repair_ops", n);
-    }
-
-    /// Indexes the live tuple `id` of relation `rel` in `instance` (just
-    /// inserted or just modified). The instance provides current storage
-    /// positions so the repaired bucket lists keep relation-storage order.
+    /// Brings maps that index `old` forward to `new`, the result of
+    /// applying `delta` to `old` with [`crate::Delta::apply`]. The touched
+    /// tuples are the delta's `Delete` and `Modify` ids plus the inserted
+    /// ids `old.id_bound()..new.id_bound()`, each taken once. All of them
+    /// are unindexed with their contents in `old`, then indexed with their
+    /// contents and storage positions in `new`; no other tuple is visited.
+    /// The repaired maps equal [`InstanceSigMaps::build`] over `new`.
+    ///
+    /// Returns the index operations performed: one per indexable tuple
+    /// removed or added, so a modified tuple counts two. A full build of
+    /// `new` costs one per indexable tuple; the ratio is the index work
+    /// the repair saves.
     ///
     /// # Panics
-    /// Panics if `id` is not a live tuple of `rel` in `instance`.
-    pub fn index_tuple(&mut self, instance: &Instance, rel: RelId, id: TupleId) {
-        let t = instance.tuple(id).expect("tuple to index must be live");
-        let pos_of = |tid: TupleId| instance.loc(tid).expect("indexed tuples are live").1;
-        let n = self.rels[rel.0 as usize].add_tuple(t, self.partial, self.max_per_tuple, &pos_of);
-        self.repair_ops += n;
-        crate::obs::counter("sig.sigmap.repair_ops", n);
+    /// The maps must index `old`, and `new` must be exactly `old` with
+    /// `delta` applied. Otherwise this may panic on a tuple the maps list
+    /// but `new` no longer holds, or leave maps that describe neither
+    /// instance.
+    pub fn repair(&mut self, old: &Instance, new: &Instance, delta: &Delta) -> u64 {
+        let mut touched: Vec<TupleId> = delta
+            .ops
+            .iter()
+            .filter_map(|op| match op {
+                DeltaOp::Delete { id } | DeltaOp::Modify { id, .. } => Some(*id),
+                DeltaOp::Insert { .. } => None,
+            })
+            .chain((old.id_bound()..new.id_bound()).map(|i| TupleId(i as u32)))
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let (partial, max_per_tuple) = (self.partial, self.max_per_tuple);
+        let mut ops = 0;
+        // Unindex all old contents first: `add_tuple` binary-searches the
+        // bucket lists by position in `new`, so they may only hold tuples
+        // live there.
+        for &id in &touched {
+            if let (Some(rel), Some(t)) = (old.rel_of(id), old.tuple(id)) {
+                ops += self.rels[rel.0 as usize].remove_tuple(t, partial, max_per_tuple);
+            }
+        }
+        let pos_of = |tid: TupleId| new.loc(tid).expect("indexed tuples are live").1;
+        for &id in &touched {
+            if let (Some(rel), Some(t)) = (new.rel_of(id), new.tuple(id)) {
+                ops += self.rels[rel.0 as usize].add_tuple(t, partial, max_per_tuple, &pos_of);
+            }
+        }
+        crate::obs::counter("sig.sigmap.repair_ops", ops);
+        ops
     }
 
     /// The signature map of one relation, if the instance has it.
@@ -1149,6 +1154,53 @@ mod tests {
         assert_eq!(out.best.pairs.len(), 0);
         // The partial result is still scored and internally consistent.
         assert!(out.best.score() >= 0.0);
+    }
+
+    #[test]
+    fn repair_touches_each_tuple_once_and_equals_fresh_build() {
+        let mut cat = Catalog::new(Schema::single("R", &["A", "B"]));
+        let rel = RelId(0);
+        let mut old = Instance::new("I", &cat);
+        for i in 0..8 {
+            let a = cat.konst(&format!("a{}", i % 3));
+            let b = if i % 2 == 0 {
+                cat.fresh_null()
+            } else {
+                cat.konst("b")
+            };
+            old.insert(rel, vec![a, b]);
+        }
+        let (x, n) = (cat.konst("x"), cat.fresh_null());
+        let delta = Delta::new(vec![
+            DeltaOp::Delete { id: TupleId(3) },
+            DeltaOp::Modify {
+                id: TupleId(5),
+                attr: ic_model::AttrId(1),
+                value: n,
+            },
+            DeltaOp::Insert {
+                rel,
+                values: vec![x, x],
+            },
+            // The inserted tuple again: still one index operation.
+            DeltaOp::Modify {
+                id: TupleId(8),
+                attr: ic_model::AttrId(0),
+                value: n,
+            },
+        ]);
+        let mut new = old.clone();
+        delta.apply(&mut new).unwrap();
+        for partial in [false, true] {
+            let cfg = SignatureConfig {
+                partial,
+                ..Default::default()
+            };
+            let mut maps = InstanceSigMaps::build(&old, &cfg);
+            // Delete 1, modify 2 (unindex + index), insert 1.
+            assert_eq!(maps.repair(&old, &new, &delta), 4);
+            assert_eq!(maps, InstanceSigMaps::build(&new, &cfg));
+        }
     }
 }
 

@@ -30,7 +30,7 @@
 //! `Mutex`-guarded `Arc` clone.
 
 use crate::lockutil::lock_recover;
-use ic_core::{apply_delta_repairing, Delta, DeltaError};
+use ic_core::{Delta, DeltaError};
 use ic_model::csv::{read_csv_into, CsvError, CsvOptions};
 use ic_model::{Catalog, Instance, Schema, TupleId, Value};
 use ic_store::{
@@ -395,12 +395,12 @@ impl ServeCatalog {
                         StoreError::Corrupt(format!("WAL patches unknown instance {name:?}"))
                     })?;
                     let mut inst = Instance::clone(pin);
-                    apply_delta_repairing(&mut inst, None, &delta).map_err(|error| {
-                        CatalogError::Delta {
+                    delta
+                        .apply(&mut inst)
+                        .map_err(|error| CatalogError::Delta {
                             name: name.clone(),
                             error,
-                        }
-                    })?;
+                        })?;
                     snap.put(&name, Arc::new(inst));
                 }
                 CatalogOp::Remove { name } => {
@@ -554,12 +554,11 @@ impl ServeCatalog {
                     .get(name)
                     .ok_or_else(|| CatalogError::UnknownInstance { name: name.clone() })?;
                 let mut inst = Instance::clone(pin);
-                outcome.inserted =
-                    apply_delta_repairing(&mut inst, None, delta).map_err(|error| {
-                        CatalogError::Delta {
-                            name: name.clone(),
-                            error,
-                        }
+                outcome.inserted = delta
+                    .apply(&mut inst)
+                    .map_err(|error| CatalogError::Delta {
+                        name: name.clone(),
+                        error,
                     })?;
                 let pin = Arc::new(inst);
                 outcome.instance = Some(Arc::clone(&pin));

@@ -49,9 +49,9 @@ use crate::proto::{
     SpanStat,
 };
 use crate::sigcache::SigMapCache;
-use ic_core::{apply_delta_repairing, Comparator, Delta, DeltaOp};
+use ic_core::{Comparator, Delta, DeltaOp};
 use ic_index::CatalogIndex;
-use ic_model::{AttrId, Instance, NullId, RelId, TupleId, Value};
+use ic_model::{AttrId, NullId, RelId, TupleId, Value};
 use ic_obs::StatsSink;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -852,21 +852,19 @@ fn run_patch(shared: &Shared, id: u64, name: String, ops: Vec<PatchOp>) -> Respo
     let new_pin = outcome
         .instance
         .expect("a successful patch always returns the new pin");
-    // Migrate cached signature maps to the new pin by replaying the delta
-    // with incremental repair — bit-identical to a rebuild, at O(|delta|)
-    // instead of O(instance). Only when no other mutation slipped in
-    // between our snapshot and the patch (version advanced by exactly
-    // one): otherwise `old_pin` may not be the instance the patch applied
-    // to, and repaired maps would silently describe the wrong tuples.
+    // Migrate cached signature maps to the new pin by repairing them from
+    // `old_pin` to `new_pin` — equal to a rebuild, at O(|delta|) instead of
+    // O(instance). Only when no other mutation slipped in between our
+    // snapshot and the patch (version advanced by exactly one): otherwise
+    // `old_pin` may not be the instance the patch applied to, and the
+    // repair's precondition would not hold.
     let no_race = outcome.version == pre.version + 1;
     if let (true, Some(old_maps), Some(delta)) = (no_race, old_maps, &applied_delta) {
-        let mut inst = Instance::clone(&old_pin);
         let mut maps = ic_core::InstanceSigMaps::clone(&old_maps);
-        if apply_delta_repairing(&mut inst, Some(&mut maps), delta).is_ok() {
-            shared
-                .sig_cache
-                .store(&name, Arc::clone(&new_pin), Arc::new(maps));
-        }
+        maps.repair(&old_pin, &new_pin, delta);
+        shared
+            .sig_cache
+            .store(&name, Arc::clone(&new_pin), Arc::new(maps));
     }
 
     Response::Patched {
@@ -1354,7 +1352,7 @@ fn core_error(id: u64, e: &ic_core::Error) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ic_model::Schema;
+    use ic_model::{Instance, Schema};
 
     /// A search admitted before a patch, but run after a later search
     /// already synced the index past the patch, searches the snapshot the

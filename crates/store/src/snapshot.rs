@@ -184,8 +184,13 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<CatalogState, StoreError> {
     }
     catalog.advance_nulls(r.u32()?);
 
-    let count = r.u32()?;
-    let mut instances = Vec::with_capacity(count as usize);
+    let count = r.u32()? as usize;
+    // An instance block holds at least its name length, relation count
+    // and id bound.
+    if count > r.remaining() / 16 {
+        return Err(corrupt("instance count exceeds remaining bytes"));
+    }
+    let mut instances = Vec::with_capacity(count);
     for _ in 0..count {
         let instance = decode_instance(&mut r, &catalog)?;
         instances.push((instance.name().to_string(), instance));
@@ -256,6 +261,12 @@ pub(crate) fn decode_instance(
             return Err(corrupt("tuple count exceeds remaining bytes"));
         }
         let ids: Vec<u32> = (0..count).map(|_| r.u32()).collect::<Result<_, _>>()?;
+        // Each column holds `count` tag bits and `count` values, so an
+        // empty relation (written with arity 0) has no room for any.
+        let column_bytes = count.div_ceil(8) + 4 * count;
+        if arity > r.remaining().checked_div(column_bytes).unwrap_or(0) {
+            return Err(corrupt("relation arity exceeds remaining bytes"));
+        }
         let mut columns: Vec<Vec<Value>> = Vec::with_capacity(arity);
         for _ in 0..arity {
             let tags = r.bytes(count.div_ceil(8))?.to_vec();
@@ -385,6 +396,50 @@ mod tests {
                 "prefix of {cut} bytes must not decode"
             );
         }
+    }
+
+    /// Wraps `payload` in a snapshot header with a valid checksum, so a
+    /// hostile payload reaches the structural checks.
+    fn seal(payload: &[u8]) -> Vec<u8> {
+        let mut out = SNAPSHOT_MAGIC.to_vec();
+        put_u32(&mut out, SNAPSHOT_VERSION);
+        put_u32(&mut out, crc32(payload));
+        put_u64(&mut out, payload.len() as u64);
+        out.extend_from_slice(payload);
+        out
+    }
+
+    /// The payload of an instance-free snapshot, without its trailing
+    /// instance count.
+    fn payload_before_instances() -> Vec<u8> {
+        let cat = Catalog::new(Schema::single("R", &["A"]));
+        let bytes = encode_snapshot(0, &cat, std::iter::empty());
+        bytes[24..bytes.len() - 4].to_vec()
+    }
+
+    #[test]
+    fn hostile_instance_count_is_corrupt() {
+        let mut payload = payload_before_instances();
+        put_u32(&mut payload, u32::MAX);
+        assert!(matches!(
+            decode_snapshot(&seal(&payload)),
+            Err(StoreError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn hostile_arity_of_an_empty_relation_is_corrupt() {
+        let mut payload = payload_before_instances();
+        put_u32(&mut payload, 1); // instances
+        put_str(&mut payload, "x");
+        put_u32(&mut payload, 1); // relations
+        put_u64(&mut payload, 0); // id bound
+        put_u32(&mut payload, u32::MAX); // arity
+        put_u64(&mut payload, 0); // tuples
+        assert!(matches!(
+            decode_snapshot(&seal(&payload)),
+            Err(StoreError::Corrupt(_))
+        ));
     }
 
     #[test]

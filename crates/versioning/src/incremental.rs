@@ -1,6 +1,6 @@
 //! Tuple-level deltas between instance *versions* — the bridge from the
-//! versioning substrate to ic-core's incremental comparison path
-//! ([`ic_core::CompareCache`]).
+//! versioning substrate to ic-core's signature-map repair
+//! ([`ic_core::InstanceSigMaps::repair`]).
 //!
 //! The version operations in [`crate::ops`] derive each version by cloning
 //! and mutating its predecessor, so tuple ids are stable across versions.
@@ -9,10 +9,10 @@
 //! *delta-representable* — per relation, `new`'s storage order is the
 //! surviving `old` tuples in their old relative order followed by the
 //! inserted tuples, with insert ids consecutive from `old.id_bound()`.
-//! That is exactly the shape [`Delta::apply`] (and the cache's in-place
-//! repair) reproduces, so `old.clone()` + the delta equals `new` tuple for
-//! tuple, position for position. Shuffled versions return `None` and fall
-//! back to a full comparison.
+//! That is exactly the shape [`Delta::apply`] reproduces, so
+//! `old.clone()` + the delta equals `new` tuple for tuple, position for
+//! position, and `old`'s signature maps can be repaired into `new`'s.
+//! Shuffled versions return `None` and fall back to a full comparison.
 
 use ic_core::{Delta, DeltaOp};
 use ic_model::{AttrId, Instance, RelId, TupleId};
@@ -160,21 +160,16 @@ mod tests {
     }
 
     #[test]
-    fn delta_through_compare_cache_matches_fresh() {
+    fn delta_repairs_maps_to_fresh_build() {
         let (mut cat, v0, rel) = setup(50);
         let v1 = Variant::RowsRemoved
             .apply(&v0, &mut cat, rel, 0.2, 0, 3)
             .instance;
         let delta = instance_delta(&v0, &v1).expect("row removal is representable");
         let cmp = ic_core::Comparator::new(&cat).build().unwrap();
-        let mut cache = cmp.compare_cache();
-        cache.insert_owned("base", v0.clone()).unwrap();
-        cache.insert_owned("cur", v0.clone()).unwrap();
-        cache.compare("base", "cur").unwrap();
-        let incremental = cache.compare_delta("base", "cur", &delta).unwrap();
-        let fresh = cmp.compare(&v0, &v1).unwrap();
-        assert_eq!(incremental.score().to_bits(), fresh.score().to_bits());
-        assert_eq!(incremental.outcome.best.pairs, fresh.outcome.best.pairs);
+        let mut maps = cmp.build_maps(&v0).unwrap();
+        maps.repair(&v0, &v1, &delta);
+        assert_eq!(maps, cmp.build_maps(&v1).unwrap());
     }
 
     #[test]

@@ -12,9 +12,10 @@ echo "==> cargo build --release --offline"
 cargo build --release --offline
 
 # The root package's suites at the default thread pool, among them:
-# - the incremental delta re-scoring path, bit-identical to from-scratch
-#   comparison (incremental_props also pins this internally at 1 and 4
-#   comparator threads);
+# - signature-map repair under tuple-level deltas: repaired maps equal a
+#   fresh build, and compares seeded with them are bit-identical to
+#   from-scratch comparison (incremental_props also pins this internally
+#   at 1 and 4 comparator threads);
 # - constraint discovery (DESIGN.md §12): possible-world g3 intervals,
 #   classical-g3 collapse on null-free data, and bit-identical lattice
 #   output (discovery_props);
@@ -36,12 +37,13 @@ cargo test -q --offline --workspace --exclude ic-serve --exclude instance-compar
 echo "==> cargo test -q --offline (IC_POOL_THREADS=1)"
 IC_POOL_THREADS=1 cargo test -q --offline -p ic-core -p ic-pool
 
-# The incremental suite again with the pool forced to one thread, so the
-# delta path is bit-identical under both pool configurations.
+# The repair suite again with the pool forced to one thread, so repaired
+# maps and seeded compares are bit-identical under both pool
+# configurations.
 echo "==> incremental property suite (IC_POOL_THREADS=1)"
 IC_POOL_THREADS=1 cargo test -q --offline --test incremental_props
 
-echo "==> bench_incremental (delta re-scoring speedup + >=5x repair saving)"
+echo "==> bench_incremental (repair vs from-scratch speedup + >=5x repair saving)"
 cargo run -q --offline --release -p ic-bench --bin bench_incremental
 test -f target/ic-bench/BENCH_incremental.json
 echo "    wrote target/ic-bench/BENCH_incremental.json"
@@ -90,14 +92,6 @@ echo "==> bench_durability (snapshot vs CSV cold-start)"
 cargo run -q --offline --release -p ic-bench --bin bench_durability
 test -f target/ic-bench/BENCH_durability.json
 echo "    wrote target/ic-bench/BENCH_durability.json"
-
-# The serving layer's end-to-end cost: loopback request throughput at
-# 1/8/64/512 concurrent connections, sequential and pipelined (depth 8),
-# recorded as a JSON artifact.
-echo "==> bench_serve_throughput (serving-layer loopback req/s)"
-cargo run -q --offline --release -p ic-bench --bin bench_serve_throughput
-test -f target/ic-bench/BENCH_serve.json
-echo "    wrote target/ic-bench/BENCH_serve.json"
 
 # The discovery suite again with the pool forced to one thread, so the
 # lattice output is bit-identical at both pool thread counts.

@@ -1,14 +1,15 @@
-//! Property tests of the incremental delta re-scoring path
-//! ([`CompareCache`]): for random instances and random chained tuple-level
-//! deltas (inserts, deletes, cell modifications — null-introducing edits
-//! included), the incrementally repaired comparison must be **bit-for-bit
-//! identical** to comparing from scratch, in complete and partial
-//! signature modes, at any thread count, and the repaired instance must
-//! stay exact-refinable. Runs on `ic-testkit`: seeded, reproducible via
-//! `IC_TESTKIT_SEED`, shrinking on failure.
+//! Property tests of signature-map repair
+//! (`InstanceSigMaps::repair`): for random instances and random chained
+//! tuple-level deltas (inserts, deletes, cell modifications — null-introducing
+//! edits included), the repaired maps must equal a fresh build, and a
+//! compare seeded with them must be **bit-for-bit identical** to comparing
+//! from scratch, in complete and partial signature modes, at 1 and 4
+//! comparator threads, with zero-budget compares in between. Runs on
+//! `ic-testkit`: seeded, reproducible via `IC_TESTKIT_SEED`, shrinking on
+//! failure.
 
 use ic_testkit::{Gen, Runner};
-use instance_comparison::core::{Comparator, Delta, DeltaOp};
+use instance_comparison::core::{Comparator, Delta, DeltaOp, InstanceSigMaps};
 use instance_comparison::model::{AttrId, Catalog, Instance, RelId, Schema, TupleId, Value};
 use rand::RngExt;
 use std::time::Duration;
@@ -83,7 +84,7 @@ fn build(cat: &mut Catalog, name: &str, rows: &[[Cell; 2]]) -> Instance {
 
 /// Resolves one edit chain into a concrete [`Delta`] against `cur`,
 /// advancing a scratch copy op by op so indices always refer to live
-/// tuples (the cache applies ops sequentially the same way).
+/// tuples ([`Delta::apply`] applies ops sequentially the same way).
 fn materialize_delta(cat: &mut Catalog, cur: &Instance, edits: &[Edit]) -> Delta {
     let rel = RelId(0);
     let mut scratch = cur.clone();
@@ -132,143 +133,109 @@ fn materialize(case: &Case) -> (Catalog, Instance, Instance, Vec<(Delta, Instanc
     (cat, left, base, steps)
 }
 
-/// The core assertion: walk the delta chain through a [`CompareCache`] and
-/// demand bit-identity with from-scratch comparison at every step.
-fn assert_chain_bit_identical(case: &Case, partial: bool, threads: usize) {
+/// The core assertion: walk the delta chain repairing the right side's
+/// maps, and at every step demand that (a) the repaired maps equal a fresh
+/// build, and (b) compares seeded with them at 1 and 4 comparator threads
+/// are bit-identical to a from-scratch compare. A zero-budget compare runs
+/// on the maps before each repair; the next repair and compare must not
+/// notice it.
+fn assert_chain_bit_identical(case: &Case, partial: bool) {
     let (cat, left, base, steps) = materialize(case);
-    let cmp = Comparator::new(&cat)
+    let cmps = [1, 4].map(|threads| {
+        Comparator::new(&cat)
+            .partial(partial)
+            .threads(threads)
+            .build()
+            .unwrap()
+    });
+    let strained = Comparator::new(&cat)
         .partial(partial)
-        .threads(threads)
+        .budget(Duration::ZERO)
         .build()
         .unwrap();
-    let mut cache = cmp.compare_cache();
-    cache.insert_owned("A", left.clone()).unwrap();
-    cache.insert_owned("B", base.clone()).unwrap();
-
-    let cached = cache.compare("A", "B").unwrap();
-    let fresh = cmp.compare(&left, &base).unwrap();
-    assert_eq!(cached.score().to_bits(), fresh.score().to_bits());
-    assert_eq!(cached.outcome.best.pairs, fresh.outcome.best.pairs);
-
-    for (step, (delta, expected)) in steps.iter().enumerate() {
-        let inc = cache.compare_delta("A", "B", delta).unwrap();
-        let fresh = cmp.compare(&left, expected).unwrap();
+    let cmp = &cmps[0];
+    let left_maps = cmp.build_maps(&left).unwrap();
+    let mut maps = cmp.build_maps(&base).unwrap();
+    let mut cur = &base;
+    for (step, (delta, next)) in steps.iter().enumerate() {
+        strained
+            .compare_with_maps(&left, cur, Some(&left_maps), Some(&maps))
+            .unwrap();
+        maps.repair(cur, next, delta);
         assert_eq!(
-            inc.score().to_bits(),
-            fresh.score().to_bits(),
-            "step {step} (partial={partial}, threads={threads}): \
-             incremental {} vs from-scratch {}",
-            inc.score(),
-            fresh.score()
+            maps,
+            cmp.build_maps(next).unwrap(),
+            "step {step} (partial={partial}): repaired maps differ from a fresh build"
         );
-        assert_eq!(inc.outcome.best.pairs, fresh.outcome.best.pairs);
-        // The repaired instance is the real one, tuple for tuple.
-        assert_eq!(
-            cache.instance("B").unwrap().tuples(RelId(0)),
-            expected.tuples(RelId(0)),
-            "step {step}: repaired instance diverged"
-        );
+        let fresh = cmp.compare(&left, next).unwrap();
+        for (threads, c) in [1, 4].iter().zip(&cmps) {
+            let seeded = c
+                .compare_with_maps(&left, next, Some(&left_maps), Some(&maps))
+                .unwrap();
+            assert_eq!(
+                seeded.score().to_bits(),
+                fresh.score().to_bits(),
+                "step {step} (partial={partial}, threads={threads}): \
+                 repaired {} vs from-scratch {}",
+                seeded.score(),
+                fresh.score()
+            );
+            let (got, want) = (&seeded.outcome.best, &fresh.outcome.best);
+            assert_eq!(got.pairs, want.pairs);
+            assert_eq!(got.left_mapping, want.left_mapping);
+            assert_eq!(got.right_mapping, want.right_mapping);
+        }
+        cur = next;
     }
 }
 
-/// Complete-match mode: incremental == from-scratch across chained random
-/// deltas, sequential and parallel.
+/// Complete-match mode: repaired == fresh build, and seeded == from-scratch,
+/// across chained random deltas.
 #[test]
 fn incremental_matches_scratch_complete() {
     Runner::new("incremental_matches_scratch_complete")
         .cases(48)
-        .run(gen_case, |case| {
-            for threads in [1, 4] {
-                assert_chain_bit_identical(case, false, threads);
-            }
-        });
+        .run(gen_case, |case| assert_chain_bit_identical(case, false));
 }
 
-/// Partial-match mode (subset signatures — the repair path touches many
-/// buckets per tuple): incremental == from-scratch, sequential and
-/// parallel.
+/// Partial-match mode (subset signatures — the repair touches many buckets
+/// per tuple): repaired == fresh build, and seeded == from-scratch.
 #[test]
 fn incremental_matches_scratch_partial() {
     Runner::new("incremental_matches_scratch_partial")
         .cases(48)
-        .run(gen_case, |case| {
-            for threads in [1, 4] {
-                assert_chain_bit_identical(case, true, threads);
-            }
-        });
+        .run(gen_case, |case| assert_chain_bit_identical(case, true));
 }
 
-/// Exact-refine mode: the instance the cache maintains through a delta
-/// chain is structurally identical to the real one, so the exact
-/// branch-and-bound over it returns bit-identical scores — refining a
-/// cached signature result never sees a stale instance.
-#[test]
-fn exact_refine_on_repaired_instance_matches_scratch() {
-    Runner::new("exact_refine_on_repaired_instance_matches_scratch")
-        .cases(32)
-        .run(gen_case, |case| {
-            let (cat, left, base, steps) = materialize(case);
-            let cmp = Comparator::new(&cat).build().unwrap();
-            let mut cache = cmp.compare_cache();
-            cache.insert_owned("A", left.clone()).unwrap();
-            cache.insert_owned("B", base).unwrap();
-            for (delta, expected) in &steps {
-                cache.compare_delta("A", "B", delta).unwrap();
-                let repaired = cache.instance("B").unwrap().clone();
-                let via_cache = cmp.exact(&left, &repaired).unwrap();
-                let scratch = cmp.exact(&left, expected).unwrap();
-                assert_eq!(via_cache.optimal, scratch.optimal);
-                assert_eq!(
-                    via_cache.best.score().to_bits(),
-                    scratch.best.score().to_bits()
-                );
-                assert_eq!(via_cache.best.pairs, scratch.best.pairs);
-            }
-        });
-}
-
-/// Budget/timeout interaction (satellite 2): a `timed_out` comparison —
-/// before or between delta repairs — must never be memoized and must
-/// leave the cache's instance and signature maps in a state from which an
-/// unbudgeted run still matches from-scratch, bit for bit.
+/// Deadline safety: a comparator whose budget is already spent times out in
+/// every matching phase, but map builds and repairs are deadline-free, so a
+/// chain of maps repaired alongside zero-budget compares must seed an
+/// unbudgeted run that equals from-scratch exactly.
 #[test]
 fn timed_out_compare_leaves_cache_consistent() {
     Runner::new("timed_out_compare_leaves_cache_consistent")
         .cases(32)
         .run(gen_case, |case| {
             let (cat, left, base, steps) = materialize(case);
-            // An already-expired deadline: every matching phase times out,
-            // while map builds and delta repairs (deadline-free) proceed.
             let strained = Comparator::new(&cat)
                 .budget(Duration::ZERO)
                 .build()
                 .unwrap();
-            let mut cache = strained.compare_cache();
-            cache.insert_owned("A", left.clone()).unwrap();
-            cache.insert_owned("B", base).unwrap();
+            let relaxed = Comparator::new(&cat).build().unwrap();
+            let left_maps = strained.build_maps(&left).unwrap();
+            let mut maps = strained.build_maps(&base).unwrap();
 
-            let first = cache.compare("A", "B").unwrap();
-            let again = cache.compare("A", "B").unwrap();
+            let first = strained.compare(&left, &base).unwrap();
+            let again = strained.compare(&left, &base).unwrap();
             assert_eq!(first.score().to_bits(), again.score().to_bits());
-            if first.outcome.timed_out {
-                assert_eq!(
-                    cache.stats().outcome_hits,
-                    0,
-                    "timed-out comparisons must not be memoized"
-                );
-            }
+            let mut cur = &base;
             for (delta, expected) in &steps {
-                let _ = cache.compare_delta("A", "B", delta).unwrap();
-                // Seed an *unbudgeted* run from the strained cache's maps
-                // and instance: it must equal from-scratch exactly.
-                let relaxed = Comparator::new(&cat).build().unwrap();
+                let _ = strained
+                    .compare_with_maps(&left, cur, Some(&left_maps), Some(&maps))
+                    .unwrap();
+                maps.repair(cur, expected, delta);
                 let seeded = relaxed
-                    .signature_with_maps(
-                        &left,
-                        cache.instance("B").unwrap(),
-                        cache.maps("A"),
-                        cache.maps("B"),
-                    )
+                    .signature_with_maps(&left, expected, Some(&left_maps), Some(&maps))
                     .unwrap();
                 let scratch = relaxed.signature(&left, expected).unwrap();
                 assert!(!seeded.timed_out && !scratch.timed_out);
@@ -277,13 +244,15 @@ fn timed_out_compare_leaves_cache_consistent() {
                     scratch.best.score().to_bits()
                 );
                 assert_eq!(seeded.best.pairs, scratch.best.pairs);
+                cur = expected;
             }
         });
 }
 
-/// Thread-count independence of the whole cached pipeline: the same chain
-/// walked at 1 and 4 threads yields identical bits at every step (the
-/// `IC_POOL_THREADS` matrix in CI crosses this with the ambient pool).
+/// Thread-count independence of the whole repair pipeline: the same chain
+/// walked at 1 and 4 threads, each with maps built and repaired by its own
+/// comparator, yields identical bits at every step (the `IC_POOL_THREADS`
+/// matrix in CI crosses this with the ambient pool).
 #[test]
 fn cached_chain_is_thread_count_invariant() {
     Runner::new("cached_chain_is_thread_count_invariant")
@@ -293,24 +262,26 @@ fn cached_chain_is_thread_count_invariant() {
             let mut per_thread_scores: Vec<Vec<u64>> = Vec::new();
             for threads in [1, 4] {
                 let cmp = Comparator::new(&cat).threads(threads).build().unwrap();
-                let mut cache = cmp.compare_cache();
-                cache.insert_owned("A", left.clone()).unwrap();
-                cache.insert_owned("B", base.clone()).unwrap();
-                let mut scores = vec![cache.compare("A", "B").unwrap().score().to_bits()];
-                for (delta, _) in &steps {
-                    scores.push(
-                        cache
-                            .compare_delta("A", "B", delta)
-                            .unwrap()
-                            .score()
-                            .to_bits(),
-                    );
+                let left_maps = cmp.build_maps(&left).unwrap();
+                let mut maps = cmp.build_maps(&base).unwrap();
+                let seed = |right: &Instance, maps: &InstanceSigMaps| {
+                    cmp.compare_with_maps(&left, right, Some(&left_maps), Some(maps))
+                        .unwrap()
+                        .score()
+                        .to_bits()
+                };
+                let mut scores = vec![seed(&base, &maps)];
+                let mut cur = &base;
+                for (delta, next) in &steps {
+                    maps.repair(cur, next, delta);
+                    scores.push(seed(next, &maps));
+                    cur = next;
                 }
                 per_thread_scores.push(scores);
             }
             assert_eq!(
                 per_thread_scores[0], per_thread_scores[1],
-                "1-thread vs 4-thread cached chains diverged"
+                "1-thread vs 4-thread repaired chains diverged"
             );
         });
 }
