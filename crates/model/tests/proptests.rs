@@ -84,31 +84,27 @@ fn pattern(cat: &Catalog, inst: &Instance) -> Vec<Vec<String>> {
 fn csv_roundtrip_preserves_structure() {
     Runner::new("csv_roundtrip_preserves_structure")
         .cases(128)
-        .run(
-            |g| gen_rows(g),
-            |desc| {
-                let (cat, inst) = build(desc);
-                // Disable empty-as-null so empty-string constants survive; the
-                // alphabet above never produces empty strings anyway.
-                let opts = CsvOptions::default();
-                let text = write_csv(&inst, &cat, RelId(0), &opts);
-                let (cat2, inst2) = read_csv(&text, "R", "I2", &opts).unwrap();
-                assert_eq!(pattern(&cat, &inst), pattern(&cat2, &inst2));
-            },
-        );
+        .run(gen_rows, |desc| {
+            let (cat, inst) = build(desc);
+            // Disable empty-as-null so empty-string constants survive; the
+            // alphabet above never produces empty strings anyway.
+            let opts = CsvOptions::default();
+            let text = write_csv(&inst, &cat, RelId(0), &opts);
+            let (cat2, inst2) = read_csv(&text, "R", "I2", &opts).unwrap();
+            assert_eq!(pattern(&cat, &inst), pattern(&cat2, &inst2));
+        });
 }
 
 /// Serialization never panics and the header always survives.
 #[test]
 fn csv_header_roundtrip() {
-    Runner::new("csv_header_roundtrip").cases(128).run(
-        |g| gen_rows(g),
-        |desc| {
+    Runner::new("csv_header_roundtrip")
+        .cases(128)
+        .run(gen_rows, |desc| {
             let (cat, inst) = build(desc);
             let text = write_csv(&inst, &cat, RelId(0), &CsvOptions::default());
             assert!(text.starts_with("A,B\n"));
-        },
-    );
+        });
 }
 
 /// Permuting rows preserves id-based lookup.
@@ -176,9 +172,9 @@ fn removal_keeps_index_consistent() {
 /// Instance statistics are internally consistent.
 #[test]
 fn stats_are_consistent() {
-    Runner::new("stats_are_consistent").cases(128).run(
-        |g| gen_rows(g),
-        |desc| {
+    Runner::new("stats_are_consistent")
+        .cases(128)
+        .run(gen_rows, |desc| {
             let (_cat, inst) = build(desc);
             let s = inst.stats();
             assert_eq!(s.const_cells + s.null_cells, inst.size());
@@ -186,8 +182,7 @@ fn stats_are_consistent() {
             assert!(s.distinct_consts <= s.const_cells);
             assert!(s.distinct_nulls <= s.null_cells);
             assert_eq!(s.distinct_values, s.distinct_consts + s.distinct_nulls);
-        },
-    );
+        });
 }
 
 /// The CSV parser never panics on arbitrary input — it either parses or

@@ -15,9 +15,10 @@
 //! with the WAL in `ic-store`, so a catalog opened with
 //! [`durable`](ServeCatalog::durable) logs exactly the op it applies:
 //! the record is appended (write-ahead) inside the mutation's critical
-//! section, before the snapshot swap, and replayed verbatim at the next
-//! open. The legacy mutators (`register`, `register_with`,
-//! `load_csv_dir`, `remove`) are thin wrappers that build the op.
+//! section, before the snapshot swap, and replayed at the next open
+//! through the same checks a live op passes. The legacy mutators
+//! (`register`, `register_with`, `load_csv_dir`, `remove`) are thin
+//! wrappers that build the op.
 //!
 //! A mutation costs what it changes, not what the catalog holds. Cloning
 //! a snapshot copies pointers: the interner's table is shared until the
@@ -30,7 +31,7 @@
 //! `Mutex`-guarded `Arc` clone.
 
 use crate::lockutil::lock_recover;
-use ic_core::{Delta, DeltaError};
+use ic_core::{Delta, DeltaError, DeltaOp};
 use ic_model::csv::{read_csv_into, CsvError, CsvOptions};
 use ic_model::{Catalog, Instance, Schema, TupleId, Value};
 use ic_store::{
@@ -225,10 +226,11 @@ pub enum CatalogError {
         /// the whole mutation).
         error: DeltaError,
     },
-    /// A `Put` instance referenced constants or nulls outside this
-    /// catalog's value domains — it was built against a different
-    /// `Catalog`. Build through [`ServeCatalog::apply_with`] (or
-    /// `register_with`) so the domains travel with the op.
+    /// A `Put` instance or a `Patch`'s inserted or modified values
+    /// referenced constants or nulls outside this catalog's value domains
+    /// — they were built against a different `Catalog`. Build through
+    /// [`ServeCatalog::apply_with`] (or `register_with`, `patch`) so the
+    /// domains travel with the op. Replay rejects such a logged op too.
     ForeignValue {
         /// The offending entry name.
         name: String,
@@ -316,7 +318,6 @@ pub struct ApplyOutcome {
 /// copy-on-write replacement. See the [module docs](self).
 pub struct ServeCatalog {
     current: Mutex<Arc<Snapshot>>,
-    csv: CsvOptions,
     subscribers: Mutex<Vec<(u64, SnapshotObserver)>>,
     next_subscriber: AtomicU64,
     /// WAL backend when opened with [`durable`](Self::durable); locked
@@ -351,7 +352,6 @@ impl ServeCatalog {
     fn from_snapshot(snapshot: Snapshot, store: Option<Box<dyn Storage>>) -> Self {
         Self {
             current: Mutex::new(Arc::new(snapshot)),
-            csv: CsvOptions::default(),
             subscribers: Mutex::new(Vec::new()),
             next_subscriber: AtomicU64::new(1),
             store: Mutex::new(store),
@@ -362,7 +362,9 @@ impl ServeCatalog {
     /// (snapshot plus WAL replay — a torn final record is dropped, and
     /// records the snapshot already folded in are skipped), compacts the
     /// recovered state into a fresh snapshot, and logs every subsequent
-    /// [`apply`](Self::apply) to the WAL before publishing it.
+    /// [`apply`](Self::apply) to the WAL before publishing it. Each
+    /// replayed op passes the checks a live op does; one that fails them
+    /// fails the open with that op's error, before anything is compacted.
     pub fn durable(schema: Schema, mut storage: Box<dyn Storage>) -> Result<Self, CatalogError> {
         // Recover: snapshot first, then replay whatever the WAL adds.
         let (mut catalog, stored, version) =
@@ -383,30 +385,12 @@ impl ServeCatalog {
         for (name, inst) in stored {
             snap.put(&name, Arc::new(inst));
         }
+        // Replay runs each op through the checks a live op passes. Values
+        // are checked against the domains the whole WAL grew to, so the
+        // compacted snapshot holds nothing its dictionary cannot decode.
         for record in records {
             snap.version = record.seq;
-            match record.op {
-                CatalogOp::Put { name, mut instance } => {
-                    instance.set_name(&name);
-                    snap.put(&name, Arc::new(instance));
-                }
-                CatalogOp::Patch { name, delta } => {
-                    let pin = snap.get(&name).ok_or_else(|| {
-                        StoreError::Corrupt(format!("WAL patches unknown instance {name:?}"))
-                    })?;
-                    let mut inst = Instance::clone(pin);
-                    delta
-                        .apply(&mut inst)
-                        .map_err(|error| CatalogError::Delta {
-                            name: name.clone(),
-                            error,
-                        })?;
-                    snap.put(&name, Arc::new(inst));
-                }
-                CatalogOp::Remove { name } => {
-                    snap.remove(&name);
-                }
-            }
+            Self::apply_op(&mut snap, &record.op)?;
         }
 
         // Compact: fold the replayed records into a fresh snapshot (this
@@ -423,13 +407,6 @@ impl ServeCatalog {
     /// Whether mutations are being logged to a durability backend.
     pub fn is_durable(&self) -> bool {
         lock_recover(&self.store).is_some()
-    }
-
-    /// Overrides the CSV parsing options used by
-    /// [`load_csv_dir`](Self::load_csv_dir).
-    pub fn with_csv_options(mut self, csv: CsvOptions) -> Self {
-        self.csv = csv;
-        self
     }
 
     /// The current snapshot. Cheap (`Arc` clone under a short lock); the
@@ -512,13 +489,25 @@ impl ServeCatalog {
         Ok(outcome)
     }
 
-    /// Validates `op` against `next` and mutates its instance map.
+    /// Validates `op` against `next` and mutates its instance map. Live
+    /// mutations and WAL replay both come through here.
     fn apply_op(next: &mut Snapshot, op: &CatalogOp) -> Result<ApplyOutcome, CatalogError> {
         let mut outcome = ApplyOutcome {
             version: next.version,
             instance: None,
             inserted: Vec::new(),
             existed: false,
+        };
+        // Every value must already mean something in this catalog's
+        // domains, or it cannot be resolved — or logged faithfully.
+        let syms = next.catalog.interner().len() as u32;
+        let nulls = next.catalog.nulls_allocated();
+        let foreign = |v: &Value| match v {
+            Value::Const(s) => s.0 >= syms,
+            Value::Null(n) => n.0 >= nulls,
+        };
+        let foreign_value = || CatalogError::ForeignValue {
+            name: op.name().to_string(),
         };
         match op {
             CatalogOp::Put { name, instance } => {
@@ -529,19 +518,11 @@ impl ServeCatalog {
                         found: instance.num_relations(),
                     });
                 }
-                // Every value must already mean something in this
-                // catalog's domains, or the instance cannot be resolved —
-                // or logged faithfully.
-                let syms = next.catalog.interner().len() as u32;
-                let nulls = next.catalog.nulls_allocated();
-                let foreign = instance.iter_all().any(|(_, t)| {
-                    t.values().iter().any(|v| match v {
-                        Value::Const(s) => s.0 >= syms,
-                        Value::Null(n) => n.0 >= nulls,
-                    })
-                });
-                if foreign {
-                    return Err(CatalogError::ForeignValue { name: name.clone() });
+                if instance
+                    .iter_all()
+                    .any(|(_, t)| t.values().iter().any(foreign))
+                {
+                    return Err(foreign_value());
                 }
                 let mut inst = instance.clone();
                 inst.set_name(name);
@@ -550,6 +531,13 @@ impl ServeCatalog {
                 outcome.existed = next.put(name, pin);
             }
             CatalogOp::Patch { name, delta } => {
+                if delta.ops.iter().any(|op| match op {
+                    DeltaOp::Insert { values, .. } => values.iter().any(foreign),
+                    DeltaOp::Modify { value, .. } => foreign(value),
+                    DeltaOp::Delete { .. } => false,
+                }) {
+                    return Err(foreign_value());
+                }
                 let pin = next
                     .get(name)
                     .ok_or_else(|| CatalogError::UnknownInstance { name: name.clone() })?;
@@ -629,7 +617,7 @@ impl ServeCatalog {
     /// directory matching *no* relation is an error). Returns the number
     /// of tuples loaded.
     pub fn load_csv_dir(&self, name: &str, dir: &Path) -> Result<usize, CatalogError> {
-        let csv = self.csv.clone();
+        let csv = CsvOptions::default();
         let mut loaded = 0usize;
         self.register_with(name, |catalog| {
             let mut instance = Instance::new(name, catalog);
@@ -1168,6 +1156,71 @@ mod tests {
                 "fail_at {fail_at}: recovery differs from the acknowledged ops"
             );
         }
+    }
+
+    fn reopen(store: &Arc<Mutex<MemStorage>>) -> Result<ServeCatalog, CatalogError> {
+        ServeCatalog::durable(
+            Schema::single("R", &["A", "B"]),
+            Box::new(Arc::clone(store)),
+        )
+    }
+
+    /// A durable catalog holding `a`, its storage, and two patches whose
+    /// values mean nothing in its domains: a constant past the interner's
+    /// end, and a null past the null watermark.
+    fn durable_with_foreign_patches() -> (ServeCatalog, Arc<Mutex<MemStorage>>, [Delta; 2]) {
+        let store = Arc::new(Mutex::new(MemStorage::new()));
+        let sc = reopen(&store).unwrap();
+        sc.register_with("a", |cat| Ok(two_tuple_instance(cat, "a", "x", "y")))
+            .unwrap();
+        let snap = sc.snapshot();
+        let sym = ic_model::Sym(snap.catalog.interner().len() as u32 + 1_000_000);
+        let null = ic_model::NullId(snap.catalog.nulls_allocated() + 5);
+        let patches = [
+            vec![ic_core::DeltaOp::Modify {
+                id: TupleId(0),
+                attr: ic_model::AttrId(0),
+                value: Value::Const(sym),
+            }],
+            vec![ic_core::DeltaOp::Insert {
+                rel: RelId(0),
+                values: vec![Value::Const(ic_model::Sym(0)), Value::Null(null)],
+            }],
+        ];
+        (sc, store, patches.map(Delta::new))
+    }
+
+    #[test]
+    fn patch_rejects_foreign_values_and_the_catalog_still_reopens() {
+        let (sc, store, patches) = durable_with_foreign_patches();
+        let before = snapshot_bytes(&sc.snapshot());
+        for delta in patches {
+            let result = sc.patch("a", |_| Ok(delta));
+            assert!(matches!(result, Err(CatalogError::ForeignValue { .. })));
+        }
+        drop(sc);
+        // Nothing was logged: the open that compacts and the one after it
+        // both recover the catalog as it was.
+        for _ in 0..2 {
+            assert_eq!(snapshot_bytes(&reopen(&store).unwrap().snapshot()), before);
+        }
+    }
+
+    #[test]
+    fn replay_rejects_a_logged_patch_with_foreign_values() {
+        let (sc, store, [delta, _]) = durable_with_foreign_patches();
+        // A checksum-valid record the live path would have refused.
+        let snap = sc.snapshot();
+        let domain = DomainDelta::capture(snap.catalog.interner().len(), &snap.catalog);
+        let op = CatalogOp::Patch {
+            name: "a".into(),
+            delta,
+        };
+        let record = encode_record(snap.version + 1, &domain, &op);
+        store.lock().unwrap().append_wal(&record).unwrap();
+        drop(sc);
+        let reopened = reopen(&store);
+        assert!(matches!(reopened, Err(CatalogError::ForeignValue { .. })));
     }
 
     #[test]

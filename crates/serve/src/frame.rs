@@ -331,7 +331,7 @@ mod tests {
         // desynchronize the reader.
         let mut wire = Vec::new();
         write_frame(&mut wire, b"before").unwrap();
-        write_frame(&mut wire, &vec![b'x'; 100]).unwrap(); // over the 64-byte cap below
+        write_frame(&mut wire, &[b'x'; 100]).unwrap(); // over the 64-byte cap below
         write_frame(&mut wire, b"after").unwrap();
         let mut r = FrameReader::with_max_len(Cursor::new(wire), 64);
         assert_eq!(r.next_frame().unwrap(), b"before");
@@ -366,7 +366,7 @@ mod tests {
     #[test]
     fn truncation_inside_a_skipped_frame_is_truncated() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, &vec![b'z'; 100]).unwrap();
+        write_frame(&mut wire, &[b'z'; 100]).unwrap();
         wire.truncate(wire.len() - 40); // stream dies mid-skip
         let mut r = FrameReader::with_max_len(Cursor::new(wire), 8);
         assert!(matches!(r.next_frame(), Err(FrameError::TooLarge(100))));

@@ -185,13 +185,13 @@ impl std::error::Error for ParseError {}
 /// Parses one JSON value; trailing non-whitespace input is an error.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        text: input,
         pos: 0,
     };
     p.skip_ws();
     let v = p.value(0)?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(p.err("trailing data after value"));
     }
     Ok(v)
@@ -201,7 +201,7 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -214,7 +214,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -233,7 +233,7 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_lit(&mut self, lit: &str, v: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -365,11 +365,13 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 encoded char (input is &str, so
-                    // boundaries are trustworthy).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
+                    // Consume one char; `get` checks that `pos` is on a
+                    // char boundary.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("not on a char boundary"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -379,11 +381,10 @@ impl<'a> Parser<'a> {
 
     fn hex4(&mut self) -> Result<u32, ParseError> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
-        }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("non-ASCII in \\u escape"))?;
+        let s = self
+            .text
+            .get(self.pos..end)
+            .ok_or_else(|| self.err("truncated or non-ASCII \\u escape"))?;
         let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
         self.pos = end;
         Ok(v)
@@ -424,8 +425,9 @@ impl<'a> Parser<'a> {
                 return Err(self.err("expected exponent digits"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        let n: f64 = text.parse().map_err(|_| self.err("number out of range"))?;
+        let n: f64 = self.text[start..self.pos]
+            .parse()
+            .map_err(|_| self.err("number out of range"))?;
         Ok(Json::Num(n))
     }
 }

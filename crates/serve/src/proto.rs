@@ -7,9 +7,17 @@
 //! broken, close the connection) from *shape* errors (valid JSON that is
 //! not a known message — answer `bad_request` and keep the connection).
 //!
+//! Every member goes through one private field codec: a `Field` trait
+//! maps each wire type to and from [`Json`], an `Obj` builder writes
+//! members in wire order (a `None` optional is left out, never `null`),
+//! and `get`/`opt` read a required/optional member (for `opt`, absent and
+//! `null` both mean `None`). A message encodes as one member chain and
+//! decodes as one struct literal, so the two directions cannot drift.
+//!
 //! The mapping is pinned by an `ic-testkit` property: `decode(encode(m)) ==
 //! m` for random messages including strings with newlines, quotes, and
-//! non-ASCII (see `tests/wire_props.rs`).
+//! non-ASCII; and by literal encodings and edge payloads with their
+//! verdicts (see `tests/wire_props.rs`).
 
 use crate::json::{self, Json};
 use std::fmt;
@@ -25,22 +33,20 @@ pub enum Algo {
     Both,
 }
 
-impl Algo {
-    fn as_str(self) -> &'static str {
-        match self {
-            Algo::Signature => "signature",
-            Algo::Exact => "exact",
-            Algo::Both => "both",
-        }
+/// `Algo`'s wire names, read in both directions.
+const ALGOS: [(Algo, &str); 3] = [
+    (Algo::Signature, "signature"),
+    (Algo::Exact, "exact"),
+    (Algo::Both, "both"),
+];
+
+impl Field for Algo {
+    fn to_json(&self) -> Json {
+        Json::Str(name_of(&ALGOS, *self).into())
     }
 
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "signature" => Some(Algo::Signature),
-            "exact" => Some(Algo::Exact),
-            "both" => Some(Algo::Both),
-            _ => None,
-        }
+    fn from_json(v: &Json) -> Result<Self, DecodeError> {
+        named(&ALGOS, v, "unknown algo")
     }
 }
 
@@ -57,12 +63,12 @@ pub enum PatchValue {
     Null(u32),
 }
 
-impl PatchValue {
+impl Field for PatchValue {
     fn to_json(&self) -> Json {
         match self {
-            PatchValue::Const(s) => Json::Str(s.clone()),
+            PatchValue::Const(s) => s.to_json(),
             PatchValue::FreshNull => Json::Null,
-            PatchValue::Null(n) => Json::obj(vec![("null", Json::Num(*n as f64))]),
+            PatchValue::Null(n) => Obj::default().put("null", n).into(),
         }
     }
 
@@ -70,12 +76,7 @@ impl PatchValue {
         match v {
             Json::Str(s) => Ok(PatchValue::Const(s.clone())),
             Json::Null => Ok(PatchValue::FreshNull),
-            obj @ Json::Obj(_) => Ok(PatchValue::Null(
-                obj.get("null")
-                    .and_then(Json::as_u64)
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or(DecodeError::Shape("null reference not a u32"))?,
-            )),
+            Json::Obj(_) => get(v, "null").map(PatchValue::Null),
             _ => Err(DecodeError::Shape(
                 "patch value must be string, null, or {\"null\":n}",
             )),
@@ -93,22 +94,18 @@ pub enum AttrRef {
     Name(String),
 }
 
-impl AttrRef {
+impl Field for AttrRef {
     fn to_json(&self) -> Json {
         match self {
-            AttrRef::Index(i) => Json::Num(*i as f64),
-            AttrRef::Name(n) => Json::Str(n.clone()),
+            AttrRef::Index(i) => i.to_json(),
+            AttrRef::Name(n) => n.to_json(),
         }
     }
 
     fn from_json(v: &Json) -> Result<Self, DecodeError> {
         match v {
             Json::Str(s) => Ok(AttrRef::Name(s.clone())),
-            n @ Json::Num(_) => Ok(AttrRef::Index(
-                n.as_u64()
-                    .and_then(|i| u16::try_from(i).ok())
-                    .ok_or(DecodeError::Shape("attr index not a u16"))?,
-            )),
+            Json::Num(_) => u16::from_json(v).map(AttrRef::Index),
             _ => Err(DecodeError::Shape("attr must be a name or an index")),
         }
     }
@@ -140,57 +137,40 @@ pub enum PatchOp {
     },
 }
 
-impl PatchOp {
+impl Field for PatchOp {
     fn to_json(&self) -> Json {
         match self {
-            PatchOp::Insert { rel, values } => Json::obj(vec![
-                ("op", Json::Str("insert".into())),
-                ("rel", Json::Str(rel.clone())),
-                (
-                    "values",
-                    Json::Arr(values.iter().map(PatchValue::to_json).collect()),
-                ),
-            ]),
-            PatchOp::Delete { tuple } => Json::obj(vec![
-                ("op", Json::Str("delete".into())),
-                ("tuple", Json::Num(*tuple as f64)),
-            ]),
-            PatchOp::Modify { tuple, attr, value } => Json::obj(vec![
-                ("op", Json::Str("modify".into())),
-                ("tuple", Json::Num(*tuple as f64)),
-                ("attr", attr.to_json()),
-                ("value", value.to_json()),
-            ]),
+            PatchOp::Insert { rel, values } => Obj::default()
+                .tag("op", "insert")
+                .put("rel", rel)
+                .put("values", values),
+            PatchOp::Delete { tuple } => Obj::default().tag("op", "delete").put("tuple", tuple),
+            PatchOp::Modify { tuple, attr, value } => Obj::default()
+                .tag("op", "modify")
+                .put("tuple", tuple)
+                .put("attr", attr)
+                .put("value", value),
         }
+        .into()
     }
 
     fn from_json(v: &Json) -> Result<Self, DecodeError> {
-        match req_str(v, "op")? {
-            "insert" => {
-                let items = v
-                    .get("values")
-                    .and_then(Json::as_arr)
-                    .ok_or(DecodeError::Shape("missing values array"))?;
-                Ok(PatchOp::Insert {
-                    rel: req_str(v, "rel")?.to_string(),
-                    values: items
-                        .iter()
-                        .map(PatchValue::from_json)
-                        .collect::<Result<_, _>>()?,
-                })
-            }
-            "delete" => Ok(PatchOp::Delete {
-                tuple: req_u32(v, "tuple")?,
-            }),
-            "modify" => Ok(PatchOp::Modify {
-                tuple: req_u32(v, "tuple")?,
-                attr: AttrRef::from_json(v.get("attr").ok_or(DecodeError::Shape("missing attr"))?)?,
-                value: PatchValue::from_json(
-                    v.get("value").ok_or(DecodeError::Shape("missing value"))?,
-                )?,
-            }),
-            _ => Err(DecodeError::Shape("unknown patch op")),
-        }
+        Ok(match get::<String>(v, "op")?.as_str() {
+            "insert" => PatchOp::Insert {
+                rel: get(v, "rel")?,
+                values: get(v, "values")?,
+            },
+            "delete" => PatchOp::Delete {
+                tuple: get(v, "tuple")?,
+            },
+            // A `null` value is a fresh null, not an absent member.
+            "modify" => PatchOp::Modify {
+                tuple: get(v, "tuple")?,
+                attr: get(v, "attr")?,
+                value: get(v, "value")?,
+            },
+            _ => return Err(DecodeError::Shape("unknown patch op")),
+        })
     }
 }
 
@@ -316,19 +296,15 @@ impl Request {
     pub fn decode(payload: &[u8]) -> Result<Self, DecodeError> {
         Self::from_json(&parse_payload(payload)?)
     }
+}
 
+impl Field for Request {
     fn to_json(&self) -> Json {
         match self {
-            Request::Load { id, name, dir } => Json::obj(vec![
-                ("id", Json::Num(*id as f64)),
-                ("kind", Json::Str("load".into())),
-                ("name", Json::Str(name.clone())),
-                ("dir", Json::Str(dir.clone())),
-            ]),
-            Request::List { id } => Json::obj(vec![
-                ("id", Json::Num(*id as f64)),
-                ("kind", Json::Str("list".into())),
-            ]),
+            Request::Load { id, name, dir } => {
+                Obj::msg(*id, "load").put("name", name).put("dir", dir)
+            }
+            Request::List { id } => Obj::msg(*id, "list"),
             Request::Compare {
                 id,
                 left,
@@ -336,43 +312,23 @@ impl Request {
                 algo,
                 lambda,
                 budget_ms,
-            } => {
-                let mut members = vec![
-                    ("id", Json::Num(*id as f64)),
-                    ("kind", Json::Str("compare".into())),
-                    ("left", Json::Str(left.clone())),
-                    ("right", Json::Str(right.clone())),
-                    ("algo", Json::Str(algo.as_str().into())),
-                ];
-                if let Some(l) = lambda {
-                    members.push(("lambda", Json::Num(*l)));
-                }
-                if let Some(b) = budget_ms {
-                    members.push(("budget_ms", Json::Num(*b as f64)));
-                }
-                Json::obj(members)
-            }
+            } => Obj::msg(*id, "compare")
+                .put("left", left)
+                .put("right", right)
+                .put("algo", algo)
+                .opt("lambda", lambda)
+                .opt("budget_ms", budget_ms),
             Request::Search {
                 id,
                 query,
                 k,
                 lambda,
                 budget_ms,
-            } => {
-                let mut members = vec![
-                    ("id", Json::Num(*id as f64)),
-                    ("kind", Json::Str("search".into())),
-                    ("query", Json::Str(query.clone())),
-                    ("k", Json::Num(*k as f64)),
-                ];
-                if let Some(l) = lambda {
-                    members.push(("lambda", Json::Num(*l)));
-                }
-                if let Some(b) = budget_ms {
-                    members.push(("budget_ms", Json::Num(*b as f64)));
-                }
-                Json::obj(members)
-            }
+            } => Obj::msg(*id, "search")
+                .put("query", query)
+                .put("k", k)
+                .opt("lambda", lambda)
+                .opt("budget_ms", budget_ms),
             Request::Discover {
                 id,
                 name,
@@ -380,133 +336,63 @@ impl Request {
                 max_lhs,
                 min_support,
                 budget_ms,
-            } => {
-                let mut members = vec![
-                    ("id", Json::Num(*id as f64)),
-                    ("kind", Json::Str("discover".into())),
-                    ("name", Json::Str(name.clone())),
-                ];
-                if let Some(e) = epsilon {
-                    members.push(("epsilon", Json::Num(*e)));
-                }
-                if let Some(m) = max_lhs {
-                    members.push(("max_lhs", Json::Num(*m as f64)));
-                }
-                if let Some(s) = min_support {
-                    members.push(("min_support", Json::Num(*s as f64)));
-                }
-                if let Some(b) = budget_ms {
-                    members.push(("budget_ms", Json::Num(*b as f64)));
-                }
-                Json::obj(members)
+            } => Obj::msg(*id, "discover")
+                .put("name", name)
+                .opt("epsilon", epsilon)
+                .opt("max_lhs", max_lhs)
+                .opt("min_support", min_support)
+                .opt("budget_ms", budget_ms),
+            Request::Patch { id, name, ops } => {
+                Obj::msg(*id, "patch").put("name", name).put("ops", ops)
             }
-            Request::Patch { id, name, ops } => Json::obj(vec![
-                ("id", Json::Num(*id as f64)),
-                ("kind", Json::Str("patch".into())),
-                ("name", Json::Str(name.clone())),
-                ("ops", Json::Arr(ops.iter().map(PatchOp::to_json).collect())),
-            ]),
-            Request::Stats { id } => Json::obj(vec![
-                ("id", Json::Num(*id as f64)),
-                ("kind", Json::Str("stats".into())),
-            ]),
-            Request::Shutdown { id } => Json::obj(vec![
-                ("id", Json::Num(*id as f64)),
-                ("kind", Json::Str("shutdown".into())),
-            ]),
+            Request::Stats { id } => Obj::msg(*id, "stats"),
+            Request::Shutdown { id } => Obj::msg(*id, "shutdown"),
         }
+        .into()
     }
 
     fn from_json(v: &Json) -> Result<Self, DecodeError> {
-        let id = req_u64(v, "id")?;
-        let kind = req_str(v, "kind")?;
-        match kind {
-            "load" => Ok(Request::Load {
+        let id = get(v, "id")?;
+        Ok(match get::<String>(v, "kind")?.as_str() {
+            "load" => Request::Load {
                 id,
-                name: req_str(v, "name")?.to_string(),
-                dir: req_str(v, "dir")?.to_string(),
-            }),
-            "list" => Ok(Request::List { id }),
-            "compare" => {
-                let algo = match v.get("algo") {
-                    None => Algo::Signature,
-                    Some(a) => a
-                        .as_str()
-                        .and_then(Algo::parse)
-                        .ok_or(DecodeError::Shape("unknown algo"))?,
-                };
-                let lambda = match v.get("lambda") {
-                    None | Some(Json::Null) => None,
-                    Some(l) => Some(
-                        l.as_f64()
-                            .ok_or(DecodeError::Shape("lambda not a number"))?,
-                    ),
-                };
-                let budget_ms = match v.get("budget_ms") {
-                    None | Some(Json::Null) => None,
-                    Some(b) => Some(
-                        b.as_u64()
-                            .ok_or(DecodeError::Shape("budget_ms not a non-negative integer"))?,
-                    ),
-                };
-                Ok(Request::Compare {
-                    id,
-                    left: req_str(v, "left")?.to_string(),
-                    right: req_str(v, "right")?.to_string(),
-                    algo,
-                    lambda,
-                    budget_ms,
-                })
-            }
-            "search" => {
-                let lambda = match v.get("lambda") {
-                    None | Some(Json::Null) => None,
-                    Some(l) => Some(
-                        l.as_f64()
-                            .ok_or(DecodeError::Shape("lambda not a number"))?,
-                    ),
-                };
-                let budget_ms = match v.get("budget_ms") {
-                    None | Some(Json::Null) => None,
-                    Some(b) => Some(
-                        b.as_u64()
-                            .ok_or(DecodeError::Shape("budget_ms not a non-negative integer"))?,
-                    ),
-                };
-                Ok(Request::Search {
-                    id,
-                    query: req_str(v, "query")?.to_string(),
-                    k: req_u64(v, "k")?,
-                    lambda,
-                    budget_ms,
-                })
-            }
-            "discover" => Ok(Request::Discover {
+                name: get(v, "name")?,
+                dir: get(v, "dir")?,
+            },
+            "list" => Request::List { id },
+            "compare" => Request::Compare {
                 id,
-                name: req_str(v, "name")?.to_string(),
-                epsilon: opt_f64(v, "epsilon")?,
-                max_lhs: opt_u64(v, "max_lhs")?,
-                min_support: opt_u64(v, "min_support")?,
-                budget_ms: opt_u64(v, "budget_ms")?,
-            }),
-            "patch" => {
-                let items = v
-                    .get("ops")
-                    .and_then(Json::as_arr)
-                    .ok_or(DecodeError::Shape("missing ops array"))?;
-                Ok(Request::Patch {
-                    id,
-                    name: req_str(v, "name")?.to_string(),
-                    ops: items
-                        .iter()
-                        .map(PatchOp::from_json)
-                        .collect::<Result<_, _>>()?,
-                })
-            }
-            "stats" => Ok(Request::Stats { id }),
-            "shutdown" => Ok(Request::Shutdown { id }),
-            _ => Err(DecodeError::Shape("unknown request kind")),
-        }
+                left: get(v, "left")?,
+                right: get(v, "right")?,
+                // Absent means the default, but `null` is not absent.
+                algo: v.get("algo").map_or(Ok(Algo::Signature), Algo::from_json)?,
+                lambda: opt(v, "lambda")?,
+                budget_ms: opt(v, "budget_ms")?,
+            },
+            "search" => Request::Search {
+                id,
+                query: get(v, "query")?,
+                k: get(v, "k")?,
+                lambda: opt(v, "lambda")?,
+                budget_ms: opt(v, "budget_ms")?,
+            },
+            "discover" => Request::Discover {
+                id,
+                name: get(v, "name")?,
+                epsilon: opt(v, "epsilon")?,
+                max_lhs: opt(v, "max_lhs")?,
+                min_support: opt(v, "min_support")?,
+                budget_ms: opt(v, "budget_ms")?,
+            },
+            "patch" => Request::Patch {
+                id,
+                name: get(v, "name")?,
+                ops: get(v, "ops")?,
+            },
+            "stats" => Request::Stats { id },
+            "shutdown" => Request::Shutdown { id },
+            _ => return Err(DecodeError::Shape("unknown request kind")),
+        })
     }
 }
 
@@ -547,41 +433,26 @@ pub enum ErrorCode {
     Internal,
 }
 
+/// `ErrorCode`'s wire names, read in both directions.
+const ERROR_CODES: [(ErrorCode, &str); 12] = [
+    (ErrorCode::Malformed, "malformed"),
+    (ErrorCode::BadFrame, "bad_frame"),
+    (ErrorCode::BadRequest, "bad_request"),
+    (ErrorCode::UnknownInstance, "unknown_instance"),
+    (ErrorCode::Config, "config"),
+    (ErrorCode::Budget, "budget"),
+    (ErrorCode::SchemaMismatch, "schema_mismatch"),
+    (ErrorCode::Overloaded, "overloaded"),
+    (ErrorCode::ShuttingDown, "shutting_down"),
+    (ErrorCode::Load, "load"),
+    (ErrorCode::Delta, "delta"),
+    (ErrorCode::Internal, "internal"),
+];
+
 impl ErrorCode {
     /// The stable wire string of this code.
     pub fn as_str(self) -> &'static str {
-        match self {
-            ErrorCode::Malformed => "malformed",
-            ErrorCode::BadFrame => "bad_frame",
-            ErrorCode::BadRequest => "bad_request",
-            ErrorCode::UnknownInstance => "unknown_instance",
-            ErrorCode::Config => "config",
-            ErrorCode::Budget => "budget",
-            ErrorCode::SchemaMismatch => "schema_mismatch",
-            ErrorCode::Overloaded => "overloaded",
-            ErrorCode::ShuttingDown => "shutting_down",
-            ErrorCode::Load => "load",
-            ErrorCode::Delta => "delta",
-            ErrorCode::Internal => "internal",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "malformed" => ErrorCode::Malformed,
-            "bad_frame" => ErrorCode::BadFrame,
-            "bad_request" => ErrorCode::BadRequest,
-            "unknown_instance" => ErrorCode::UnknownInstance,
-            "config" => ErrorCode::Config,
-            "budget" => ErrorCode::Budget,
-            "schema_mismatch" => ErrorCode::SchemaMismatch,
-            "overloaded" => ErrorCode::Overloaded,
-            "shutting_down" => ErrorCode::ShuttingDown,
-            "load" => ErrorCode::Load,
-            "delta" => ErrorCode::Delta,
-            "internal" => ErrorCode::Internal,
-            _ => return None,
-        })
+        name_of(&ERROR_CODES, self)
     }
 
     /// Maps a core error to its wire code (via [`ic_core::Error::code`],
@@ -602,6 +473,16 @@ impl ErrorCode {
 impl fmt::Display for ErrorCode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
+    }
+}
+
+impl Field for ErrorCode {
+    fn to_json(&self) -> Json {
+        Json::Str(self.as_str().into())
+    }
+
+    fn from_json(v: &Json) -> Result<Self, DecodeError> {
+        named(&ERROR_CODES, v, "unknown error code")
     }
 }
 
@@ -826,361 +707,123 @@ impl Response {
     pub fn decode(payload: &[u8]) -> Result<Self, DecodeError> {
         Self::from_json(&parse_payload(payload)?)
     }
+}
 
+impl Field for Response {
     fn to_json(&self) -> Json {
         match self {
-            Response::Loaded { id, name, tuples } => Json::obj(vec![
-                ("id", Json::Num(*id as f64)),
-                ("kind", Json::Str("loaded".into())),
-                ("name", Json::Str(name.clone())),
-                ("tuples", Json::Num(*tuples as f64)),
-            ]),
-            Response::Listing { id, instances } => Json::obj(vec![
-                ("id", Json::Num(*id as f64)),
-                ("kind", Json::Str("listing".into())),
-                (
-                    "instances",
-                    Json::Arr(
-                        instances
-                            .iter()
-                            .map(|i| {
-                                Json::obj(vec![
-                                    ("name", Json::Str(i.name.clone())),
-                                    ("tuples", Json::Num(i.tuples as f64)),
-                                    ("null_cells", Json::Num(i.null_cells as f64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Response::Compared { id, scores } => {
-                let mut members = vec![
-                    ("id", Json::Num(*id as f64)),
-                    ("kind", Json::Str("compared".into())),
-                ];
-                if let Some(s) = scores.signature {
-                    members.push(("signature", Json::Num(s)));
-                }
-                if let Some(e) = scores.exact {
-                    members.push(("exact", Json::Num(e)));
-                }
-                if let Some(p) = scores.pairs {
-                    members.push(("pairs", Json::Num(p as f64)));
-                }
-                if let Some(o) = scores.optimal {
-                    members.push(("optimal", Json::Bool(o)));
-                }
-                members.push(("elapsed_us", Json::Num(scores.elapsed_us as f64)));
-                Json::obj(members)
+            Response::Loaded { id, name, tuples } => Obj::msg(*id, "loaded")
+                .put("name", name)
+                .put("tuples", tuples),
+            Response::Listing { id, instances } => {
+                Obj::msg(*id, "listing").put("instances", instances)
             }
-            Response::Searched { id, results } => Json::obj(vec![
-                ("id", Json::Num(*id as f64)),
-                ("kind", Json::Str("searched".into())),
-                (
-                    "hits",
-                    Json::Arr(
-                        results
-                            .hits
-                            .iter()
-                            .map(|h| {
-                                Json::obj(vec![
-                                    ("name", Json::Str(h.name.clone())),
-                                    ("score", Json::Num(h.score)),
-                                    ("pairs", Json::Num(h.pairs as f64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("compared", Json::Num(results.compared as f64)),
-                ("total", Json::Num(results.total as f64)),
-                ("elapsed_us", Json::Num(results.elapsed_us as f64)),
-            ]),
+            Response::Compared { id, scores } => Obj::msg(*id, "compared")
+                .opt("signature", &scores.signature)
+                .opt("exact", &scores.exact)
+                .opt("pairs", &scores.pairs)
+                .opt("optimal", &scores.optimal)
+                .put("elapsed_us", &scores.elapsed_us),
+            Response::Searched { id, results } => Obj::msg(*id, "searched")
+                .put("hits", &results.hits)
+                .put("compared", &results.compared)
+                .put("total", &results.total)
+                .put("elapsed_us", &results.elapsed_us),
             Response::Discovered {
                 id,
                 fds,
                 keys,
                 elapsed_us,
-            } => Json::obj(vec![
-                ("id", Json::Num(*id as f64)),
-                ("kind", Json::Str("discovered".into())),
-                (
-                    "fds",
-                    Json::Arr(
-                        fds.iter()
-                            .map(|fd| {
-                                Json::obj(vec![
-                                    ("rel", Json::Str(fd.rel.clone())),
-                                    (
-                                        "lhs",
-                                        Json::Arr(
-                                            fd.lhs.iter().map(|a| Json::Str(a.clone())).collect(),
-                                        ),
-                                    ),
-                                    ("rhs", Json::Str(fd.rhs.clone())),
-                                    ("g3_min", Json::Num(fd.g3_min)),
-                                    ("g3_max", Json::Num(fd.g3_max)),
-                                    ("support", Json::Num(fd.support as f64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "keys",
-                    Json::Arr(
-                        keys.iter()
-                            .map(|k| {
-                                Json::obj(vec![
-                                    ("rel", Json::Str(k.rel.clone())),
-                                    (
-                                        "attrs",
-                                        Json::Arr(
-                                            k.attrs.iter().map(|a| Json::Str(a.clone())).collect(),
-                                        ),
-                                    ),
-                                    ("g3_min", Json::Num(k.g3_min)),
-                                    ("g3_max", Json::Num(k.g3_max)),
-                                    ("covered", Json::Num(k.covered as f64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("elapsed_us", Json::Num(*elapsed_us as f64)),
-            ]),
+            } => Obj::msg(*id, "discovered")
+                .put("fds", fds)
+                .put("keys", keys)
+                .put("elapsed_us", elapsed_us),
             Response::Patched {
                 id,
                 name,
                 tuples,
                 inserted,
-            } => Json::obj(vec![
-                ("id", Json::Num(*id as f64)),
-                ("kind", Json::Str("patched".into())),
-                ("name", Json::Str(name.clone())),
-                ("tuples", Json::Num(*tuples as f64)),
-                (
-                    "inserted",
-                    Json::Arr(inserted.iter().map(|t| Json::Num(*t as f64)).collect()),
-                ),
-            ]),
-            Response::Stats { id, stats } => Json::obj(vec![
-                ("id", Json::Num(*id as f64)),
-                ("kind", Json::Str("stats".into())),
-                ("requests", Json::Num(stats.requests as f64)),
-                ("completed", Json::Num(stats.completed as f64)),
-                ("overloaded", Json::Num(stats.overloaded as f64)),
-                ("errors", Json::Num(stats.errors as f64)),
-                ("catalog_version", Json::Num(stats.catalog_version as f64)),
-                (
-                    "spans",
-                    Json::Arr(
-                        stats
-                            .spans
-                            .iter()
-                            .map(|s| {
-                                Json::obj(vec![
-                                    ("label", Json::Str(s.label.clone())),
-                                    ("reports", Json::Num(s.reports as f64)),
-                                    ("wall_us", Json::Num(s.wall_us as f64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Response::ShuttingDown { id } => Json::obj(vec![
-                ("id", Json::Num(*id as f64)),
-                ("kind", Json::Str("shutting_down".into())),
-            ]),
-            Response::Error { id, code, message } => Json::obj(vec![
-                ("id", Json::Num(*id as f64)),
-                ("kind", Json::Str("error".into())),
-                ("code", Json::Str(code.as_str().into())),
-                ("message", Json::Str(message.clone())),
-            ]),
+            } => Obj::msg(*id, "patched")
+                .put("name", name)
+                .put("tuples", tuples)
+                .put("inserted", inserted),
+            Response::Stats { id, stats } => Obj::msg(*id, "stats")
+                .put("requests", &stats.requests)
+                .put("completed", &stats.completed)
+                .put("overloaded", &stats.overloaded)
+                .put("errors", &stats.errors)
+                .put("catalog_version", &stats.catalog_version)
+                .put("spans", &stats.spans),
+            Response::ShuttingDown { id } => Obj::msg(*id, "shutting_down"),
+            Response::Error { id, code, message } => Obj::msg(*id, "error")
+                .put("code", code)
+                .put("message", message),
         }
+        .into()
     }
 
     fn from_json(v: &Json) -> Result<Self, DecodeError> {
-        let id = req_u64(v, "id")?;
-        let kind = req_str(v, "kind")?;
-        match kind {
-            "loaded" => Ok(Response::Loaded {
+        let id = get(v, "id")?;
+        Ok(match get::<String>(v, "kind")?.as_str() {
+            "loaded" => Response::Loaded {
                 id,
-                name: req_str(v, "name")?.to_string(),
-                tuples: req_u64(v, "tuples")?,
-            }),
-            "listing" => {
-                let items = v
-                    .get("instances")
-                    .and_then(Json::as_arr)
-                    .ok_or(DecodeError::Shape("missing instances array"))?;
-                let mut instances = Vec::with_capacity(items.len());
-                for item in items {
-                    instances.push(InstanceInfo {
-                        name: req_str(item, "name")?.to_string(),
-                        tuples: req_u64(item, "tuples")?,
-                        null_cells: req_u64(item, "null_cells")?,
-                    });
-                }
-                Ok(Response::Listing { id, instances })
-            }
-            "compared" => Ok(Response::Compared {
+                name: get(v, "name")?,
+                tuples: get(v, "tuples")?,
+            },
+            "listing" => Response::Listing {
+                id,
+                instances: get(v, "instances")?,
+            },
+            "compared" => Response::Compared {
                 id,
                 scores: CompareScores {
-                    signature: opt_f64(v, "signature")?,
-                    exact: opt_f64(v, "exact")?,
-                    pairs: match v.get("pairs") {
-                        None | Some(Json::Null) => None,
-                        Some(p) => Some(
-                            p.as_u64()
-                                .ok_or(DecodeError::Shape("pairs not an integer"))?,
-                        ),
-                    },
-                    optimal: match v.get("optimal") {
-                        None | Some(Json::Null) => None,
-                        Some(o) => Some(
-                            o.as_bool()
-                                .ok_or(DecodeError::Shape("optimal not a boolean"))?,
-                        ),
-                    },
-                    elapsed_us: req_u64(v, "elapsed_us")?,
+                    signature: opt(v, "signature")?,
+                    exact: opt(v, "exact")?,
+                    pairs: opt(v, "pairs")?,
+                    optimal: opt(v, "optimal")?,
+                    elapsed_us: get(v, "elapsed_us")?,
                 },
-            }),
-            "searched" => {
-                let items = v
-                    .get("hits")
-                    .and_then(Json::as_arr)
-                    .ok_or(DecodeError::Shape("missing hits array"))?;
-                let mut hits = Vec::with_capacity(items.len());
-                for item in items {
-                    hits.push(SearchResult {
-                        name: req_str(item, "name")?.to_string(),
-                        score: item
-                            .get("score")
-                            .and_then(Json::as_f64)
-                            .ok_or(DecodeError::Shape("missing or non-number score"))?,
-                        pairs: req_u64(item, "pairs")?,
-                    });
-                }
-                Ok(Response::Searched {
-                    id,
-                    results: SearchResults {
-                        hits,
-                        compared: req_u64(v, "compared")?,
-                        total: req_u64(v, "total")?,
-                        elapsed_us: req_u64(v, "elapsed_us")?,
-                    },
-                })
-            }
-            "discovered" => {
-                let req_f64 = |v: &Json, key: &'static str| -> Result<f64, DecodeError> {
-                    v.get(key)
-                        .and_then(Json::as_f64)
-                        .ok_or(DecodeError::Shape("missing or non-number field"))
-                };
-                let str_arr = |v: &Json, key: &'static str| -> Result<Vec<String>, DecodeError> {
-                    v.get(key)
-                        .and_then(Json::as_arr)
-                        .ok_or(DecodeError::Shape("missing attribute array"))?
-                        .iter()
-                        .map(|a| {
-                            a.as_str()
-                                .map(str::to_string)
-                                .ok_or(DecodeError::Shape("attribute name not a string"))
-                        })
-                        .collect()
-                };
-                let fd_items = v
-                    .get("fds")
-                    .and_then(Json::as_arr)
-                    .ok_or(DecodeError::Shape("missing fds array"))?;
-                let mut fds = Vec::with_capacity(fd_items.len());
-                for item in fd_items {
-                    fds.push(DiscoveredFdInfo {
-                        rel: req_str(item, "rel")?.to_string(),
-                        lhs: str_arr(item, "lhs")?,
-                        rhs: req_str(item, "rhs")?.to_string(),
-                        g3_min: req_f64(item, "g3_min")?,
-                        g3_max: req_f64(item, "g3_max")?,
-                        support: req_u64(item, "support")?,
-                    });
-                }
-                let key_items = v
-                    .get("keys")
-                    .and_then(Json::as_arr)
-                    .ok_or(DecodeError::Shape("missing keys array"))?;
-                let mut keys = Vec::with_capacity(key_items.len());
-                for item in key_items {
-                    keys.push(DiscoveredKeyInfo {
-                        rel: req_str(item, "rel")?.to_string(),
-                        attrs: str_arr(item, "attrs")?,
-                        g3_min: req_f64(item, "g3_min")?,
-                        g3_max: req_f64(item, "g3_max")?,
-                        covered: req_u64(item, "covered")?,
-                    });
-                }
-                Ok(Response::Discovered {
-                    id,
-                    fds,
-                    keys,
-                    elapsed_us: req_u64(v, "elapsed_us")?,
-                })
-            }
-            "patched" => {
-                let items = v
-                    .get("inserted")
-                    .and_then(Json::as_arr)
-                    .ok_or(DecodeError::Shape("missing inserted array"))?;
-                Ok(Response::Patched {
-                    id,
-                    name: req_str(v, "name")?.to_string(),
-                    tuples: req_u64(v, "tuples")?,
-                    inserted: items
-                        .iter()
-                        .map(|t| {
-                            t.as_u64()
-                                .ok_or(DecodeError::Shape("inserted id not an integer"))
-                        })
-                        .collect::<Result<_, _>>()?,
-                })
-            }
-            "stats" => {
-                let items = v
-                    .get("spans")
-                    .and_then(Json::as_arr)
-                    .ok_or(DecodeError::Shape("missing spans array"))?;
-                let mut spans = Vec::with_capacity(items.len());
-                for item in items {
-                    spans.push(SpanStat {
-                        label: req_str(item, "label")?.to_string(),
-                        reports: req_u64(item, "reports")?,
-                        wall_us: req_u64(item, "wall_us")?,
-                    });
-                }
-                Ok(Response::Stats {
-                    id,
-                    stats: ServerStats {
-                        requests: req_u64(v, "requests")?,
-                        completed: req_u64(v, "completed")?,
-                        overloaded: req_u64(v, "overloaded")?,
-                        errors: req_u64(v, "errors")?,
-                        catalog_version: req_u64(v, "catalog_version")?,
-                        spans,
-                    },
-                })
-            }
-            "shutting_down" => Ok(Response::ShuttingDown { id }),
-            "error" => Ok(Response::Error {
+            },
+            "searched" => Response::Searched {
                 id,
-                code: ErrorCode::parse(req_str(v, "code")?)
-                    .ok_or(DecodeError::Shape("unknown error code"))?,
-                message: req_str(v, "message")?.to_string(),
-            }),
-            _ => Err(DecodeError::Shape("unknown response kind")),
-        }
+                results: SearchResults {
+                    hits: get(v, "hits")?,
+                    compared: get(v, "compared")?,
+                    total: get(v, "total")?,
+                    elapsed_us: get(v, "elapsed_us")?,
+                },
+            },
+            "discovered" => Response::Discovered {
+                id,
+                fds: get(v, "fds")?,
+                keys: get(v, "keys")?,
+                elapsed_us: get(v, "elapsed_us")?,
+            },
+            "patched" => Response::Patched {
+                id,
+                name: get(v, "name")?,
+                tuples: get(v, "tuples")?,
+                inserted: get(v, "inserted")?,
+            },
+            "stats" => Response::Stats {
+                id,
+                stats: ServerStats {
+                    requests: get(v, "requests")?,
+                    completed: get(v, "completed")?,
+                    overloaded: get(v, "overloaded")?,
+                    errors: get(v, "errors")?,
+                    catalog_version: get(v, "catalog_version")?,
+                    spans: get(v, "spans")?,
+                },
+            },
+            "shutting_down" => Response::ShuttingDown { id },
+            "error" => Response::Error {
+                id,
+                code: get(v, "code")?,
+                message: get(v, "message")?,
+            },
+            _ => return Err(DecodeError::Shape("unknown response kind")),
+        })
     }
 }
 
@@ -1210,42 +853,183 @@ fn parse_payload(payload: &[u8]) -> Result<Json, DecodeError> {
     json::parse(text).map_err(|e| DecodeError::Syntax(e.to_string()))
 }
 
-fn req_str<'a>(v: &'a Json, key: &'static str) -> Result<&'a str, DecodeError> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .ok_or(DecodeError::Shape("missing or non-string field"))
+/// One wire type: how a member of this type is written and read.
+trait Field: Sized {
+    fn to_json(&self) -> Json;
+    fn from_json(v: &Json) -> Result<Self, DecodeError>;
 }
 
-fn req_u64(v: &Json, key: &'static str) -> Result<u64, DecodeError> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or(DecodeError::Shape("missing or non-integer field"))
-}
+/// A JSON object under construction, its members in wire order.
+#[derive(Default)]
+struct Obj(Vec<(String, Json)>);
 
-fn req_u32(v: &Json, key: &'static str) -> Result<u32, DecodeError> {
-    req_u64(v, key)?
-        .try_into()
-        .map_err(|_| DecodeError::Shape("field out of u32 range"))
-}
+impl Obj {
+    /// A message: its `id`, then its `kind`.
+    fn msg(id: u64, kind: &str) -> Self {
+        Obj::default().put("id", &id).tag("kind", kind)
+    }
 
-fn opt_f64(v: &Json, key: &'static str) -> Result<Option<f64>, DecodeError> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(n) => Ok(Some(
-            n.as_f64().ok_or(DecodeError::Shape("field not a number"))?,
-        )),
+    /// Writes a fixed string, such as a message's or a patch op's kind.
+    fn tag(mut self, key: &str, name: &str) -> Self {
+        self.0.push((key.to_string(), Json::Str(name.to_string())));
+        self
+    }
+
+    fn put(mut self, key: &str, value: &impl Field) -> Self {
+        self.0.push((key.to_string(), value.to_json()));
+        self
+    }
+
+    /// Writes `value` if it is `Some`; `None` leaves the member out.
+    fn opt(self, key: &str, value: &Option<impl Field>) -> Self {
+        match value {
+            Some(value) => self.put(key, value),
+            None => self,
+        }
     }
 }
 
-fn opt_u64(v: &Json, key: &'static str) -> Result<Option<u64>, DecodeError> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(n) => Ok(Some(
-            n.as_u64()
-                .ok_or(DecodeError::Shape("field not a non-negative integer"))?,
-        )),
+impl From<Obj> for Json {
+    fn from(obj: Obj) -> Json {
+        Json::Obj(obj.0)
     }
 }
+
+/// Reads a required member. `null` is a value here, not an absence: it
+/// decodes only where the member's type accepts it.
+fn get<T: Field>(v: &Json, key: &str) -> Result<T, DecodeError> {
+    T::from_json(v.get(key).ok_or(DecodeError::Shape("missing member"))?)
+}
+
+/// Reads an optional member: absent and `null` are both `None`.
+fn opt<T: Field>(v: &Json, key: &str) -> Result<Option<T>, DecodeError> {
+    match v.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(member) => T::from_json(member).map(Some),
+    }
+}
+
+fn name_of<T: Copy + PartialEq>(names: &[(T, &'static str)], x: T) -> &'static str {
+    names
+        .iter()
+        .find(|(t, _)| *t == x)
+        .map_or("", |(_, name)| name)
+}
+
+fn named<T: Copy>(names: &[(T, &str)], v: &Json, unknown: &'static str) -> Result<T, DecodeError> {
+    names
+        .iter()
+        .find(|(_, n)| v.as_str() == Some(*n))
+        .map(|(t, _)| *t)
+        .ok_or(DecodeError::Shape(unknown))
+}
+
+impl Field for String {
+    fn to_json(&self) -> Json {
+        Json::Str(self.clone())
+    }
+
+    fn from_json(v: &Json) -> Result<Self, DecodeError> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or(DecodeError::Shape("expected a string"))
+    }
+}
+
+impl Field for f64 {
+    fn to_json(&self) -> Json {
+        Json::Num(*self)
+    }
+
+    fn from_json(v: &Json) -> Result<Self, DecodeError> {
+        v.as_f64().ok_or(DecodeError::Shape("expected a number"))
+    }
+}
+
+impl Field for bool {
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
+    }
+
+    fn from_json(v: &Json) -> Result<Self, DecodeError> {
+        v.as_bool().ok_or(DecodeError::Shape("expected a boolean"))
+    }
+}
+
+/// Integers travel as JSON numbers, so a `u64` must be below 2^53 (see
+/// [`Json::as_u64`]); the narrower types must also fit.
+impl Field for u64 {
+    fn to_json(&self) -> Json {
+        Json::Num(*self as f64)
+    }
+
+    fn from_json(v: &Json) -> Result<Self, DecodeError> {
+        v.as_u64()
+            .ok_or(DecodeError::Shape("expected an integer in [0, 2^53)"))
+    }
+}
+
+impl Field for u32 {
+    fn to_json(&self) -> Json {
+        Json::Num(f64::from(*self))
+    }
+
+    fn from_json(v: &Json) -> Result<Self, DecodeError> {
+        narrow(v)
+    }
+}
+
+impl Field for u16 {
+    fn to_json(&self) -> Json {
+        Json::Num(f64::from(*self))
+    }
+
+    fn from_json(v: &Json) -> Result<Self, DecodeError> {
+        narrow(v)
+    }
+}
+
+fn narrow<T: TryFrom<u64>>(v: &Json) -> Result<T, DecodeError> {
+    T::try_from(u64::from_json(v)?).map_err(|_| DecodeError::Shape("integer out of range"))
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(T::to_json).collect())
+    }
+
+    fn from_json(v: &Json) -> Result<Self, DecodeError> {
+        v.as_arr()
+            .ok_or(DecodeError::Shape("expected an array"))?
+            .iter()
+            .map(T::from_json)
+            .collect()
+    }
+}
+
+/// `Field` for a plain object whose members are its fields, named and
+/// ordered as listed.
+macro_rules! plain_object {
+    ($ty:ident: $($field:ident),+) => {
+        impl Field for $ty {
+            fn to_json(&self) -> Json {
+                Obj::default()$(.put(stringify!($field), &self.$field))+.into()
+            }
+
+            fn from_json(v: &Json) -> Result<Self, DecodeError> {
+                Ok($ty {
+                    $($field: get(v, stringify!($field))?,)+
+                })
+            }
+        }
+    };
+}
+
+plain_object!(InstanceInfo: name, tuples, null_cells);
+plain_object!(SearchResult: name, score, pairs);
+plain_object!(DiscoveredFdInfo: rel, lhs, rhs, g3_min, g3_max, support);
+plain_object!(DiscoveredKeyInfo: rel, attrs, g3_min, g3_max, covered);
+plain_object!(SpanStat: label, reports, wall_us);
 
 #[cfg(test)]
 mod tests {

@@ -420,11 +420,6 @@ impl ServerHandle {
         &self.shared.catalog
     }
 
-    /// Whether shutdown has been initiated (locally or over the wire).
-    pub fn is_stopping(&self) -> bool {
-        self.shared.stopping()
-    }
-
     /// The server's signature-map cache (hit/miss/invalidation counters
     /// via [`SigMapCache::stats`]).
     pub fn sig_cache(&self) -> &SigMapCache {

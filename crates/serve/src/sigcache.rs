@@ -41,17 +41,20 @@ pub struct SigCacheStats {
     pub misses: u64,
     /// Cached entries dropped because the catalog instance was replaced.
     pub invalidations: u64,
-    /// Entries dropped by removal-driven eviction ([`SigMapCache::evict`]
-    /// and [`SigMapCache::sweep`]) — without it, removed catalog entries
-    /// would stay pinned in the cache forever.
+    /// Entries dropped by [`SigMapCache::sweep`], the removal-driven
+    /// eviction — without it, removed catalog entries would stay pinned
+    /// in the cache forever.
     pub evictions: u64,
 }
+
+/// A cached entry: the instance pin and the maps built from it.
+type Entry = (Arc<Instance>, Arc<InstanceSigMaps>);
 
 /// A name → (instance pin, signature maps) cache shared by the server's
 /// workers. See the [module docs](self) for the invalidation rule.
 #[derive(Debug, Default)]
 pub struct SigMapCache {
-    inner: Mutex<HashMap<String, (Arc<Instance>, Arc<InstanceSigMaps>)>>,
+    inner: Mutex<HashMap<String, Entry>>,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
@@ -93,16 +96,6 @@ impl SigMapCache {
     /// both maps are correct for the same pinned instance.
     pub fn store(&self, name: &str, instance: Arc<Instance>, maps: Arc<InstanceSigMaps>) {
         lock_recover(&self.inner).insert(name.to_string(), (instance, maps));
-    }
-
-    /// Drops the entry for `name`, if any; returns whether one existed.
-    /// Counted as an eviction.
-    pub fn evict(&self, name: &str) -> bool {
-        let existed = lock_recover(&self.inner).remove(name).is_some();
-        if existed {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        existed
     }
 
     /// Drops every entry that `snapshot` no longer backs: the name is gone
@@ -236,10 +229,5 @@ mod tests {
         // The surviving entry still answers for its live pin.
         let snap = sc.snapshot();
         assert!(cache.lookup("keep", snap.get("keep").unwrap()).is_some());
-
-        assert!(cache.evict("keep"));
-        assert!(!cache.evict("keep"));
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().evictions, 3);
     }
 }

@@ -89,14 +89,17 @@ fn pipelined_requests_complete_id_matched_and_order_insensitive() {
             Response::Compared { id, scores } => {
                 assert!(compared.insert(id, scores).is_none(), "duplicate id {id}");
             }
-            Response::Error { id, code, .. } if code == ErrorCode::BadRequest => {
-                assert_eq!(id, 100, "salvageable id must be echoed");
-                bad_request += 1;
-            }
-            Response::Error { id, code, .. } if code == ErrorCode::BadFrame => {
-                assert_eq!(id, 0, "an oversized frame has no salvageable id");
-                bad_frame += 1;
-            }
+            Response::Error { id, code, message } => match code {
+                ErrorCode::BadRequest => {
+                    assert_eq!(id, 100, "salvageable id must be echoed");
+                    bad_request += 1;
+                }
+                ErrorCode::BadFrame => {
+                    assert_eq!(id, 0, "an oversized frame has no salvageable id");
+                    bad_frame += 1;
+                }
+                other => panic!("unexpected error response: {other} {message}"),
+            },
             other => panic!("unexpected response: {other:?}"),
         }
     }

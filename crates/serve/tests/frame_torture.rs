@@ -89,7 +89,7 @@ impl Script {
 impl Read for Script {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         self.reads += 1;
-        if self.block_every != 0 && self.reads % self.block_every == 0 {
+        if self.block_every != 0 && self.reads.is_multiple_of(self.block_every) {
             return Err(io::ErrorKind::WouldBlock.into());
         }
         let take = if self.sizes.is_empty() {

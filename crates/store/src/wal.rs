@@ -247,8 +247,8 @@ pub fn encode_record(seq: u64, domain: &DomainDelta, op: &CatalogOp) -> Vec<u8> 
     out
 }
 
-fn decode_payload(payload: &[u8], catalog_for_put: &Catalog) -> Result<WalRecord, StoreError> {
-    let mut r = Reader::new(payload);
+/// Reads a record payload's `seq`, op tag and domain delta.
+fn read_header(r: &mut Reader<'_>) -> Result<(u64, u8, DomainDelta), StoreError> {
     let seq = r.u64()?;
     let tag = r.u8()?;
     let base_syms = r.u32()?;
@@ -262,11 +262,21 @@ fn decode_payload(payload: &[u8], catalog_for_put: &Catalog) -> Result<WalRecord
         new_strings,
         nulls_after,
     };
+    Ok((seq, tag, domain))
+}
+
+/// Reads the rest of a record payload after its header: the op tagged
+/// `tag`, decoded against `catalog_for_put`.
+fn read_op(
+    r: &mut Reader<'_>,
+    tag: u8,
+    catalog_for_put: &Catalog,
+) -> Result<CatalogOp, StoreError> {
     let name = r.str()?.to_string();
     let op = match tag {
         TAG_PUT => CatalogOp::Put {
             name,
-            instance: decode_instance(&mut r, catalog_for_put)?,
+            instance: decode_instance(r, catalog_for_put)?,
         },
         TAG_PATCH => {
             let nops = r.u32()?;
@@ -276,9 +286,8 @@ fn decode_payload(payload: &[u8], catalog_for_put: &Catalog) -> Result<WalRecord
                     OP_INSERT => {
                         let rel = r.u32()?;
                         let n = r.u32()?;
-                        let values: Vec<Value> = (0..n)
-                            .map(|_| read_value(&mut r))
-                            .collect::<Result<_, _>>()?;
+                        let values: Vec<Value> =
+                            (0..n).map(|_| read_value(r)).collect::<Result<_, _>>()?;
                         DeltaOp::Insert {
                             rel: RelId(
                                 u16::try_from(rel)
@@ -299,7 +308,7 @@ fn decode_payload(payload: &[u8], catalog_for_put: &Catalog) -> Result<WalRecord
                                 u16::try_from(attr)
                                     .map_err(|_| corrupt("attribute id overflows u16"))?,
                             ),
-                            value: read_value(&mut r)?,
+                            value: read_value(r)?,
                         }
                     }
                     other => return Err(corrupt(format!("unknown delta op tag {other}"))),
@@ -317,7 +326,7 @@ fn decode_payload(payload: &[u8], catalog_for_put: &Catalog) -> Result<WalRecord
     if !r.is_empty() {
         return Err(corrupt("trailing bytes after WAL record payload"));
     }
-    Ok(WalRecord { seq, domain, op })
+    Ok(op)
 }
 
 /// Parses a WAL byte stream into records, replaying each record's domain
@@ -355,7 +364,8 @@ pub fn read_records(
         if crc32(payload) != checksum {
             break; // torn or bit-rotted tail: drop it and stop
         }
-        let (seq, domain) = peek_header(payload)?;
+        let mut r = Reader::new(payload);
+        let (seq, tag, domain) = read_header(&mut r)?;
         if last_seq.is_some_and(|last| seq <= last) {
             return Err(corrupt(format!(
                 "WAL sequence went backwards ({seq} after {})",
@@ -371,30 +381,10 @@ pub fn read_records(
         // decode its symbols; applying before the full decode is safe
         // because a decode failure aborts the whole replay.
         domain.apply(catalog)?;
-        records.push(decode_payload(payload, catalog)?);
+        let op = read_op(&mut r, tag, catalog)?;
+        records.push(WalRecord { seq, domain, op });
     }
     Ok((records, pos))
-}
-
-/// Decodes just the seq + domain-delta prefix of a record payload.
-fn peek_header(payload: &[u8]) -> Result<(u64, DomainDelta), StoreError> {
-    let mut r = Reader::new(payload);
-    let seq = r.u64()?;
-    let _tag = r.u8()?;
-    let base_syms = r.u32()?;
-    let n_new = r.u32()?;
-    let new_strings: Vec<String> = (0..n_new)
-        .map(|_| r.str().map(str::to_string))
-        .collect::<Result<_, _>>()?;
-    let nulls_after = r.u32()?;
-    Ok((
-        seq,
-        DomainDelta {
-            base_syms,
-            new_strings,
-            nulls_after,
-        },
-    ))
 }
 
 #[cfg(test)]

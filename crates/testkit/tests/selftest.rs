@@ -35,7 +35,7 @@ fn passing_property_runs_all_cases() {
     let count = std::cell::Cell::new(0u32);
     Runner::new("selftest_pass")
         .cases(40)
-        .run(|g| gen_vec(g), |_| count.set(count.get() + 1));
+        .run(gen_vec, |_| count.set(count.get() + 1));
     assert_eq!(count.get(), 40, "every requested case should execute");
 }
 
@@ -45,13 +45,13 @@ fn failing_property_reports_seed_and_env_reproduces_counterexample() {
     let trace: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
     let run = |t: &Mutex<Vec<Vec<u8>>>| {
         catch_unwind(AssertUnwindSafe(|| {
-            Runner::new("selftest_fail").cases(64).max_size(12).run(
-                |g| gen_vec(g),
-                |v| {
+            Runner::new("selftest_fail")
+                .cases(64)
+                .max_size(12)
+                .run(gen_vec, |v| {
                     t.lock().unwrap().push(v.clone());
                     assert!(v.len() < 3, "vector too long: {}", v.len());
-                },
-            )
+                })
         }))
     };
 
@@ -88,7 +88,7 @@ fn failure_seed_is_deterministic_across_runs() {
         let err = catch_unwind(AssertUnwindSafe(|| {
             Runner::new("selftest_deterministic")
                 .cases(32)
-                .run(|g| gen_vec(g), |v| assert!(v.iter().sum::<u8>() % 7 != 3))
+                .run(gen_vec, |v| assert!(v.iter().sum::<u8>() % 7 != 3))
         }))
         .expect_err("property should fail eventually");
         extract_seed(err.downcast_ref::<String>().unwrap())
@@ -99,13 +99,10 @@ fn failure_seed_is_deterministic_across_runs() {
 #[test]
 fn assume_discards_do_not_fail_the_property() {
     let _guard = env_lock();
-    Runner::new("selftest_assume").cases(32).run(
-        |g| gen_vec(g),
-        |v| {
-            assume(!v.is_empty());
-            assert!(!v.is_empty());
-        },
-    );
+    Runner::new("selftest_assume").cases(32).run(gen_vec, |v| {
+        assume(!v.is_empty());
+        assert!(!v.is_empty());
+    });
 }
 
 #[test]
@@ -114,7 +111,7 @@ fn impossible_assume_panics_with_discard_diagnosis() {
     let err = catch_unwind(AssertUnwindSafe(|| {
         Runner::new("selftest_starved")
             .cases(8)
-            .run(|g| gen_vec(g), |_| assume(false))
+            .run(gen_vec, |_| assume(false))
     }))
     .expect_err("starved runner should panic");
     let msg = err.downcast_ref::<String>().unwrap();
@@ -128,13 +125,13 @@ fn shrinking_respects_generator_size() {
     // vector must shrink to exactly length 1.
     let trace: Mutex<Vec<usize>> = Mutex::new(Vec::new());
     let err = catch_unwind(AssertUnwindSafe(|| {
-        Runner::new("selftest_shrink").cases(64).max_size(16).run(
-            |g| gen_vec(g),
-            |v| {
+        Runner::new("selftest_shrink")
+            .cases(64)
+            .max_size(16)
+            .run(gen_vec, |v| {
                 trace.lock().unwrap().push(v.len());
                 assert!(v.is_empty(), "non-empty");
-            },
-        )
+            })
     }));
     err.expect_err("property should fail");
     assert_eq!(*trace.lock().unwrap().last().unwrap(), 1);

@@ -134,4 +134,13 @@ else
     echo "==> rustfmt not installed; skipping format check"
 fi
 
+# Lints over every workspace target, tests included, with warnings denied.
+# The icbench package is outside the workspace and not linted here.
+if cargo clippy --version >/dev/null 2>&1; then
+    echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
+    cargo clippy --offline --workspace --all-targets -- -D warnings
+else
+    echo "==> clippy not installed; skipping lint check"
+fi
+
 echo "==> ci.sh: all checks passed"

@@ -154,9 +154,9 @@ fn brute_force_general(left: &Instance, right: &Instance, catalog: &Catalog) -> 
 /// are implicitly renamed apart).
 #[test]
 fn self_similarity_is_one() {
-    Runner::new("self_similarity_is_one").cases(64).run(
-        |g| gen_instance(g),
-        |desc| {
+    Runner::new("self_similarity_is_one")
+        .cases(64)
+        .run(gen_instance, |desc| {
             let mut cat = fresh_catalog();
             let inst = build(&mut cat, "I", desc);
             let out = exact_match(&inst, &inst, &cat, &ExactConfig::default());
@@ -166,23 +166,21 @@ fn self_similarity_is_one() {
                 "self similarity {}",
                 out.best.score()
             );
-        },
-    );
+        });
 }
 
 /// Eq. 2: isomorphic instances (nulls renamed) are maximally similar.
 #[test]
 fn isomorphic_instances_score_one() {
-    Runner::new("isomorphic_instances_score_one").cases(64).run(
-        |g| gen_instance(g),
-        |desc| {
+    Runner::new("isomorphic_instances_score_one")
+        .cases(64)
+        .run(gen_instance, |desc| {
             let mut cat = fresh_catalog();
             let left = build(&mut cat, "I", desc);
             let right = build(&mut cat, "J", desc); // same shape, fresh nulls
             let out = exact_match(&left, &right, &cat, &ExactConfig::default());
             assert!((out.best.score() - 1.0).abs() < EPS);
-        },
-    );
+        });
 }
 
 /// Eq. 5: the measure is symmetric.

@@ -54,7 +54,7 @@ fn materialize(case: &Case) -> (Catalog, Vec<Arc<Instance>>) {
         .iter()
         .enumerate()
         .map(|(i, rows)| {
-            let mut inst = Instance::new(&format!("t{i:02}"), &cat);
+            let mut inst = Instance::new(format!("t{i:02}"), &cat);
             for row in rows {
                 let vals = row
                     .iter()
