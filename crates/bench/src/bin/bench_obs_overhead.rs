@@ -4,9 +4,7 @@
 //! The hot paths of `signature_match` are compiled with span/counter calls
 //! that collapse to a thread-local boolean load when no sink is installed.
 //! This binary measures that residual cost on the `bench_signature`
-//! workload (a `modCell` Doctors pair) and **asserts it stays under 2%**
-//! (override with the `OBS_OVERHEAD_MAX_PCT` env var, e.g. on noisy
-//! single-core CI runners).
+//! workload (a `modCell` Doctors pair) and **asserts it stays under 2%**.
 //!
 //! Methodology: the uninstrumented and instrumented arms are timed
 //! *interleaved* (A B A B …) and compared on their **minimum** sample —
@@ -33,8 +31,8 @@ const SAMPLES: u32 = 9;
 const WARMUP: u32 = 2;
 /// Attempts before a threshold exceedance is considered reproducible.
 const MAX_ATTEMPTS: u32 = 3;
-/// Default ceiling on the no-sink overhead, percent.
-const DEFAULT_MAX_PCT: f64 = 2.0;
+/// Ceiling on the no-sink overhead, percent.
+const MAX_PCT: f64 = 2.0;
 
 fn time_once(f: &mut impl FnMut()) -> Duration {
     let start = Instant::now();
@@ -58,11 +56,6 @@ fn min_interleaved(base: &mut impl FnMut(), instr: &mut impl FnMut()) -> (Durati
 }
 
 fn main() {
-    let max_pct: f64 = std::env::var("OBS_OVERHEAD_MAX_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_MAX_PCT);
-
     let sc = mod_cell(Dataset::Doctors, 800, 0.05, 42);
     let cfg = SignatureConfig::default();
 
@@ -84,7 +77,7 @@ fn main() {
 
     let mut suite = Suite::new("BENCH_obs_overhead");
     suite.set_meta("workload", "signature/doctors/800/modcell5%");
-    suite.set_meta("max_pct", &format!("{max_pct}"));
+    suite.set_meta("max_pct", &format!("{MAX_PCT}"));
 
     let mut last = (Duration::ZERO, Duration::ZERO, f64::INFINITY);
     for attempt in 1..=MAX_ATTEMPTS {
@@ -96,7 +89,7 @@ fn main() {
              overhead {pct:.2}%"
         );
         last = (base_min, instr_min, pct);
-        if pct <= max_pct {
+        if pct <= MAX_PCT {
             break;
         }
     }
@@ -120,10 +113,9 @@ fn main() {
     suite.finish();
 
     assert!(
-        pct <= max_pct,
-        "no-op observability overhead {pct:.2}% exceeds {max_pct}% \
-         (reproduced over {MAX_ATTEMPTS} interleaved attempts; \
-         set OBS_OVERHEAD_MAX_PCT to relax on noisy runners)"
+        pct <= MAX_PCT,
+        "no-op observability overhead {pct:.2}% exceeds {MAX_PCT}% \
+         (reproduced over {MAX_ATTEMPTS} interleaved attempts)"
     );
-    println!("overhead {pct:.2}% <= {max_pct}%: ok");
+    println!("overhead {pct:.2}% <= {MAX_PCT}%: ok");
 }

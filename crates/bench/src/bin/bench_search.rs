@@ -12,7 +12,7 @@
 //! Run: `cargo run -p ic-bench --release --bin bench_search`
 
 use ic_bench::harness::Suite;
-use ic_core::Comparator;
+use ic_core::{Comparator, InstanceSigMaps, SignatureConfig};
 use ic_datagen::{generate_lake, LakeParams};
 use ic_index::CatalogIndex;
 use ic_model::Instance;
@@ -42,8 +42,12 @@ fn main() {
 
     let index = CatalogIndex::default();
     let t = Instant::now();
-    for p in &pins {
-        index.insert(p.name(), p);
+    let maps: Vec<Arc<InstanceSigMaps>> = pins
+        .iter()
+        .map(|p| Arc::new(InstanceSigMaps::build(p, &SignatureConfig::default())))
+        .collect();
+    for (p, m) in pins.iter().zip(&maps) {
+        index.insert(p.name(), p, Arc::clone(m));
     }
     suite.set_meta(
         "build_ms",
@@ -54,7 +58,7 @@ fn main() {
 
     // Acceptance: probe queries spread across the lake. The brute-force
     // baseline scores *every* entry with the same comparator (seeded with
-    // the index's cached maps, which the seeding contract keeps
+    // the maps the index was given, which the seeding contract keeps
     // bit-identical to from-scratch runs).
     let mut compared_total = 0usize;
     for p in 0..PROBES {
@@ -66,10 +70,10 @@ fn main() {
 
         let mut brute: Vec<(&str, f64)> = pins
             .iter()
-            .map(|pin| {
-                let maps = index.entry_maps(pin.name(), pin).expect("entry is indexed");
+            .zip(&maps)
+            .map(|(pin, maps)| {
                 let o = cmp
-                    .signature_with_maps(query, pin, Some(&query_maps), Some(&maps))
+                    .signature_with_maps(query, pin, Some(&query_maps), Some(maps))
                     .unwrap();
                 (pin.name(), o.best.score())
             })

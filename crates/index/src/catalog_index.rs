@@ -73,18 +73,17 @@ struct Summary {
 }
 
 impl Summary {
-    fn new(maps: InstanceSigMaps, sketch: Sketch) -> Self {
+    fn new(maps: Arc<InstanceSigMaps>, sketch: Sketch) -> Self {
         Self {
             sig_hashes: signature_hashes(&maps),
-            maps: Arc::new(maps),
+            maps,
             sketch,
         }
     }
 }
 
 /// One indexed instance: the name, the pinned `Arc<Instance>` whose
-/// pointer identity keys invalidation (the same discipline as ic-serve's
-/// `SigMapCache`), and its summary.
+/// pointer identity keys invalidation, and its summary.
 #[derive(Debug)]
 struct Entry {
     name: String,
@@ -276,19 +275,20 @@ impl Survivors {
 /// A catalog-level similarity index.
 ///
 /// Entries live in one slot arena behind one `RwLock`: inserts and
-/// removals take it exclusively for a swap (entry maps are built outside
-/// it), and a search's prefilter takes it shared. Invalidation is by
-/// pointer identity: an entry is valid for a name exactly while the
-/// catalog still maps that name to the same `Arc<Instance>` (the
-/// `SigMapCache` pin discipline): [`Self::insert`] with the same `Arc` is
-/// a no-op, with another `Arc` a rebuild of the whole entry, and a caller
-/// that follows a changing catalog calls it (or [`Self::remove`]) only for
-/// the names whose pin changed. These two are the only ways to change the
-/// index.
+/// removals take it exclusively for a swap (an entry's sketch and posting
+/// hashes are built outside it), and a search's prefilter takes it shared.
+/// Invalidation is by pointer identity: an entry is valid for a name
+/// exactly while the catalog still maps that name to the same
+/// `Arc<Instance>`: [`Self::insert`] with the same `Arc` is a no-op, with
+/// another `Arc` a rebuild of the whole entry, and a caller that follows a
+/// changing catalog calls it (or [`Self::remove`]) only for the names whose
+/// pin changed. These two are the only ways to change the index.
 ///
-/// Entry maps are built under [`SignatureConfig::default`], so a search
-/// needs a comparator of the same map shape (complete matches, the default
-/// signature cap); its mode and scoring may differ.
+/// The index builds no entry maps: the caller passes each entry's maps to
+/// [`Self::insert`], so it can share one build with its own compares.
+/// They must be built under [`SignatureConfig::default`], so a search
+/// needs a comparator of the same map shape (complete matches, the
+/// default signature cap); its mode and scoring may differ.
 ///
 /// A search is two stages. [`Self::prefilter`] scores every entry under
 /// one read lock and clones pins and maps for the survivors only;
@@ -319,21 +319,19 @@ impl CatalogIndex {
         self.arena.write().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Builds the entry for `(name, pin)` — outside the lock, since map
-    /// construction is the expensive part.
-    fn build_entry(name: &str, pin: &Arc<Instance>) -> Entry {
-        let maps = InstanceSigMaps::build(pin, &SignatureConfig::default());
-        Entry {
-            name: name.to_string(),
-            pin: Arc::clone(pin),
-            summary: Summary::new(maps, Sketch::build(pin)),
-        }
-    }
-
-    /// Indexes `name` → `pin`, replacing any previous entry whose pin
+    /// Indexes `name` → `pin` with `maps`, the pin's signature maps under
+    /// [`SignatureConfig::default`], replacing any previous entry whose pin
     /// differs. Returns `true` if the index changed (no-op when the same
     /// `Arc` is already indexed).
-    pub fn insert(&self, name: &str, pin: &Arc<Instance>) -> bool {
+    ///
+    /// # Panics
+    /// Panics if `maps` were built under another map shape (`partial`,
+    /// `max_signatures_per_tuple`) than the default.
+    pub fn insert(&self, name: &str, pin: &Arc<Instance>, maps: Arc<InstanceSigMaps>) -> bool {
+        assert!(
+            maps.compatible_with(&SignatureConfig::default()),
+            "CatalogIndex::insert: maps of another map shape than the default"
+        );
         if self
             .read()
             .get(name)
@@ -342,7 +340,11 @@ impl CatalogIndex {
             self.unchanged.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        let entry = Self::build_entry(name, pin);
+        let entry = Entry {
+            name: name.to_string(),
+            pin: Arc::clone(pin),
+            summary: Summary::new(maps, Sketch::build(pin)),
+        };
         let mut arena = self.write();
         if let Some(&slot) = arena.by_name.get(name) {
             // Re-check under the lock: a racing insert may have landed.
@@ -391,15 +393,6 @@ impl CatalogIndex {
         }
     }
 
-    /// The prebuilt signature maps of `name`, if indexed **and** still
-    /// pinned to `pin` (pointer identity). Lets callers reuse the index's
-    /// maps for their own seeded comparisons.
-    pub fn entry_maps(&self, name: &str, pin: &Arc<Instance>) -> Option<Arc<InstanceSigMaps>> {
-        let arena = self.read();
-        let entry = arena.get(name)?;
-        Arc::ptr_eq(&entry.pin, pin).then(|| Arc::clone(&entry.summary.maps))
-    }
-
     /// Top-k most similar indexed instances to `query`: exactly
     /// [`Self::prefilter`] followed by [`Survivors::compare`].
     ///
@@ -409,7 +402,7 @@ impl CatalogIndex {
     /// or a sketch estimate ≥ 0.5, padded to at least `max(4·k, 32)` by
     /// prefilter rank `(overlap desc, sketch desc, name asc)`; (3) the
     /// full signature comparison on survivors only, seeded with the
-    /// index's prebuilt maps.
+    /// entries' maps.
     ///
     /// `deadline`, if any, is checked **between** survivor comparisons;
     /// each comparison runs unbudgeted, so every returned score is exact,
@@ -422,8 +415,8 @@ impl CatalogIndex {
     ///
     /// # Panics
     /// Panics if `cmp`'s map-shaping config (`partial`,
-    /// `max_signatures_per_tuple`) differs from the default the index
-    /// builds its maps under (the [`ic_core::signature_match_seeded`]
+    /// `max_signatures_per_tuple`) differs from the default the entries'
+    /// maps are built under (the [`ic_core::signature_match_seeded`]
     /// seeding contract).
     pub fn topk(
         &self,
@@ -475,7 +468,7 @@ impl CatalogIndex {
         let probe = match arena.pinned(query) {
             Some(entry) => &entry.summary,
             None => {
-                built = Summary::new(cmp.build_maps(query)?, Sketch::build(query));
+                built = Summary::new(Arc::new(cmp.build_maps(query)?), Sketch::build(query));
                 &built
             }
         };
@@ -545,6 +538,11 @@ mod tests {
     use ic_model::{Catalog, Schema};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+
+    /// `pin`'s maps under the default config, as `insert` takes them.
+    fn maps(pin: &Instance) -> Arc<InstanceSigMaps> {
+        Arc::new(InstanceSigMaps::build(pin, &SignatureConfig::default()))
+    }
 
     /// Stages 1–3 as the index ran them before ranking in place: clone
     /// every entry, fully sort all of them by `(overlap desc, sketch desc,
@@ -704,7 +702,7 @@ mod tests {
         let index = CatalogIndex::default();
         // Reverse insertion, so slot order is not name order.
         for pin in pins.iter().rev() {
-            index.insert(pin.name(), pin);
+            index.insert(pin.name(), pin, maps(pin));
         }
         let cmp = Comparator::new(&lake.catalog).build().unwrap();
         let partial: usize = queries(&pins)
@@ -739,11 +737,11 @@ mod tests {
         // Reverse insertion, so ties in content are not in slot order.
         let index = CatalogIndex::default();
         for pin in pins.iter().rev() {
-            index.insert(pin.name(), pin);
+            index.insert(pin.name(), pin, maps(pin));
         }
         // Free a slot and refill it, so a reused slot serves a new name.
         assert!(index.remove(pins[3].name()));
-        assert!(index.insert(pins[3].name(), &pins[3]));
+        assert!(index.insert(pins[3].name(), &pins[3], maps(&pins[3])));
         let cmp = Comparator::new(&cat).build().unwrap();
         let partial: usize = queries(&pins)
             .iter()
@@ -830,7 +828,7 @@ mod tests {
                 match live[i] {
                     None => {
                         let v = rng.random_range(0..3usize);
-                        assert!(index.insert(name, &pool[i][v]));
+                        assert!(index.insert(name, &pool[i][v], maps(&pool[i][v])));
                         live[i] = Some(v);
                         want.inserts += 1;
                     }
@@ -841,12 +839,12 @@ mod tests {
                             want.removals += 1;
                         }
                         1 | 2 => {
-                            assert!(!index.insert(name, &pool[i][v]));
+                            assert!(!index.insert(name, &pool[i][v], maps(&pool[i][v])));
                             want.unchanged += 1;
                         }
                         _ => {
                             let w = (v + rng.random_range(1..3usize)) % 3;
-                            assert!(index.insert(name, &pool[i][w]));
+                            assert!(index.insert(name, &pool[i][w], maps(&pool[i][w])));
                             live[i] = Some(w);
                             want.replacements += 1;
                         }
@@ -864,7 +862,7 @@ mod tests {
                 .collect();
             let fresh = CatalogIndex::default();
             for pin in &live {
-                fresh.insert(pin.name(), pin);
+                fresh.insert(pin.name(), pin, maps(pin));
             }
             for query in &live {
                 for k in [1, 10] {
@@ -892,7 +890,7 @@ mod tests {
         let pins: Vec<Arc<Instance>> = lake.instances.iter().cloned().map(Arc::new).collect();
         let index = CatalogIndex::default();
         for pin in &pins {
-            index.insert(pin.name(), pin);
+            index.insert(pin.name(), pin, maps(pin));
         }
         let cmp = Comparator::new(&lake.catalog).build().unwrap();
         let sink = Arc::new(ic_obs::MemorySink::new());
@@ -922,13 +920,27 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "map shape")]
+    fn insert_rejects_maps_of_another_map_shape() {
+        let mut cat = Catalog::new(Schema::single("R", &["a"]));
+        let mut inst = Instance::new("x", &cat);
+        inst.insert(RelId(0), vec![cat.konst("v")]);
+        let partial = SignatureConfig {
+            partial: true,
+            ..SignatureConfig::default()
+        };
+        let maps = Arc::new(InstanceSigMaps::build(&inst, &partial));
+        CatalogIndex::default().insert("x", &Arc::new(inst), maps);
+    }
+
+    #[test]
     fn a_poisoned_arena_stays_usable() {
         let mut cat = Catalog::new(Schema::single("R", &["a"]));
         let mut inst = Instance::new("x", &cat);
         inst.insert(RelId(0), vec![cat.konst("v")]);
         let pin = Arc::new(inst);
         let index = CatalogIndex::default();
-        assert!(index.insert("x", &pin));
+        assert!(index.insert("x", &pin, maps(&pin)));
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _guard = index.arena.write().unwrap();
             panic!("poison the lock");
@@ -936,7 +948,7 @@ mod tests {
         assert!(index.arena.is_poisoned());
         assert_eq!(index.len(), 1);
         assert!(index.remove("x"));
-        assert!(index.insert("x", &pin));
-        assert!(index.entry_maps("x", &pin).is_some());
+        assert!(index.insert("x", &pin, maps(&pin)));
+        assert!(!index.insert("x", &pin, maps(&pin)), "the entry is indexed");
     }
 }

@@ -12,16 +12,18 @@
 //! 2. **Signature inverted index** ([`CatalogIndex`]): the per-tuple
 //!    `(relation, mask, key)` signature buckets that
 //!    [`ic_core::InstanceSigMaps`] already computes, hashed into posting
-//!    lists of one slot arena behind one `RwLock`. Entry maps are built
-//!    outside the lock, so index build/lookup stays concurrent with
-//!    catalog load/replace. Entries are pinned by `Arc<Instance>` pointer
-//!    identity — the same invalidation discipline as ic-serve's
-//!    `SigMapCache` — and [`CatalogIndex::insert`] rebuilds an entry
-//!    whole when its pin changes; there is no other way to update one.
+//!    lists of one slot arena behind one `RwLock`. The caller passes each
+//!    entry's maps in (ic-serve passes the maps its catalog pin carries,
+//!    so compares and searches share one build), and the entry's sketch
+//!    and posting hashes are built outside the lock, so index
+//!    build/lookup stays concurrent with catalog load/replace. Entries are
+//!    pinned by `Arc<Instance>` pointer identity, and
+//!    [`CatalogIndex::insert`] rebuilds an entry whole when its pin
+//!    changes; there is no other way to update one.
 //!
 //! [`CatalogIndex::topk`] prefilters by signature overlap + sketch
 //! estimate, then runs the full comparison **only on survivors**, seeded
-//! with the index's prebuilt maps. The survivors are every entry with
+//! with the entries' maps. The survivors are every entry with
 //! overlap or a sketch estimate ≥ 0.5, padded by rank to at least
 //! `max(4·k, 32)`; those three numbers are fixed. The only per-search
 //! input besides the query, `k` and the comparator is an optional
@@ -44,7 +46,7 @@ pub use sketch::{Sketch, SKETCH_SLOTS};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ic_core::Comparator;
+    use ic_core::{Comparator, InstanceSigMaps, SignatureConfig};
     use ic_model::{Catalog, Instance, RelId, Schema, Value};
     use std::sync::Arc;
 
@@ -83,10 +85,15 @@ mod tests {
         out
     }
 
+    /// `pin`'s maps under the default config, as `insert` takes them.
+    fn maps(pin: &Instance) -> Arc<InstanceSigMaps> {
+        Arc::new(InstanceSigMaps::build(pin, &SignatureConfig::default()))
+    }
+
     fn indexed(entries: &[(String, Arc<Instance>)]) -> CatalogIndex {
         let index = CatalogIndex::default();
         for (name, pin) in entries {
-            index.insert(name, pin);
+            index.insert(name, pin, maps(pin));
         }
         index
     }
@@ -146,14 +153,14 @@ mod tests {
         let x1 = mk(&cat, "x", a);
         let y = mk(&cat, "y", a);
         let index = CatalogIndex::default();
-        assert!(index.insert("x", &x1));
-        assert!(index.insert("y", &y));
+        assert!(index.insert("x", &x1, maps(&x1)));
+        assert!(index.insert("y", &y, maps(&y)));
         // Unchanged pins are no-ops.
-        assert!(!index.insert("x", &x1));
-        assert!(!index.insert("y", &y));
+        assert!(!index.insert("x", &x1, maps(&x1)));
+        assert!(!index.insert("y", &y, maps(&y)));
         // Same content, new Arc → replacement.
         let x2 = mk(&cat, "x", a);
-        assert!(index.insert("x", &x2));
+        assert!(index.insert("x", &x2, maps(&x2)));
         let stats = index.stats();
         assert_eq!(
             (stats.inserts, stats.unchanged, stats.replacements),
@@ -164,8 +171,6 @@ mod tests {
         assert!(!index.remove("x"));
         assert_eq!(index.stats().removals, 1);
         assert_eq!(index.len(), 1);
-        assert!(index.entry_maps("y", &y).is_some());
-        assert!(index.entry_maps("y", &x2).is_none(), "wrong pin must miss");
-        assert!(index.entry_maps("x", &x2).is_none());
+        assert!(!index.insert("y", &y, maps(&y)), "y stays under its pin");
     }
 }

@@ -25,13 +25,19 @@
 //! op interns a constant the catalog has not seen (one table copy, see
 //! [`ic_model::Interner`]), and the instances are a name-sorted list of
 //! `(name, pin)` pairs whose copy bumps two reference counts per entry.
-//! Every instance the op does not touch keeps its `Arc`, so consumers
-//! keyed by pointer identity (the sigmap cache, the search index) see
-//! exactly which names changed. Reads stay lock-free after the one
-//! `Mutex`-guarded `Arc` clone.
+//! Every instance the op does not touch keeps its pin, so a consumer keyed
+//! by pointer identity (the search index) sees exactly which names
+//! changed. Reads stay lock-free after the one `Mutex`-guarded `Arc`
+//! clone.
+//!
+//! A pin also carries a once-filled slot for its instance's signature
+//! maps, the one place serve keeps them: the first reader that needs them
+//! builds them, every snapshot sharing the pin shares them, and they are
+//! dropped with the pin. A `Patch` of a pin whose maps were built repairs
+//! them into the new pin, so the next reader finds them current.
 
 use crate::lockutil::lock_recover;
-use ic_core::{Delta, DeltaError, DeltaOp};
+use ic_core::{Delta, DeltaError, DeltaOp, InstanceSigMaps, SignatureConfig};
 use ic_model::csv::{read_csv_into, CsvError, CsvOptions};
 use ic_model::{Catalog, Instance, Schema, TupleId, Value};
 use ic_store::{
@@ -41,17 +47,75 @@ use ic_store::{
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A snapshot-change observer registered with
 /// [`ServeCatalog::subscribe`]. Called with the snapshot that was just
 /// published, after the swap, outside any catalog lock.
 pub type SnapshotObserver = Box<dyn Fn(&Snapshot) + Send + Sync>;
 
+/// One catalog entry: an instance and a once-filled slot for its
+/// signature maps under [`SignatureConfig::default`], the map shape
+/// serve's comparators and search index both use. A mutation that changes
+/// the instance makes a new pin, so the maps in a slot always describe
+/// the instance beside them.
+#[derive(Debug)]
+pub(crate) struct Pin {
+    instance: Arc<Instance>,
+    maps: OnceLock<Arc<InstanceSigMaps>>,
+}
+
+impl Pin {
+    fn new(instance: Arc<Instance>) -> Self {
+        Self {
+            instance,
+            maps: OnceLock::new(),
+        }
+    }
+
+    /// The pin for `new`, which is this pin's instance with `delta`
+    /// applied. If this pin's maps were built, the new pin starts with
+    /// them repaired forward, equal to a build over `new`; otherwise its
+    /// slot starts empty.
+    fn patched(&self, new: Instance, delta: &Delta) -> Self {
+        let instance = Arc::new(new);
+        let maps = match self.maps.get() {
+            Some(old) => {
+                let mut maps = InstanceSigMaps::clone(old);
+                maps.repair(&self.instance, &instance, delta);
+                OnceLock::from(Arc::new(maps))
+            }
+            None => OnceLock::new(),
+        };
+        Self { instance, maps }
+    }
+
+    pub(crate) fn instance(&self) -> &Arc<Instance> {
+        &self.instance
+    }
+
+    /// The instance's signature maps, if a reader built them or a patch
+    /// repaired them into this pin.
+    pub(crate) fn maps(&self) -> Option<&Arc<InstanceSigMaps>> {
+        self.maps.get()
+    }
+
+    /// The instance's signature maps, built into the slot on first use.
+    /// Concurrent first uses build once; the others wait for that build.
+    pub(crate) fn maps_or_build(&self) -> &Arc<InstanceSigMaps> {
+        self.maps.get_or_init(|| {
+            Arc::new(InstanceSigMaps::build(
+                &self.instance,
+                &SignatureConfig::default(),
+            ))
+        })
+    }
+}
+
 /// A snapshot's instances: `(name, pin)` pairs sorted by name, without
 /// duplicates. Snapshots share the list until a mutation changes it, and
 /// a changed list still shares every name and pin it did not touch.
-pub(crate) type PinList = Arc<Vec<(Arc<str>, Arc<Instance>)>>;
+pub(crate) type PinList = Arc<Vec<(Arc<str>, Arc<Pin>)>>;
 
 /// An immutable view of the catalog at one version. Everything a request
 /// needs — value domains and instances — is reachable from here and
@@ -80,6 +144,11 @@ impl Snapshot {
 
     /// Looks up an instance by name.
     pub fn get(&self, name: &str) -> Option<&Arc<Instance>> {
+        self.pin(name).map(Pin::instance)
+    }
+
+    /// The pin registered under `name`: its instance and its maps slot.
+    pub(crate) fn pin(&self, name: &str) -> Option<&Pin> {
         let i = self.position(name).ok()?;
         Some(&self.instances[i].1)
     }
@@ -99,10 +168,9 @@ impl Snapshot {
         self.instances.is_empty()
     }
 
-    /// Iterates `(name, instance)` pairs in name order — the shape
-    /// consumed by cache sweeps and index synchronisation.
+    /// Iterates `(name, instance)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Arc<Instance>)> {
-        self.instances.iter().map(|(n, i)| (&**n, i))
+        self.instances.iter().map(|(n, p)| (&**n, &p.instance))
     }
 
     /// The name-sorted pin list itself. Keep it (not the snapshot) to
@@ -114,16 +182,16 @@ impl Snapshot {
 
     /// Registers `pin` under `name`, replacing any previous pin; returns
     /// whether the name existed. A replaced entry keeps its name `Arc`.
-    fn put(&mut self, name: &str, pin: Arc<Instance>) -> bool {
+    fn put(&mut self, name: &str, pin: Pin) -> bool {
         let at = self.position(name);
         let list = Arc::make_mut(&mut self.instances);
         match at {
             Ok(i) => {
-                list[i].1 = pin;
+                list[i].1 = Arc::new(pin);
                 true
             }
             Err(i) => {
-                list.insert(i, (Arc::from(name), pin));
+                list.insert(i, (Arc::from(name), Arc::new(pin)));
                 false
             }
         }
@@ -141,14 +209,10 @@ impl Snapshot {
 
 /// Walks two name-sorted pin lists in one merge pass and reports every
 /// name whose pin differs: `Some(pin)` for a name `new` adds or maps to
-/// another `Arc` than `old` does, `None` for a name only `old` holds.
-/// A name with the same `Arc` in both costs a pointer comparison, and two
+/// another pin than `old` does, `None` for a name only `old` holds.
+/// A name with the same pin in both costs a pointer comparison, and two
 /// lists that are one `Arc` cost nothing.
-pub(crate) fn diff_pins(
-    old: &PinList,
-    new: &PinList,
-    mut changed: impl FnMut(&str, Option<&Arc<Instance>>),
-) {
+pub(crate) fn diff_pins(old: &PinList, new: &PinList, mut changed: impl FnMut(&str, Option<&Pin>)) {
     use std::cmp::Ordering::{Equal, Greater, Less};
     if Arc::ptr_eq(old, new) {
         return;
@@ -383,7 +447,7 @@ impl ServeCatalog {
 
         let mut snap = Snapshot::empty(version, catalog);
         for (name, inst) in stored {
-            snap.put(&name, Arc::new(inst));
+            snap.put(&name, Pin::new(Arc::new(inst)));
         }
         // Replay runs each op through the checks a live op passes. Values
         // are checked against the domains the whole WAL grew to, so the
@@ -490,7 +554,9 @@ impl ServeCatalog {
     }
 
     /// Validates `op` against `next` and mutates its instance map. Live
-    /// mutations and WAL replay both come through here.
+    /// mutations and WAL replay both come through here. A `Patch` is the
+    /// one step that holds the old pin, the delta and the new instance
+    /// together, so it brings built maps forward ([`Pin::patched`]).
     fn apply_op(next: &mut Snapshot, op: &CatalogOp) -> Result<ApplyOutcome, CatalogError> {
         let mut outcome = ApplyOutcome {
             version: next.version,
@@ -526,8 +592,8 @@ impl ServeCatalog {
                 }
                 let mut inst = instance.clone();
                 inst.set_name(name);
-                let pin = Arc::new(inst);
-                outcome.instance = Some(Arc::clone(&pin));
+                let pin = Pin::new(Arc::new(inst));
+                outcome.instance = Some(Arc::clone(&pin.instance));
                 outcome.existed = next.put(name, pin);
             }
             CatalogOp::Patch { name, delta } => {
@@ -538,18 +604,18 @@ impl ServeCatalog {
                 }) {
                     return Err(foreign_value());
                 }
-                let pin = next
-                    .get(name)
+                let old = next
+                    .pin(name)
                     .ok_or_else(|| CatalogError::UnknownInstance { name: name.clone() })?;
-                let mut inst = Instance::clone(pin);
+                let mut inst = Instance::clone(&old.instance);
                 outcome.inserted = delta
                     .apply(&mut inst)
                     .map_err(|error| CatalogError::Delta {
                         name: name.clone(),
                         error,
                     })?;
-                let pin = Arc::new(inst);
-                outcome.instance = Some(Arc::clone(&pin));
+                let pin = old.patched(inst, delta);
+                outcome.instance = Some(Arc::clone(&pin.instance));
                 outcome.existed = next.put(name, pin);
             }
             CatalogOp::Remove { name } => {
@@ -1012,7 +1078,7 @@ mod tests {
         let mut seen = Vec::new();
         diff_pins(before.pins(), after.pins(), |name, pin| {
             if let Some(pin) = pin {
-                assert!(Arc::ptr_eq(pin, after.get(name).unwrap()));
+                assert!(Arc::ptr_eq(pin.instance(), after.get(name).unwrap()));
             }
             seen.push((name.to_string(), pin.is_some()));
         });
@@ -1021,6 +1087,121 @@ mod tests {
         diff_pins(after.pins(), after.pins(), |name, _| {
             panic!("{name} reported against itself")
         });
+    }
+
+    /// Step `step` of a three-patch chain over a two-tuple instance
+    /// (tuple ids 0 and 1): inserts, deletes, and modifies that turn a
+    /// null into a constant and a constant into a null.
+    fn patch_ops(cat: &mut Catalog, step: usize) -> Vec<DeltaOp> {
+        let (rel, attr) = (RelId(0), ic_model::AttrId);
+        match step {
+            0 => vec![
+                DeltaOp::Insert {
+                    rel,
+                    values: vec![cat.konst("p"), cat.fresh_null()],
+                },
+                DeltaOp::Modify {
+                    id: TupleId(0),
+                    attr: attr(1),
+                    value: cat.konst("q"),
+                },
+                DeltaOp::Delete { id: TupleId(1) },
+            ],
+            1 => vec![
+                DeltaOp::Modify {
+                    id: TupleId(0),
+                    attr: attr(0),
+                    value: cat.fresh_null(),
+                },
+                DeltaOp::Insert {
+                    rel,
+                    values: vec![cat.konst("a"), cat.konst("q")],
+                },
+                DeltaOp::Delete { id: TupleId(2) },
+            ],
+            _ => vec![
+                DeltaOp::Modify {
+                    id: TupleId(3),
+                    attr: attr(1),
+                    value: cat.konst("b"),
+                },
+                DeltaOp::Insert {
+                    rel,
+                    values: vec![cat.fresh_null(), cat.fresh_null()],
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn patch_repairs_built_maps_into_the_new_pin() {
+        let sc = catalog_with(&["built", "cold"]);
+        sc.snapshot().pin("built").unwrap().maps_or_build();
+        for step in 0..3 {
+            for name in ["built", "cold"] {
+                sc.patch(name, |cat| Ok(Delta::new(patch_ops(cat, step))))
+                    .unwrap();
+            }
+            let snap = sc.snapshot();
+            let pin = snap.pin("built").unwrap();
+            let fresh = InstanceSigMaps::build(pin.instance(), &SignatureConfig::default());
+            assert_eq!(**pin.maps().expect("repaired"), fresh, "step {step}");
+            assert!(snap.pin("cold").unwrap().maps().is_none(), "step {step}");
+        }
+    }
+
+    #[test]
+    fn replay_builds_no_maps() {
+        let store = Arc::new(Mutex::new(MemStorage::new()));
+        let sc = reopen(&store).unwrap();
+        for name in ["a", "b"] {
+            sc.register_with(name, |cat| Ok(two_tuple_instance(cat, name, "x", "y")))
+                .unwrap();
+        }
+        sc.snapshot().pin("a").unwrap().maps_or_build();
+        for step in 0..3 {
+            sc.patch("a", |cat| Ok(Delta::new(patch_ops(cat, step))))
+                .unwrap();
+        }
+        assert!(sc.snapshot().pin("a").unwrap().maps().is_some());
+        drop(sc);
+
+        let sink = Arc::new(ic_obs::MemorySink::new());
+        let reopened = {
+            let _obs = ic_obs::observe("open", Arc::clone(&sink) as Arc<dyn ic_obs::Sink>);
+            reopen(&store).unwrap().snapshot()
+        };
+        let report = sink.last().expect("one report");
+        assert!(report.find_span(&["signature.sigmap_build"]).is_none());
+        assert_eq!(reopened.len(), 2);
+        for (name, _) in reopened.iter() {
+            assert!(reopened.pin(name).unwrap().maps().is_none(), "{name}");
+        }
+    }
+
+    #[test]
+    fn maps_are_freed_with_the_last_snapshot_holding_their_pin() {
+        let names = ["kept", "put", "patched", "removed"];
+        let sc = catalog_with(&names);
+        let old = sc.snapshot();
+        let [kept, put, patched, removed] =
+            names.map(|name| Arc::downgrade(old.pin(name).unwrap().maps_or_build()));
+        sc.register_with("put", |cat| Ok(two_tuple_instance(cat, "put", "x", "y")))
+            .unwrap();
+        set_first_cell(&sc, "patched", "z");
+        assert!(sc.remove("removed").unwrap());
+
+        let new = sc.snapshot();
+        let shared = new.pin("kept").unwrap().maps().unwrap();
+        assert!(Arc::ptr_eq(&kept.upgrade().unwrap(), shared));
+        let gone = [put, patched, removed];
+        assert!(
+            gone.iter().all(|w| w.upgrade().is_some()),
+            "old still holds them"
+        );
+        drop(old);
+        assert!(gone.iter().all(|w| w.upgrade().is_none()));
+        assert!(kept.upgrade().is_some());
     }
 
     /// A shared in-memory backend whose `append_wal` fails cleanly (writes

@@ -16,9 +16,9 @@
 //!   recovered (snapshot + WAL replay) on reopen.
 //! * [`proto`] + [`frame`] + [`json`] — a length-prefixed JSON-lines wire
 //!   format (hand-rolled encoder/decoder, no serde) with request kinds
-//!   `load`, `list`, `compare`, `search`, `patch`, `stats`, `shutdown`,
-//!   request ids echoed in responses, and typed error payloads mapped from
-//!   [`ic_core::Error`].
+//!   `load`, `list`, `compare`, `search`, `discover`, `patch`, `stats`,
+//!   `shutdown`, request ids echoed in responses, and typed error
+//!   payloads mapped from [`ic_core::Error`].
 //! * [`server`] (Linux-only) — the serving runtime: a bounded request
 //!   queue feeding dedicated worker threads, admission control (queue-full
 //!   returns `overloaded` instead of blocking), per-request deadlines,
@@ -27,17 +27,15 @@
 //!   readiness-based epoll event loop: bounded threads and memory at tens
 //!   of thousands of connections, pipelined requests with out-of-order
 //!   completion.
-//! * [`sigcache`] — a signature-map cache keyed by instance pointer
-//!   identity: hot catalog instances pay the sigmap build once, a `load`
-//!   that replaces an instance invalidates its entry automatically
-//!   (copy-on-write snapshots make staleness a pointer comparison), and a
-//!   catalog-subscription sweep evicts entries for removed instances so
-//!   nothing stays pinned forever.
 //!
-//! `search` requests run through an [`ic_index::CatalogIndex`] kept in
-//! sync with the catalog: sketch + signature-overlap prefiltering chooses
-//! which entries get a full comparison, and every returned score is
-//! bit-identical to an unbudgeted `compare` of the same pair.
+//! Each catalog pin carries its instance's signature maps, built once by
+//! the first compare or search that needs them and shared by both, and
+//! repaired by the `patch` that replaces the pin; a replaced or removed
+//! pin's maps are dropped with it. `search` requests run through an
+//! [`ic_index::CatalogIndex`] kept in sync with the catalog: sketch +
+//! signature-overlap prefiltering chooses which entries get a full
+//! comparison, and every returned score is bit-identical to an unbudgeted
+//! `compare` of the same pair.
 //!
 //! All serve-layer locks are poison-tolerant: a panic inside one request
 //! (engine bug, panicking observation sink) is answered with a typed
@@ -91,7 +89,6 @@ pub mod poll;
 pub mod proto;
 #[cfg(target_os = "linux")]
 pub mod server;
-pub mod sigcache;
 
 pub use catalog::{ApplyOutcome, CatalogError, ServeCatalog, Snapshot};
 pub use client::{
@@ -105,6 +102,6 @@ pub use proto::{
 };
 #[cfg(target_os = "linux")]
 pub use server::{
-    ConnStats, Server, ServerConfig, ServerHandle, COMPARE_LABEL, DISCOVER_LABEL, SEARCH_LABEL,
+    ConnStats, Server, ServerConfig, ServerHandle, SigCacheCounters, SigCacheStats, COMPARE_LABEL,
+    DISCOVER_LABEL, SEARCH_LABEL,
 };
-pub use sigcache::{SigCacheStats, SigMapCache};

@@ -37,7 +37,7 @@
 //! [`ServerConfig::drain_grace`] to take their last bytes), and only then
 //! do the worker loops exit — no admitted request is ever dropped.
 
-use crate::catalog::{diff_pins, CatalogError, PinList, ServeCatalog, Snapshot};
+use crate::catalog::{diff_pins, CatalogError, Pin, PinList, ServeCatalog, Snapshot};
 use crate::conn::run_event_loop;
 use crate::frame::MAX_FRAME_LEN;
 use crate::json::Json;
@@ -48,8 +48,7 @@ use crate::proto::{
     InstanceInfo, PatchOp, PatchValue, Request, Response, SearchResult, SearchResults, ServerStats,
     SpanStat,
 };
-use crate::sigcache::SigMapCache;
-use ic_core::{Comparator, Delta, DeltaOp};
+use ic_core::{Comparator, Delta, DeltaOp, InstanceSigMaps};
 use ic_index::CatalogIndex;
 use ic_model::{AttrId, NullId, RelId, TupleId, Value};
 use ic_obs::StatsSink;
@@ -243,6 +242,41 @@ pub struct ConnStats {
     pub coalesced_frames: u64,
 }
 
+/// How often signature compares found their pins' maps built, counted
+/// once per side of each signature compare. See
+/// [`ServerHandle::sig_cache`].
+#[derive(Debug, Default)]
+pub struct SigCacheCounters {
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl SigCacheCounters {
+    fn record(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The counters now.
+    pub fn stats(&self) -> SigCacheStats {
+        SigCacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// A point-in-time reading of [`SigCacheCounters`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SigCacheStats {
+    /// Compare sides whose pin's maps were already built.
+    pub hits: u64,
+    /// Compare sides whose pin's maps were not built yet. An unbudgeted
+    /// compare then builds them into the pin; a budgeted one builds its
+    /// own for that request only.
+    pub misses: u64,
+}
+
 /// State shared by every server thread.
 pub(crate) struct Shared {
     pub(crate) catalog: Arc<ServeCatalog>,
@@ -252,11 +286,7 @@ pub(crate) struct Shared {
     /// closed) during shutdown so the workers drain and exit.
     pub(crate) queue: Mutex<Option<SyncSender<Job>>>,
     stats_sink: Arc<StatsSink>,
-    /// Signature maps of hot catalog instances, reused across `compare`
-    /// requests and invalidated by pointer identity when `load` replaces
-    /// an instance; swept on every catalog mutation so removed instances
-    /// do not stay pinned (see [`SigMapCache`]).
-    sig_cache: Arc<SigMapCache>,
+    sig_cache: SigCacheCounters,
     /// The sketch + signature prefilter index behind `search` requests,
     /// synchronised lazily by [`index_view`].
     index: Arc<CatalogIndex>,
@@ -322,23 +352,13 @@ impl Server {
         let local_addr = listener.local_addr()?;
 
         let (tx, rx) = sync_channel::<Job>(cfg.queue_depth.max(1));
-        let sig_cache = Arc::new(SigMapCache::new());
-        // Removal-driven eviction: every successful catalog mutation sweeps
-        // the cache, so entries for removed (or replaced) instances are
-        // dropped even if nobody ever looks them up again.
-        let catalog_sub = {
-            let cache = Arc::clone(&sig_cache);
-            catalog.subscribe(Box::new(move |snap| {
-                cache.sweep(snap);
-            }))
-        };
         let shared = Arc::new(Shared {
             catalog,
             cfg,
             stop: AtomicBool::new(false),
             queue: Mutex::new(Some(tx)),
             stats_sink: Arc::new(StatsSink::new()),
-            sig_cache,
+            sig_cache: SigCacheCounters::default(),
             index: Arc::new(CatalogIndex::default()),
             indexed: RwLock::default(),
             requests: AtomicU64::new(0),
@@ -377,7 +397,6 @@ impl Server {
             driver: Some(driver),
             wake,
             workers,
-            catalog_sub,
         })
     }
 }
@@ -393,10 +412,6 @@ pub struct ServerHandle {
     wake: Arc<WakeFd>,
     /// The worker threads; empty once joined.
     workers: Vec<JoinHandle<()>>,
-    /// Token of the sigcache sweep subscription on the catalog; released
-    /// on shutdown so the catalog does not keep calling into a dead
-    /// server's cache.
-    catalog_sub: u64,
 }
 
 impl std::fmt::Debug for ServerHandle {
@@ -420,9 +435,9 @@ impl ServerHandle {
         &self.shared.catalog
     }
 
-    /// The server's signature-map cache (hit/miss/invalidation counters
-    /// via [`SigMapCache::stats`]).
-    pub fn sig_cache(&self) -> &SigMapCache {
+    /// Hit and miss counters of the signature maps compares find on
+    /// their catalog pins (see [`SigCacheStats`]).
+    pub fn sig_cache(&self) -> &SigCacheCounters {
         &self.shared.sig_cache
     }
 
@@ -459,7 +474,6 @@ impl ServerHandle {
 
     fn stop_and_join(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
-        self.shared.catalog.unsubscribe(self.catalog_sub);
         // Join order is the drain order: stop admissions (the event loop
         // routes every in-flight request), close the queue, let the
         // workers drain it, join them.
@@ -715,10 +729,10 @@ enum ResolvedPatchOp {
 }
 
 /// Handles a `patch` request inline (it is a catalog mutation, like
-/// `load`): resolves the wire ops against the schema, applies them through
-/// [`ServeCatalog::patch`] — one copy-on-write publish, WAL-logged when
-/// durable — and migrates any cached signature maps to the new pin by
-/// incremental repair instead of letting the next compare rebuild them.
+/// `load`): resolves the wire ops against the schema and applies them
+/// through [`ServeCatalog::patch`] — one copy-on-write publish, WAL-logged
+/// when durable, which also repairs the patched pin's signature maps if
+/// they were built.
 fn run_patch(shared: &Shared, id: u64, name: String, ops: Vec<PatchOp>) -> Response {
     let bad_request = |message: String| Response::Error {
         id,
@@ -732,7 +746,7 @@ fn run_patch(shared: &Shared, id: u64, name: String, ops: Vec<PatchOp>) -> Respo
     // deleted between here and the apply) surface as `delta` errors from
     // the atomic application below.
     let pre = shared.catalog.snapshot();
-    let Some(old_pin) = pre.get(&name).cloned() else {
+    let Some(old_pin) = pre.get(&name) else {
         return unknown_instance(id, &name);
     };
     let schema = pre.catalog.schema();
@@ -801,14 +815,8 @@ fn run_patch(shared: &Shared, id: u64, name: String, ops: Vec<PatchOp>) -> Respo
         }
     }
 
-    // Pin the old signature maps *before* the mutation publishes: the
-    // catalog-subscription sweep evicts the old entry the instant the
-    // patched pin replaces it.
-    let old_maps = shared.sig_cache.lookup(&name, &old_pin);
-
-    let mut applied_delta = None;
     let outcome = shared.catalog.patch(&name, |catalog| {
-        let delta = Delta::new(
+        Ok(Delta::new(
             resolved
                 .into_iter()
                 .map(|op| match op {
@@ -824,9 +832,7 @@ fn run_patch(shared: &Shared, id: u64, name: String, ops: Vec<PatchOp>) -> Respo
                     },
                 })
                 .collect(),
-        );
-        applied_delta = Some(delta.clone());
-        Ok(delta)
+        ))
     });
     let outcome = match outcome {
         Ok(outcome) => outcome,
@@ -847,21 +853,6 @@ fn run_patch(shared: &Shared, id: u64, name: String, ops: Vec<PatchOp>) -> Respo
     let new_pin = outcome
         .instance
         .expect("a successful patch always returns the new pin");
-    // Migrate cached signature maps to the new pin by repairing them from
-    // `old_pin` to `new_pin` — equal to a rebuild, at O(|delta|) instead of
-    // O(instance). Only when no other mutation slipped in between our
-    // snapshot and the patch (version advanced by exactly one): otherwise
-    // `old_pin` may not be the instance the patch applied to, and the
-    // repair's precondition would not hold.
-    let no_race = outcome.version == pre.version + 1;
-    if let (true, Some(old_maps), Some(delta)) = (no_race, old_maps, &applied_delta) {
-        let mut maps = ic_core::InstanceSigMaps::clone(&old_maps);
-        maps.repair(&old_pin, &new_pin, delta);
-        shared
-            .sig_cache
-            .store(&name, Arc::clone(&new_pin), Arc::new(maps));
-    }
-
     Response::Patched {
         id,
         name,
@@ -1051,7 +1042,7 @@ fn run_compare(
     // by label in the StatsSink and exported through `stats`.
     let _obs = ic_obs::observe(COMPARE_LABEL, shared.job_sink());
 
-    let (Some(left), Some(right)) = (job.snapshot.get(left_name), job.snapshot.get(right_name))
+    let (Some(left), Some(right)) = (job.snapshot.pin(left_name), job.snapshot.pin(right_name))
     else {
         // Unreachable in practice: admission validated against this very
         // snapshot. Kept as a typed error rather than a panic.
@@ -1077,32 +1068,9 @@ fn run_compare(
     let start = Instant::now();
     let scores = match algo {
         Algo::Signature => {
-            // Reuse (and, when unbudgeted, populate) the server's sigmap
-            // cache. Seeding is bit-identical to building per request, so
-            // this only changes wall-clock, never scores. Budgeted
-            // requests still *use* cached maps but never pay for a build
-            // they would account against the deadline.
-            let mut seeds: [Option<Arc<ic_core::InstanceSigMaps>>; 2] = [None, None];
-            for (slot, (name, inst)) in seeds
-                .iter_mut()
-                .zip([(left_name, left), (right_name, right)])
-            {
-                *slot = shared.sig_cache.lookup(name, inst);
-                if slot.is_none() && remaining.is_none() {
-                    match cmp.build_maps(inst) {
-                        Ok(maps) => {
-                            let maps = Arc::new(maps);
-                            shared
-                                .sig_cache
-                                .store(name, Arc::clone(inst), Arc::clone(&maps));
-                            *slot = Some(maps);
-                        }
-                        Err(e) => return core_error(job.id, &e),
-                    }
-                }
-            }
-            let [lm, rm] = seeds;
-            match cmp.signature_with_maps(left, right, lm.as_deref(), rm.as_deref()) {
+            let budgeted = remaining.is_some();
+            let (lm, rm) = (seed(shared, left, budgeted), seed(shared, right, budgeted));
+            match cmp.signature_with_maps(left.instance(), right.instance(), lm, rm) {
                 Ok(out) if out.timed_out => {
                     return core_error(
                         job.id,
@@ -1122,7 +1090,7 @@ fn run_compare(
                 Err(e) => return core_error(job.id, &e),
             }
         }
-        Algo::Exact => match cmp.exact_strict(left, right) {
+        Algo::Exact => match cmp.exact_strict(left.instance(), right.instance()) {
             Ok(out) => CompareScores {
                 signature: None,
                 exact: Some(out.best.score()),
@@ -1132,7 +1100,7 @@ fn run_compare(
             },
             Err(e) => return core_error(job.id, &e),
         },
-        Algo::Both => match cmp.both(left, right) {
+        Algo::Both => match cmp.both(left.instance(), right.instance()) {
             Ok((exact, sig)) => {
                 if sig.timed_out || !exact.optimal {
                     return core_error(
@@ -1157,6 +1125,22 @@ fn run_compare(
     Response::Compared { id: job.id, scores }
 }
 
+/// The maps a signature compare seeds one side with: the pin's, built into
+/// its slot first on a miss. A seeded compare is bit-identical to one
+/// that builds its own maps, so this changes wall-clock, never scores.
+/// Slot builds run without a deadline, so a budgeted request only reads
+/// the slot; on a miss its compare builds maps of its own, under the
+/// budget.
+fn seed<'p>(shared: &Shared, pin: &'p Pin, budgeted: bool) -> Option<&'p InstanceSigMaps> {
+    shared.sig_cache.record(pin.maps().is_some());
+    let maps = if budgeted {
+        pin.maps()
+    } else {
+        Some(pin.maps_or_build())
+    };
+    maps.map(|maps| &**maps)
+}
+
 /// The snapshot a search runs against, and a shared hold on the index
 /// while it reflects exactly that snapshot: the query and every survivor
 /// the prefilter picks then come from one version, and a search's query
@@ -1164,8 +1148,10 @@ fn run_compare(
 /// the search drops the hold before its full compares.
 ///
 /// Syncing diffs the pin list the index last reflected against the new
-/// one, so only names whose `Arc` changed are re-indexed or dropped: a
+/// one, so only names whose pin changed are re-indexed or dropped: a
 /// patch costs the next search one entry, not a walk over the catalog.
+/// An entry's maps are its pin's, built into the pin's slot only if no
+/// compare or patch filled it, so compares and searches share one build.
 /// Syncs are exclusive, so concurrent searches build each entry once, and
 /// searches over an unchanged index share the lock. Only the pin list is
 /// kept, not the snapshot, so no old interner stays alive.
@@ -1198,7 +1184,10 @@ fn index_view<'a>(
         if *version < snap.version {
             diff_pins(pins, snap.pins(), |name, pin| {
                 match pin {
-                    Some(pin) => shared.index.insert(name, pin),
+                    Some(pin) => {
+                        let maps = Arc::clone(pin.maps_or_build());
+                        shared.index.insert(name, pin.instance(), maps)
+                    }
                     None => shared.index.remove(name),
                 };
             });
@@ -1347,7 +1336,86 @@ fn core_error(id: u64, e: &ic_core::Error) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{Client, CompareOptions};
     use ic_model::{Instance, Schema};
+
+    /// How many holders share the maps built into `name`'s pin in `snap`:
+    /// the pin itself, plus an index entry that holds the same `Arc`.
+    fn maps_holders(snap: &Snapshot, name: &str) -> usize {
+        Arc::strong_count(snap.pin(name).unwrap().maps().expect("maps built"))
+    }
+
+    /// A catalog of two-tuple instances over `R(A, B)`, one per name.
+    fn two_row_catalog(names: &[&str]) -> Arc<ServeCatalog> {
+        let catalog = Arc::new(ServeCatalog::new(Schema::single("R", &["A", "B"])));
+        for &name in names {
+            catalog
+                .register_with(name, |cat| {
+                    let mut inst = Instance::new(name, cat);
+                    for row in ["x", "y"] {
+                        let (v, w) = (cat.konst(row), cat.konst(&format!("{name}{row}")));
+                        inst.insert(RelId(0), vec![v, w]);
+                    }
+                    Ok(inst)
+                })
+                .unwrap();
+        }
+        catalog
+    }
+
+    /// Compares and searches read one map per pin: whichever runs first
+    /// builds it into the pin, the other finds it there, and the index
+    /// entry holds that same `Arc`. A budgeted compare only reads the pin.
+    /// A `patch` repairs the maps into the new pin and counts no hit or
+    /// miss.
+    #[test]
+    fn compares_searches_and_patches_share_one_map_per_pin() {
+        let catalog = two_row_catalog(&["a", "b", "c"]);
+        let server =
+            Server::start(Arc::clone(&catalog), "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let mut client = Client::new(server.local_addr()).unwrap();
+        let opts = CompareOptions::default;
+        let counts = |hits, misses| SigCacheStats { hits, misses };
+
+        let budgeted = CompareOptions {
+            budget_ms: Some(60_000),
+            ..opts()
+        };
+        client.compare("a", "b", Algo::Signature, budgeted).unwrap();
+        assert_eq!(server.sig_cache().stats(), counts(0, 2));
+        assert!(catalog.snapshot().pin("a").unwrap().maps().is_none());
+        client.compare("a", "b", Algo::Signature, opts()).unwrap();
+        assert_eq!(server.sig_cache().stats(), counts(0, 4));
+        client.search("a", 3, opts()).unwrap();
+        let snap = catalog.snapshot();
+        for name in ["a", "b", "c"] {
+            assert_eq!(maps_holders(&snap, name), 2, "{name}: pin and index entry");
+        }
+        // The search built c's maps into its pin; a compare finds them.
+        client.compare("c", "a", Algo::Signature, opts()).unwrap();
+        assert_eq!(server.sig_cache().stats(), counts(2, 4));
+
+        let patch = PatchOp::Modify {
+            tuple: 0,
+            attr: AttrRef::Index(1),
+            value: PatchValue::Const("patched".into()),
+        };
+        client.patch("a", vec![patch]).unwrap();
+        assert_eq!(
+            server.sig_cache().stats(),
+            counts(2, 4),
+            "a patch counts nothing"
+        );
+        let patched = catalog.snapshot();
+        assert!(!Arc::ptr_eq(
+            patched.get("a").unwrap(),
+            snap.get("a").unwrap()
+        ));
+        assert_eq!(maps_holders(&patched, "a"), 1, "repaired into the new pin");
+        client.compare("a", "b", Algo::Signature, opts()).unwrap();
+        assert_eq!(server.sig_cache().stats(), counts(4, 4));
+        server.shutdown();
+    }
 
     /// A search admitted before a patch, but run after a later search
     /// already synced the index past the patch, searches the snapshot the
@@ -1407,19 +1475,7 @@ mod tests {
     /// ahead, and those compares answer from the survivors' own pins.
     #[test]
     fn sync_runs_while_a_prefiltered_search_compares() {
-        let catalog = Arc::new(ServeCatalog::new(Schema::single("R", &["A", "B"])));
-        for name in ["a", "b"] {
-            catalog
-                .register_with(name, |cat| {
-                    let mut inst = Instance::new(name, cat);
-                    for row in ["x", "y"] {
-                        let (v, w) = (cat.konst(row), cat.konst(&format!("{name}{row}")));
-                        inst.insert(RelId(0), vec![v, w]);
-                    }
-                    Ok(inst)
-                })
-                .unwrap();
-        }
+        let catalog = two_row_catalog(&["a", "b"]);
         let server =
             Server::start(Arc::clone(&catalog), "127.0.0.1:0", ServerConfig::default()).unwrap();
         let shared = &server.shared;
@@ -1453,10 +1509,11 @@ mod tests {
                 "the sync waited for a search past its prefilter"
             );
         });
-        assert!(shared
-            .index
-            .entry_maps("a", new.get("a").unwrap())
-            .is_some());
+        assert_eq!(
+            maps_holders(&new, "a"),
+            2,
+            "the sync indexed the patched pin"
+        );
         let top = survivors.compare(query, &cmp, None).unwrap();
         assert_eq!((top.hits[0].name.as_str(), top.hits[0].score), ("a", 1.0));
         server.shutdown();
@@ -1493,17 +1550,16 @@ mod tests {
                 rx.recv_timeout(Duration::from_millis(100)).is_err(),
                 "synced while a search held the index"
             );
-            assert!(shared
-                .index
-                .entry_maps("a", old.get("a").unwrap())
-                .is_some());
+            assert_eq!(
+                maps_holders(&old, "a"),
+                2,
+                "the index still holds the old pin"
+            );
             drop(view);
             assert_eq!(rx.recv().unwrap(), new.version);
         });
-        assert!(shared
-            .index
-            .entry_maps("a", new.get("a").unwrap())
-            .is_some());
+        assert_eq!(maps_holders(&old, "a"), 1);
+        assert_eq!(maps_holders(&new, "a"), 2);
         server.shutdown();
     }
 }

@@ -31,11 +31,11 @@ fn main() {
     });
     let pins: Vec<Arc<Instance>> = lake.instances.iter().cloned().map(Arc::new).collect();
 
+    let cmp = Comparator::new(&lake.catalog).build().unwrap();
     let index = CatalogIndex::default();
     for p in &pins {
-        index.insert(p.name(), p);
+        index.insert(p.name(), p, Arc::new(cmp.build_maps(p).unwrap()));
     }
-    let cmp = Comparator::new(&lake.catalog).build().unwrap();
 
     // Search: which lake tables look like cluster 2's newest version?
     let query = &pins[lake.index_of(2, 3)];

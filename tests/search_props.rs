@@ -8,7 +8,7 @@
 //! `IC_TESTKIT_SEED`, shrinking on failure.
 
 use ic_testkit::{Gen, Runner};
-use instance_comparison::core::Comparator;
+use instance_comparison::core::{Comparator, InstanceSigMaps, SignatureConfig};
 use instance_comparison::index::CatalogIndex;
 use instance_comparison::model::{Catalog, Instance, RelId, Schema};
 use rand::RngExt;
@@ -77,7 +77,8 @@ fn assert_topk_is_brute_force(case: &Case, threads: usize) {
     let (cat, pins) = materialize(case);
     let index = CatalogIndex::default();
     for p in &pins {
-        index.insert(p.name(), p);
+        let maps = InstanceSigMaps::build(p, &SignatureConfig::default());
+        index.insert(p.name(), p, Arc::new(maps));
     }
 
     let cmp = Comparator::new(&cat).threads(threads).build().unwrap();
