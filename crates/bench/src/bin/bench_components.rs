@@ -19,9 +19,9 @@ fn main() {
     for rows in [1_000usize, 5_000] {
         let sc = scenario(rows);
         suite.measure(&format!("components/candidate_index/build/{rows}"), || {
-            CandidateIndex::build(&sc.target, sc.rel)
+            CandidateIndex::build(sc.target.tuples(sc.rel))
         });
-        let index = CandidateIndex::build(&sc.target, sc.rel);
+        let index = CandidateIndex::build(sc.target.tuples(sc.rel));
         suite.measure(
             &format!("components/candidate_index/probe_all/{rows}"),
             || {

@@ -82,7 +82,7 @@ pub fn pair_compatible(lt: &Tuple, rt: &Tuple) -> bool {
     true
 }
 
-/// Per-attribute hash index over the tuples of one relation of the right
+/// Per-attribute hash index over tuples of one relation of the right
 /// instance — the `V_A` maps of Alg. 2.
 #[derive(Debug)]
 pub struct CandidateIndex {
@@ -90,21 +90,24 @@ pub struct CandidateIndex {
     by_const: Vec<FxHashMap<Sym, Vec<TupleId>>>,
     /// For each attribute: tuples with a null in that attribute (`V_A[*]`).
     null_bucket: Vec<Vec<TupleId>>,
-    /// All tuple ids of the indexed relation (fallback when the probing
-    /// tuple has no constants).
+    /// All indexed tuple ids (fallback when the probing tuple has no
+    /// constants).
     all: Vec<TupleId>,
 }
 
 impl CandidateIndex {
-    /// Builds the index over relation `rel` of `right`.
-    pub fn build(right: &Instance, rel: RelId) -> Self {
-        let tuples = right.tuples(rel);
-        let arity = tuples.first().map_or(0, Tuple::arity);
-        let mut by_const: Vec<FxHashMap<Sym, Vec<TupleId>>> =
-            (0..arity).map(|_| FxHashMap::default()).collect();
-        let mut null_bucket: Vec<Vec<TupleId>> = vec![Vec::new(); arity];
-        let mut all = Vec::with_capacity(tuples.len());
+    /// Builds the index over `tuples`, all of one relation: usually
+    /// `right.tuples(rel)`, or the subset of it still open to matching.
+    /// Every candidate list keeps the order of `tuples`.
+    pub fn build<'a>(tuples: impl IntoIterator<Item = &'a Tuple>) -> Self {
+        let mut by_const: Vec<FxHashMap<Sym, Vec<TupleId>>> = Vec::new();
+        let mut null_bucket: Vec<Vec<TupleId>> = Vec::new();
+        let mut all = Vec::new();
         for t in tuples {
+            if all.is_empty() {
+                by_const.resize_with(t.arity(), FxHashMap::default);
+                null_bucket.resize_with(t.arity(), Vec::new);
+            }
             all.push(t.id());
             for (i, &v) in t.values().iter().enumerate() {
                 match v {
@@ -197,7 +200,7 @@ pub fn compatible_tuples(
     right: &Instance,
     rel: RelId,
 ) -> FxHashMap<TupleId, Vec<TupleId>> {
-    let index = CandidateIndex::build(right, rel);
+    let index = CandidateIndex::build(right.tuples(rel));
     left.tuples(rel)
         .iter()
         .map(|t| (t.id(), index.compatible_candidates(right, t)))
@@ -311,7 +314,7 @@ mod tests {
         let r1 = r.insert(rel, vec![a, b, c]); // exact
         let r2 = r.insert(rel, vec![a, n, c]); // null fills
         let _r3 = r.insert(rel, vec![x, b, c]); // conflicting constant
-        let idx = CandidateIndex::build(&r, rel);
+        let idx = CandidateIndex::build(r.tuples(rel));
         let mut cands = idx.compatible_candidates(&r, l.tuple(t).unwrap());
         cands.sort();
         assert_eq!(cands, vec![r1, r2]);
@@ -328,7 +331,7 @@ mod tests {
         let mut r = Instance::new("J", &cat);
         r.insert(rel, vec![a]);
         r.insert(rel, vec![n]);
-        let idx = CandidateIndex::build(&r, rel);
+        let idx = CandidateIndex::build(r.tuples(rel));
         assert_eq!(idx.compatible_candidates(&r, l.tuple(t).unwrap()).len(), 2);
     }
 
@@ -351,7 +354,7 @@ mod tests {
     fn empty_relation_index() {
         let cat = Catalog::new(Schema::single("R", &["A"]));
         let r = Instance::new("J", &cat);
-        let idx = CandidateIndex::build(&r, RelId(0));
+        let idx = CandidateIndex::build(r.tuples(RelId(0)));
         let mut cat2 = Catalog::new(Schema::single("R", &["A"]));
         let a = cat2.konst("a");
         let mut l = Instance::new("I", &cat2);
@@ -383,7 +386,7 @@ mod overlap_tests {
         let shares_a = r.insert(rel, vec![a, y]); // conflicting B, shared A
         let _nothing = r.insert(rel, vec![x, y]); // nothing shared
         let shares_b = r.insert(rel, vec![x, b]);
-        let idx = CandidateIndex::build(&r, rel);
+        let idx = CandidateIndex::build(r.tuples(rel));
         let mut c = idx.overlap_candidates(l.tuple(t).unwrap());
         c.sort();
         assert_eq!(c, vec![shares_a, shares_b]);
@@ -399,7 +402,7 @@ mod overlap_tests {
         let t = l.insert(rel, vec![n]);
         let mut r = Instance::new("J", &cat);
         r.insert(rel, vec![a]);
-        let idx = CandidateIndex::build(&r, rel);
+        let idx = CandidateIndex::build(r.tuples(rel));
         assert_eq!(idx.overlap_candidates(l.tuple(t).unwrap()).len(), 1);
     }
 
@@ -413,7 +416,7 @@ mod overlap_tests {
         let t = l.insert(rel, vec![a, z]);
         let mut r = Instance::new("J", &cat);
         r.insert(rel, vec![w, a]); // a in the wrong column
-        let idx = CandidateIndex::build(&r, rel);
+        let idx = CandidateIndex::build(r.tuples(rel));
         assert!(idx.overlap_candidates(l.tuple(t).unwrap()).is_empty());
     }
 }

@@ -258,7 +258,7 @@ pub fn exact_match(
     let candidates_span = crate::obs::span("exact.candidates");
     let mut pairs: Vec<CandPair> = Vec::new();
     for rel in catalog.schema().rel_ids() {
-        let index = CandidateIndex::build(right, rel);
+        let index = CandidateIndex::build(right.tuples(rel));
         for t in left.tuples(rel) {
             for rt_id in index.compatible_candidates(right, t) {
                 let rt = right.tuple(rt_id).expect("candidate exists");

@@ -78,7 +78,7 @@ pub fn find_homomorphism(left: &Instance, right: &Instance) -> Option<Homomorphi
     let mut work: Vec<(RelId, TupleId, Vec<TupleId>)> = Vec::new();
     for rel_idx in 0..left.num_relations() {
         let rel = RelId(rel_idx as u16);
-        let index = CandidateIndex::build(right, rel);
+        let index = CandidateIndex::build(right.tuples(rel));
         for t in left.tuples(rel) {
             let empty = FxHashMap::default();
             let candidates: Vec<TupleId> = index

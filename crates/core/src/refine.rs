@@ -77,7 +77,7 @@ pub fn refine_match(
     let rels: Vec<ic_model::RelId> = catalog.schema().rel_ids().collect();
     let indexes: Vec<CandidateIndex> = rels
         .iter()
-        .map(|&rel| CandidateIndex::build(right, rel))
+        .map(|&rel| CandidateIndex::build(right.tuples(rel)))
         .collect();
 
     for _ in 0..cfg.max_rounds {

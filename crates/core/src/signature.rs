@@ -506,8 +506,10 @@ struct Run<'b> {
     /// Matched flags per side (dense by tuple id).
     left_matched: Vec<bool>,
     right_matched: Vec<bool>,
-    /// Already-recorded pairs (n-to-m mode may revisit candidates).
-    seen: FxHashSet<(TupleId, TupleId)>,
+    /// Already-recorded pairs, kept only in n-to-m mode, which may revisit
+    /// a candidate. With an injective side, that side's matched flag
+    /// already rejects a repeated pair.
+    seen: Option<FxHashSet<(TupleId, TupleId)>>,
     /// Wall-clock cutoff derived from [`SignatureConfig::budget`].
     deadline: Option<Instant>,
     timed_out: bool,
@@ -538,7 +540,11 @@ impl Run<'_> {
         if mode.right_injective && self.right_matched[rt.0 as usize] {
             return false;
         }
-        if self.seen.contains(&(lt, rt)) {
+        if self
+            .seen
+            .as_ref()
+            .is_some_and(|seen| seen.contains(&(lt, rt)))
+        {
             return false;
         }
         if self
@@ -548,7 +554,9 @@ impl Run<'_> {
         {
             return false;
         }
-        self.seen.insert((lt, rt));
+        if let Some(seen) = &mut self.seen {
+            seen.insert((lt, rt));
+        }
         self.left_matched[lt.0 as usize] = true;
         self.right_matched[rt.0 as usize] = true;
         true
@@ -703,6 +711,12 @@ impl Run<'_> {
     /// Step 3 (Alg. 3 lines 5–13): greedy completion over the remaining
     /// compatible tuples. Returns the number of matches added.
     ///
+    /// Only *open* tuples take part: under an injective side, a tuple the
+    /// signature passes matched is left out, since consumption would
+    /// reject it anyway. Matched flags only grow, so this drops exactly the
+    /// pairs consumption would reject, and the ranking key below is total,
+    /// so each remaining list keeps its order: the match is unchanged.
+    ///
     /// Like the signature passes, candidate discovery fans out across
     /// workers while the greedy consumption stays sequential. Each left
     /// tuple's candidates are ranked by optimistic pair score (ties by
@@ -714,9 +728,13 @@ impl Run<'_> {
         }
         let _span = crate::obs::span("signature.complete");
         let mode = self.cfg.mode;
-        let right = self.state.right();
-        let index = CandidateIndex::build(right, rel);
-        let left_tuples = self.state.left().tuples(rel);
+        let (left, right) = (self.state.left(), self.state.right());
+        let open_left: Vec<&Tuple> = (left.tuples(rel).iter())
+            .filter(|t| !(mode.left_injective && self.left_matched[t.id().0 as usize]))
+            .collect();
+        let open_right: Vec<&Tuple> = (right.tuples(rel).iter())
+            .filter(|t| !(mode.right_injective && self.right_matched[t.id().0 as usize]))
+            .collect();
         let partial = self.cfg.partial;
         let lambda = self.cfg.score.lambda;
         // Same shared-flag budget latch as the probe discovery: the ranking
@@ -724,8 +742,13 @@ impl Run<'_> {
         // completions must honor the deadline mid-fan-out too.
         let deadline = self.deadline;
         let expired = AtomicBool::new(false);
-        let plans: Vec<(TupleId, Vec<TupleId>)> =
-            ic_pool::par_map_min_chunk(left_tuples, PAR_CANDIDATES_MIN_TUPLES, |t| {
+        // With no open tuple on either side there is nothing to index or
+        // rank; the counters below still report zeros.
+        let plans: Vec<(TupleId, Vec<TupleId>)> = if open_left.is_empty() || open_right.is_empty() {
+            Vec::new()
+        } else {
+            let index = CandidateIndex::build(open_right);
+            ic_pool::par_map_min_chunk(&open_left, PAR_CANDIDATES_MIN_TUPLES, |&t| {
                 if deadline.is_some() {
                     if expired.load(Ordering::Relaxed) {
                         return (t.id(), Vec::new());
@@ -752,7 +775,8 @@ impl Run<'_> {
                     .collect();
                 ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0 .0.cmp(&b.0 .0)));
                 (t.id(), ranked.into_iter().map(|(rt, _)| rt).collect())
-            });
+            })
+        };
         self.timed_out |= expired.load(Ordering::Relaxed);
         if crate::obs::active() {
             crate::obs::counter(
@@ -765,9 +789,6 @@ impl Run<'_> {
         'left: for (lt, cands) in plans {
             if self.out_of_budget() {
                 break;
-            }
-            if mode.left_injective && self.left_matched[lt.0 as usize] {
-                continue;
             }
             for (k, rt) in cands.into_iter().enumerate() {
                 // Budget fix: the completion loop used to run to the end of
@@ -839,7 +860,7 @@ pub fn signature_match_seeded(
         cfg: *cfg,
         left_matched: vec![false; left.id_bound()],
         right_matched: vec![false; right.id_bound()],
-        seen: FxHashSet::default(),
+        seen: (!cfg.mode.left_injective && !cfg.mode.right_injective).then(FxHashSet::default),
         deadline: cfg.budget.map(|b| start + b),
         timed_out: false,
     };
@@ -850,13 +871,20 @@ pub fn signature_match_seeded(
         sig_matches +=
             run.find_sig_matches(rel, Side::Right, right_maps.and_then(|m| m.sigmap(rel)));
     }
-    let sig_score = score_state(&run.state, &cfg.score, catalog).score;
+    let sig_details = score_state(&run.state, &cfg.score, catalog);
+    let sig_score = sig_details.score;
 
     let mut exhaustive_matches = 0usize;
     for rel in catalog.schema().rel_ids() {
         exhaustive_matches += run.complete(rel);
     }
-    let details = score_state(&run.state, &cfg.score, catalog);
+    // A rejected pair rolls the state back, so when completion added none
+    // the state is the one just scored.
+    let details = if exhaustive_matches == 0 {
+        sig_details
+    } else {
+        score_state(&run.state, &cfg.score, catalog)
+    };
     let final_score = details.score;
 
     let best = InstanceMatch {
@@ -1154,6 +1182,56 @@ mod tests {
         assert_eq!(out.best.pairs.len(), 0);
         // The partial result is still scored and internally consistent.
         assert!(out.best.score() >= 0.0);
+    }
+
+    /// Completion and scoring work only where they can still change the
+    /// match. Between identical instances the probe decides every tuple, so
+    /// completion finds no candidate and the run scores once. Under
+    /// `MatchMode::general()` no tuple is ever decided, so completion still
+    /// ranks the one compatible candidate of every left tuple.
+    #[cfg(feature = "obs")]
+    #[test]
+    fn completion_and_scoring_skip_decided_tuples() {
+        use crate::obs::{observe, MemorySink, Report};
+        use std::sync::Arc;
+        let mut cat = Catalog::new(Schema::single("R", &["A", "B"]));
+        let rel = RelId(0);
+        let mut l = Instance::new("I", &cat);
+        for i in 0..6 {
+            let a = cat.konst(&format!("a{i}"));
+            let b = if i % 2 == 0 {
+                cat.fresh_null()
+            } else {
+                cat.konst("b")
+            };
+            l.insert(rel, vec![a, b]);
+        }
+        let r = l.clone();
+        let observed = |mode: MatchMode| -> Report {
+            let sink = Arc::new(MemorySink::new());
+            let cfg = SignatureConfig {
+                mode,
+                ..Default::default()
+            };
+            let out = {
+                let _obs = observe("work-bound", sink.clone());
+                signature_match(&l, &r, &cat, &cfg)
+            };
+            assert_eq!(
+                (out.stats.sig_matches, out.stats.exhaustive_matches),
+                (6, 0)
+            );
+            assert!((out.best.score() - 1.0).abs() < EPS);
+            sink.last().expect("one report per observation")
+        };
+        // A counter that never moved from 0 has no key in the report.
+        let count = |report: &Report, name: &str| report.counter(name).unwrap_or(0);
+        let one_to_one = observed(MatchMode::one_to_one());
+        assert_eq!(count(&one_to_one, "sig.complete.candidates_found"), 0);
+        assert_eq!(count(&one_to_one, "score.batches"), 1);
+        let general = observed(MatchMode::general());
+        assert_eq!(count(&general, "sig.complete.candidates_found"), 6);
+        assert_eq!(count(&general, "score.batches"), 1);
     }
 
     #[test]

@@ -93,7 +93,7 @@ fn candidate_index_is_sound_and_complete() {
                     let rv = build(&mut cat, r);
                     right.insert(rel, rv);
                 }
-                let index = CandidateIndex::build(&right, rel);
+                let index = CandidateIndex::build(right.tuples(rel));
                 let candidates = index.compatible_candidates(&right, left.tuple(lt).unwrap());
                 for t in right.tuples(rel) {
                     let expected = pair_compatible(left.tuple(lt).unwrap(), t);

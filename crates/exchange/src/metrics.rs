@@ -1,7 +1,7 @@
 //! Baseline quality metrics for exchange solutions (paper Table 6).
 
 use ic_core::{is_homomorphic, CandidateIndex};
-use ic_model::{Catalog, Instance, RelId};
+use ic_model::{Catalog, Instance};
 
 /// Whether `solution` is a *universal* solution with respect to a known
 /// core: universal solutions (and only they, among solutions) map
@@ -37,13 +37,12 @@ pub fn missing_rows(solution: &Instance, gold: &Instance, catalog: &Catalog) -> 
         if gold.tuples(rel).is_empty() {
             continue;
         }
-        let index = CandidateIndex::build(solution, rel);
+        let index = CandidateIndex::build(solution.tuples(rel));
         for t in gold.tuples(rel) {
             if index.c_compatible_candidates(solution, t).is_empty() {
                 missing += 1;
             }
         }
-        let _ = RelId(0);
     }
     missing
 }

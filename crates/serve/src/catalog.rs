@@ -46,7 +46,6 @@ use ic_store::{
 };
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A snapshot-change observer registered with
@@ -382,8 +381,7 @@ pub struct ApplyOutcome {
 /// copy-on-write replacement. See the [module docs](self).
 pub struct ServeCatalog {
     current: Mutex<Arc<Snapshot>>,
-    subscribers: Mutex<Vec<(u64, SnapshotObserver)>>,
-    next_subscriber: AtomicU64,
+    subscribers: Mutex<Vec<SnapshotObserver>>,
     /// WAL backend when opened with [`durable`](Self::durable); locked
     /// only inside a mutation's critical section (after `current`).
     store: Mutex<Option<Box<dyn Storage>>>,
@@ -417,7 +415,6 @@ impl ServeCatalog {
         Self {
             current: Mutex::new(Arc::new(snapshot)),
             subscribers: Mutex::new(Vec::new()),
-            next_subscriber: AtomicU64::new(1),
             store: Mutex::new(store),
         }
     }
@@ -490,22 +487,10 @@ impl ServeCatalog {
     /// the just-published snapshot. Observers run on the mutating thread,
     /// after the snapshot swap with the snapshot lock released, in
     /// registration order. An observer may read or even mutate the catalog
-    /// (triggering nested notification), but must not subscribe or
-    /// unsubscribe from within. Returns a token for
-    /// [`unsubscribe`](Self::unsubscribe).
-    pub fn subscribe(&self, observer: SnapshotObserver) -> u64 {
-        let id = self.next_subscriber.fetch_add(1, Ordering::Relaxed);
-        lock_recover(&self.subscribers).push((id, observer));
-        id
-    }
-
-    /// Removes a previously registered observer; returns whether it was
-    /// still registered.
-    pub fn unsubscribe(&self, token: u64) -> bool {
-        let mut subs = lock_recover(&self.subscribers);
-        let before = subs.len();
-        subs.retain(|(id, _)| *id != token);
-        subs.len() != before
+    /// (triggering nested notification), but must not subscribe from
+    /// within. An observer stays registered for the catalog's lifetime.
+    pub fn subscribe(&self, observer: SnapshotObserver) {
+        lock_recover(&self.subscribers).push(observer);
     }
 
     /// Applies one [`CatalogOp`] — the single mutation entry point. The
@@ -547,7 +532,7 @@ impl ServeCatalog {
         };
         // Hold the subscriber lock only to walk the list; observers that
         // mutate the catalog re-enter `current`, never `subscribers`.
-        for (_, observer) in lock_recover(&self.subscribers).iter() {
+        for observer in lock_recover(&self.subscribers).iter() {
             observer(&published);
         }
         Ok(outcome)
@@ -842,13 +827,13 @@ mod tests {
     }
 
     #[test]
-    fn subscribers_see_published_snapshots_and_unsubscribe() {
+    fn subscribers_see_published_snapshots() {
         use std::sync::atomic::{AtomicU64, Ordering};
 
         let sc = catalog_with(&[]);
         let seen = Arc::new(AtomicU64::new(0));
         let seen_in_observer = Arc::clone(&seen);
-        let token = sc.subscribe(Box::new(move |snap| {
+        sc.subscribe(Box::new(move |snap| {
             seen_in_observer.store(snap.version, Ordering::SeqCst);
         }));
 
@@ -861,10 +846,8 @@ mod tests {
         let _ = sc.load_csv_dir("bad", Path::new("/definitely/missing/dir"));
         assert_eq!(seen.load(Ordering::SeqCst), before);
 
-        assert!(sc.unsubscribe(token));
-        assert!(!sc.unsubscribe(token));
         assert!(sc.remove("n").unwrap());
-        assert_eq!(seen.load(Ordering::SeqCst), before, "unsubscribed");
+        assert_eq!(seen.load(Ordering::SeqCst), sc.version());
     }
 
     #[test]
