@@ -22,18 +22,22 @@
 //!    changes; there is no other way to update one.
 //!
 //! [`CatalogIndex::topk`] prefilters by signature overlap + sketch
-//! estimate, then runs the full comparison **only on survivors**, seeded
-//! with the entries' maps. The survivors are every entry with
-//! overlap or a sketch estimate ≥ 0.5, padded by rank to at least
-//! `max(4·k, 32)`; those three numbers are fixed. The only per-search
-//! input besides the query, `k` and the comparator is an optional
-//! deadline, checked between survivor comparisons. A search is two calls,
-//! so a caller can end its hold on the index between them:
-//! [`CatalogIndex::prefilter`] ranks every entry under one read lock and
-//! returns [`Survivors`] that own their pins and maps, and
-//! [`Survivors::compare`] runs the comparisons.
-//! The prefilter chooses *which* entries are compared, never *how*: every
-//! returned score is bit-identical to a direct
+//! estimate, then scores **only the survivors**. The survivors are every
+//! entry with overlap or a sketch estimate ≥ 0.5, padded by rank to at
+//! least `max(4·k, 32)`; those three numbers are fixed. A survivor none of
+//! whose tuples is c-compatible with a tuple of the query (no attribute
+//! with two distinct constants) can match nothing under the complete-match
+//! semantics searches use, so it is certified and gets the empty match's
+//! score; every other survivor runs the full comparison, seeded with the
+//! entries' maps. The only per-search input besides the query, `k` and the
+//! comparator is an optional deadline, checked before every survivor. A
+//! search is two calls, so a caller can end its hold on the index between
+//! them: [`CatalogIndex::prefilter`] ranks every entry under one read lock
+//! and returns [`Survivors`] that own their pins and maps, and
+//! [`Survivors::compare`] scores them.
+//! The prefilter chooses *which* entries are scored and the certificate
+//! which of those skip the kernel, never *what* they score: every
+//! returned hit is bit-identical to a direct
 //! [`ic_core::Comparator::compare`] of the same pair at any thread count,
 //! and ties break deterministically by `(score desc, name asc)`.
 
@@ -111,7 +115,10 @@ mod tests {
         let query = &entries[5].1; // c1v1
         let out = index.topk(query, 4, &cmp, None).unwrap();
         assert_eq!(out.total, 48);
-        assert!(out.compared < 48, "prefilter must cut something");
+        assert!(
+            out.compared + out.certified < 48,
+            "prefilter must cut something"
+        );
 
         // Brute force over everything, same ordering rule.
         let mut brute: Vec<(String, f64)> = entries
@@ -137,7 +144,11 @@ mod tests {
         let out = index
             .topk(&entries[0].1, entries.len(), &cmp, None)
             .unwrap();
-        assert_eq!(out.compared, entries.len(), "k = n compares everything");
+        assert_eq!(
+            out.compared + out.certified,
+            entries.len(),
+            "k = n passes everything"
+        );
         assert_eq!(out.hits.len(), entries.len());
     }
 

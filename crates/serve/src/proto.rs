@@ -526,13 +526,16 @@ pub struct SearchResult {
     pub pairs: u64,
 }
 
-/// The payload of a `searched` response: ranked hits plus how much of the
-/// catalog the prefilter let through to full comparison.
+/// The payload of a `searched` response: ranked hits plus how many of the
+/// catalog's entries received a full comparison. The prefilter's other
+/// survivors were certified to match nothing (no tuple pair with the
+/// query is c-compatible) and scored without one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchResults {
     /// Hits ordered by `(score desc, name asc)`, at most `k`.
     pub hits: Vec<SearchResult>,
-    /// Entries that received a full comparison.
+    /// Entries that received a full comparison: fewer than the prefilter's
+    /// survivors when some were certified to match nothing.
     pub compared: u64,
     /// Entries in the searched catalog.
     pub total: u64,

@@ -1216,7 +1216,7 @@ fn run_search(
 
     // The comparator carries **no** budget: every score a search returns
     // is exact and bit-identical to a direct unbudgeted `compare`. The
-    // request deadline is enforced between comparisons by
+    // request deadline is enforced before every survivor by
     // `Survivors::compare` — exceeding it fails the whole request with
     // `budget` rather than silently returning a truncated ranking.
     let mut builder = Comparator::new(&snapshot.catalog);

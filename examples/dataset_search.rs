@@ -6,8 +6,9 @@
 //! score is bit-identical to the brute-force comparison of the same pair.
 //!
 //! The example also checks its own work: it runs the O(n) brute-force scan
-//! the index replaces, reports recall@k against it, and shows the fraction
-//! of the lake that actually got a full comparison.
+//! the index replaces, reports recall@k against it, and shows how much of
+//! the lake passed the prefilter: the survivors that got a full
+//! comparison, and those certified to match nothing without one.
 //!
 //! Run with: `cargo run --release --example dataset_search`
 
@@ -66,12 +67,15 @@ fn main() {
                 .any(|(name, score)| *name == h.name && score.to_bits() == h.score.to_bits())
         })
         .count();
+    let survivors = out.compared + out.certified;
     println!(
-        "\nrecall@{k}: {:.2}  (full comparisons: {}/{} = {:.0}% of the lake)",
+        "\nrecall@{k}: {:.2}  (prefilter passed {survivors}/{} = {:.0}% of the lake: \
+         {} full comparisons, {} certified zeros)",
         found as f64 / k as f64,
-        out.compared,
         out.total,
-        100.0 * out.compared as f64 / out.total as f64
+        100.0 * survivors as f64 / out.total as f64,
+        out.compared,
+        out.certified
     );
 
     // Deduplication: cluster near-duplicates at a 0.6 threshold. The

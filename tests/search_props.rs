@@ -1,17 +1,20 @@
 //! Property tests of the sketch-prefiltered search path
 //! ([`CatalogIndex::topk`]): for random shared-catalog lakes of small
 //! instances (labeled nulls included), `topk` with `k` = the whole catalog
-//! must compare every entry and reproduce the brute-force ranking
-//! **bit-for-bit** — same names in the same `(score desc, name asc)`
-//! order, same score bits, same pair counts — at any comparator thread
-//! count. Runs on `ic-testkit`: seeded, reproducible via
+//! must pass every entry through the prefilter and reproduce the
+//! brute-force ranking **bit-for-bit** — same names in the same `(score
+//! desc, name asc)` order, same score bits, same pair counts — in every
+//! match mode and at any comparator thread count. Entries certified to
+//! match nothing skip the full comparison, so the brute-force scan pins
+//! their hits too. Runs on `ic-testkit`: seeded, reproducible via
 //! `IC_TESTKIT_SEED`, shrinking on failure.
 
-use ic_testkit::{Gen, Runner};
-use instance_comparison::core::{Comparator, InstanceSigMaps, SignatureConfig};
+use ic_testkit::{Gen, Runner, SEED_ENV};
+use instance_comparison::core::{Comparator, InstanceSigMaps, MatchMode, SignatureConfig};
 use instance_comparison::index::CatalogIndex;
 use instance_comparison::model::{Catalog, Instance, RelId, Schema};
 use rand::RngExt;
+use std::cell::Cell as Tally;
 use std::sync::Arc;
 
 /// Descriptor of a random cell: shared constant or a fresh labeled null.
@@ -71,9 +74,18 @@ fn materialize(case: &Case) -> (Catalog, Vec<Arc<Instance>>) {
     (cat, pins)
 }
 
-/// The core assertion: `topk(k = catalog)` must compare everything and
-/// order exactly like the brute-force scan, bit-identically.
-fn assert_topk_is_brute_force(case: &Case, threads: usize) {
+/// The match modes every case runs under.
+const MODES: [fn() -> MatchMode; 4] = [
+    MatchMode::one_to_one,
+    MatchMode::general,
+    MatchMode::left_functional,
+    MatchMode::bijective,
+];
+
+/// The core assertion: `topk(k = catalog)` must pass everything through
+/// the prefilter and order exactly like the brute-force scan,
+/// bit-identically. Returns the outcome's `(compared, certified)`.
+fn assert_topk_is_brute_force(case: &Case, mode: MatchMode, threads: usize) -> (usize, usize) {
     let (cat, pins) = materialize(case);
     let index = CatalogIndex::default();
     for p in &pins {
@@ -81,13 +93,18 @@ fn assert_topk_is_brute_force(case: &Case, threads: usize) {
         index.insert(p.name(), p, Arc::new(maps));
     }
 
-    let cmp = Comparator::new(&cat).threads(threads).build().unwrap();
+    let cmp = Comparator::new(&cat)
+        .mode(mode)
+        .threads(threads)
+        .build()
+        .unwrap();
     let query = &pins[case.1 as usize % pins.len()];
     let k = pins.len();
     let out = index.topk(query, k, &cmp, None).unwrap();
     assert_eq!(out.total, pins.len(), "index must cover the whole lake");
     assert_eq!(
-        out.compared, out.total,
+        out.compared + out.certified,
+        out.total,
         "k = catalog size must defeat the prefilter entirely"
     );
 
@@ -104,31 +121,50 @@ fn assert_topk_is_brute_force(case: &Case, threads: usize) {
     for (hit, (name, score, pairs)) in out.hits.iter().zip(&brute) {
         assert_eq!(
             &hit.name, name,
-            "ordering diverged (threads={threads}): index {:?} vs brute {:?}",
+            "ordering diverged ({mode:?}, threads={threads}): index {:?} vs brute {:?}",
             out.hits, brute
         );
         assert_eq!(
             hit.score.to_bits(),
             score.to_bits(),
-            "score for {name} not bit-identical (threads={threads})"
+            "score for {name} not bit-identical ({mode:?}, threads={threads})"
         );
         assert_eq!(
             hit.pairs, *pairs,
-            "pair count for {name} (threads={threads})"
+            "pair count for {name} ({mode:?}, threads={threads})"
+        );
+    }
+    (out.compared, out.certified)
+}
+
+/// Runs `cases` cases under every mode at `threads`, and asserts that the
+/// run held both certified and fully compared survivors, so it pins both
+/// paths (a reproduction of one case, under `IC_TESTKIT_SEED`, may not).
+fn run_every_mode(name: &str, cases: u32, threads: usize) {
+    let (compared, certified) = (Tally::new(0), Tally::new(0));
+    Runner::new(name).cases(cases).run(gen_case, |case| {
+        for mode in MODES {
+            let (c, z) = assert_topk_is_brute_force(case, mode(), threads);
+            compared.set(compared.get() + c);
+            certified.set(certified.get() + z);
+        }
+    });
+    if std::env::var_os(SEED_ENV).is_none() {
+        assert!(
+            compared.get() > 0 && certified.get() > 0,
+            "the run must hold compared and certified survivors: {} and {}",
+            compared.get(),
+            certified.get()
         );
     }
 }
 
 #[test]
 fn topk_over_whole_catalog_is_brute_force_ranking_single_thread() {
-    Runner::new("search::topk_is_brute_force::threads1")
-        .cases(48)
-        .run(gen_case, |case| assert_topk_is_brute_force(case, 1));
+    run_every_mode("search::topk_is_brute_force::threads1", 48, 1);
 }
 
 #[test]
 fn topk_over_whole_catalog_is_brute_force_ranking_four_threads() {
-    Runner::new("search::topk_is_brute_force::threads4")
-        .cases(24)
-        .run(gen_case, |case| assert_topk_is_brute_force(case, 4));
+    run_every_mode("search::topk_is_brute_force::threads4", 24, 4);
 }
