@@ -1,15 +1,17 @@
 //! Sketch-prefiltered top-k search ([`ic_index::CatalogIndex`]) over a
 //! ~10k-instance synthetic lake: recall against the brute-force scan it
-//! replaces, the fractions of the catalog that pass the prefilter, get a
-//! full comparison and are certified to match nothing, and query
-//! throughput.
+//! replaces, the fractions of the catalog that the prefilter ranks, that
+//! pass it, that get a full comparison and that are certified to match
+//! nothing, the prefilter's time, and query throughput.
 //!
 //! The lake is 625 clusters × 16 evolved versions (constant-disjoint
 //! across clusters), so each query has 15 true near-duplicates and ~9.98k
 //! irrelevant entries. Acceptance criteria asserted before any timing:
-//! recall@10 must be 1.0 on every probe query, and the prefilter must pass
+//! recall@10 must be 1.0 on every probe query, the prefilter must pass
 //! < 20% of the catalog, counting fully compared and certified survivors
-//! alike.
+//! alike, and it must rank < 1% of the catalog (`index.ranked`: only the
+//! entries that share a signature bucket or a fingerprint slot with the
+//! query get an exact rank).
 //!
 //! Run: `cargo run -p ic-bench --release --bin bench_search`
 
@@ -26,6 +28,9 @@ const VERSIONS: usize = 16;
 const ROWS: usize = 12;
 const K: usize = 10;
 const PROBES: usize = 4;
+/// Queries of the observed pass that reads the prefilter's span and
+/// `index.ranked` counter.
+const OBSERVED: usize = 200;
 
 fn main() {
     let lake = generate_lake(&LakeParams {
@@ -118,11 +123,39 @@ fn main() {
         fraction * 100.0
     );
 
-    // Throughput: rotate queries so no single entry's maps stay hot in a
-    // way real workloads wouldn't see.
+    // The prefilter's own split, from what it records: the
+    // `index.prefilter` span and the `index.ranked` counter, summed over
+    // one observation of the rotating queries the throughput pass uses.
+    // Rotate queries so no single entry's maps stay hot in a way real
+    // workloads wouldn't see.
+    let rotation = |q: usize| &pins[(q * 997) % pins.len()];
+    let sink = Arc::new(ic_obs::MemorySink::new());
+    {
+        let _obs = ic_obs::observe("search", Arc::clone(&sink) as Arc<dyn ic_obs::Sink>);
+        for q in 0..OBSERVED {
+            index.topk(rotation(q), K, &cmp, None).unwrap();
+        }
+    }
+    let report = sink.last().expect("one report");
+    let prefilter = report
+        .find_span(&["index.prefilter"])
+        .expect("the prefilter records its span");
+    assert_eq!(prefilter.count, OBSERVED as u64);
+    let prefilter_us = prefilter.total.as_secs_f64() * 1e6 / OBSERVED as f64;
+    let ranked = report.counter("index.ranked").unwrap_or(0);
+    let ranked_fraction = ranked as f64 / (OBSERVED * pins.len()) as f64;
+    suite.set_meta("prefilter_us", &format!("{prefilter_us:.1}"));
+    suite.set_meta("ranked_fraction", &format!("{ranked_fraction:.5}"));
+    assert!(
+        ranked_fraction < 0.01,
+        "prefilter ranked {:.2}% of the catalog — expected < 1%",
+        ranked_fraction * 100.0
+    );
+
+    // Throughput.
     let mut q = 0usize;
     suite.measure("search/topk", || {
-        let query = &pins[(q * 997) % pins.len()];
+        let query = rotation(q);
         q += 1;
         index.topk(query, K, &cmp, None).unwrap().hits.len()
     });

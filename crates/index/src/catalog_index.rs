@@ -1,10 +1,11 @@
 //! The catalog index: per-instance entries (sketch + signature posting
 //! hashes + pinned [`InstanceSigMaps`]) in one lock-guarded slot arena,
 //! and the two-stage search over it: [`CatalogIndex::prefilter`] ranks
-//! every entry by sketch + signature overlap and picks the survivors, and
-//! [`Survivors::compare`] scores them, certifying the ones that can match
-//! nothing and running the full comparison on the rest. An entry is only
-//! ever built whole, by [`CatalogIndex::insert`], and never patched.
+//! the entries that share a signature bucket or a sketch fingerprint slot
+//! with the query and picks the survivors, and [`Survivors::compare`]
+//! scores them, certifying the ones that can match nothing and running
+//! the full comparison on the rest. An entry is only ever built whole, by
+//! [`CatalogIndex::insert`], and never patched.
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
@@ -15,7 +16,7 @@ use std::time::Instant;
 use ic_core::{CandidateIndex, Comparator, Error, InstanceSigMaps, SignatureConfig};
 use ic_model::{FxHashMap, Instance, RelId, Sym};
 
-use crate::sketch::{hash64, jaccard_estimate, Sketch};
+use crate::sketch::{fingerprints_meet, hash64, jaccard_estimate, Fingerprint, Sketch};
 
 /// Seed of the signature-posting hash family (disjoint from the sketch
 /// family's).
@@ -122,20 +123,28 @@ impl Summary {
 /// pointer identity keys invalidation, and its summary.
 #[derive(Debug)]
 struct Entry {
-    name: String,
+    name: Box<str>,
+    /// The name's first 8 bytes, big-endian and zero-padded: ordered as
+    /// the names are, up to ties. It sits beside the fields the prefilter
+    /// reads anyway, so ranking an entry does not read its name.
+    name_head: u64,
     pin: Arc<Instance>,
     summary: Summary,
 }
 
-/// The index state behind the one lock: slot-addressed entries, the
-/// name-ordered name → slot map, and the inverted posting map from
-/// signature hash to occupying slots.
+/// The index state behind the one lock: slot-addressed entries and their
+/// sketch fingerprints, the name-ordered name → slot map, and the
+/// inverted posting map from signature hash to occupying slots.
 #[derive(Debug, Default)]
 struct Arena {
     /// Slot-addressed entries; `None` marks a freed slot.
     entries: Vec<Option<Entry>>,
-    /// Name → slot in name order, so an entry's position in it is its
-    /// name ordinal.
+    /// Slot-addressed fingerprints of the entries' sketches, one
+    /// contiguous row per slot, so the prefilter scans them without
+    /// touching an entry. A freed slot keeps its stale row until the slot
+    /// is reused.
+    fingerprints: Vec<Fingerprint>,
+    /// Name → slot in name order.
     by_name: BTreeMap<String, u32>,
     free: Vec<u32>,
     postings: FxHashMap<u64, Vec<u32>>,
@@ -160,7 +169,7 @@ impl Arena {
 
     fn remove_slot(&mut self, slot: u32) -> Entry {
         let entry = self.entries[slot as usize].take().expect("slot is live");
-        self.by_name.remove(&entry.name);
+        self.by_name.remove(&*entry.name);
         for h in entry.summary.sig_hashes.iter() {
             if let Some(slots) = self.postings.get_mut(h) {
                 slots.retain(|&s| s != slot);
@@ -174,29 +183,38 @@ impl Arena {
     }
 
     fn insert_entry(&mut self, entry: Entry) {
-        let slot = self.free.pop().unwrap_or_else(|| {
-            self.entries.push(None);
-            (self.entries.len() - 1) as u32
-        });
+        let fingerprint = entry.summary.sketch.fingerprint();
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.fingerprints[slot as usize] = fingerprint;
+                slot
+            }
+            None => {
+                self.entries.push(None);
+                self.fingerprints.push(fingerprint);
+                (self.entries.len() - 1) as u32
+            }
+        };
         for h in entry.summary.sig_hashes.iter() {
             self.postings.entry(*h).or_default().push(slot);
         }
-        self.by_name.insert(entry.name.clone(), slot);
+        self.by_name.insert(entry.name.to_string(), slot);
         self.entries[slot as usize] = Some(entry);
     }
 }
 
 /// One entry's prefilter rank. The derived order compares the fields top
 /// to bottom, which is the rank order `(overlap desc, sketch desc, name
-/// asc)`: integer compares only. Name ordinals are unique, so `slot` never
-/// decides.
+/// asc)`: the name head decides most name ties with one integer compare.
+/// Names are unique, so `slot` never decides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Rank {
+struct Rank<'a> {
     /// Distinct signature buckets shared with the query.
     overlap: Reverse<u32>,
     /// Agreeing minhash slots.
     matches: Reverse<u32>,
-    ordinal: u32,
+    name_head: u64,
+    name: &'a str,
     slot: u32,
 }
 
@@ -362,7 +380,7 @@ impl Survivors {
 /// needs a comparator of the same map shape (complete matches, the
 /// default signature cap); its mode and scoring may differ.
 ///
-/// A search is two stages. [`Self::prefilter`] scores every entry under
+/// A search is two stages. [`Self::prefilter`] ranks the entries under
 /// one read lock and clones pins and maps for the survivors only;
 /// [`Survivors::compare`] then scores them without the lock, certifying
 /// the ones that can match nothing and fully comparing the rest.
@@ -413,8 +431,12 @@ impl CatalogIndex {
             self.unchanged.fetch_add(1, Ordering::Relaxed);
             return false;
         }
+        let mut head = [0u8; 8];
+        let len = name.len().min(8);
+        head[..len].copy_from_slice(&name.as_bytes()[..len]);
         let entry = Entry {
-            name: name.to_string(),
+            name: name.into(),
+            name_head: u64::from_be_bytes(head),
             pin: Arc::clone(pin),
             summary: Summary::new(maps, Sketch::build(pin)),
         };
@@ -469,11 +491,13 @@ impl CatalogIndex {
     /// Top-k most similar indexed instances to `query`: exactly
     /// [`Self::prefilter`] followed by [`Survivors::compare`].
     ///
-    /// Three stages: (1) cheap prefilter scores for **every** entry —
-    /// signature overlap via the inverted postings plus the minhash domain
-    /// estimate; (2) survivor selection — entries with signature overlap
-    /// or a sketch estimate ≥ 0.5, padded to at least `max(4·k, 32)` by
-    /// prefilter rank `(overlap desc, sketch desc, name asc)`; (3) the
+    /// Three stages: (1) cheap prefilter ranks — signature overlap via the
+    /// inverted postings plus the minhash domain estimate, computed only
+    /// for the entries that share a bucket or a sketch fingerprint slot
+    /// with the query (every other entry estimates 0); (2) survivor
+    /// selection — entries with signature overlap or a sketch estimate
+    /// ≥ 0.5, padded to at least `max(4·k, 32)` by prefilter rank
+    /// `(overlap desc, sketch desc, name asc)`; (3) the
     /// survivors' scores: the empty match's for a survivor with no tuple
     /// c-compatible with the query's (certified), the full signature
     /// comparison, seeded with the entries' maps, for every other.
@@ -504,15 +528,22 @@ impl CatalogIndex {
         self.prefilter(query, k, cmp)?.compare(query, cmp, deadline)
     }
 
-    /// Stages 1 and 2 of [`Self::topk`], under one read lock: rank every
-    /// entry into a compact integer record, keep every entry with overlap
-    /// or a sketch estimate at the threshold, and fill the rest of the
-    /// floor by partial selection, not a sort. Only survivors have their
+    /// Stages 1 and 2 of [`Self::topk`], under one read lock. Signature
+    /// overlap is counted from the postings, and a flat scan of the
+    /// fingerprint rows finds the entries that may share a minhash slot
+    /// with the query. Only entries with overlap or a fingerprint hit get
+    /// their exact rank; every other entry has no matching slot (equal
+    /// slots have equal low bits), so it ranks `(0, 0, name)`. Entries
+    /// with overlap or a sketch estimate at the threshold are kept; the
+    /// rest of the floor comes first from the ranked entries below the
+    /// threshold, by partial selection when they outnumber it, and then
+    /// from the unranked entries in name order. Only survivors have their
     /// name, pin and maps cloned. When `query` is itself indexed (the same
     /// `Arc` under its own name), its entry's maps, posting hashes and
     /// sketch are reused instead of rebuilt.
     ///
-    /// Records an `index.prefilter` span with `index.entries` and
+    /// Records an `index.prefilter` span with `index.entries`,
+    /// `index.ranked` (the entries whose exact rank was computed) and
     /// `index.survivors` counters into the active observation.
     ///
     /// # Panics
@@ -549,53 +580,85 @@ impl CatalogIndex {
             }
         };
 
-        // Stage 1: rank every entry without cloning anything.
+        // Stage 1: rank the entries that share a bucket or a fingerprint
+        // slot with the query, without cloning anything.
         let mut overlap = vec![0u32; arena.entries.len()];
         for h in probe.sig_hashes.iter() {
             for &slot in arena.postings.get(h).into_iter().flatten() {
                 overlap[slot as usize] += 1;
             }
         }
-        let mut kept: Vec<Rank> = Vec::new();
-        let mut rest: Vec<Rank> = Vec::with_capacity(arena.by_name.len());
-        for (ordinal, &slot) in arena.by_name.values().enumerate() {
-            let matches = probe
-                .sketch
-                .matching_slots(&arena.entry(slot).summary.sketch);
-            let rank = Rank {
-                overlap: Reverse(overlap[slot as usize]),
-                matches: Reverse(matches as u32),
-                ordinal: ordinal as u32,
-                slot,
+        let fingerprint = probe.sketch.fingerprint();
+        // `kept` passes the filter; `below` holds the other entries with a
+        // matching slot, which have no overlap and 1 to 31 of them.
+        let (mut kept, mut below): (Vec<Rank>, Vec<Rank>) = (Vec::new(), Vec::new());
+        let mut ranked = 0;
+        for (slot, row) in arena.fingerprints.iter().enumerate() {
+            if overlap[slot] == 0 && !fingerprints_meet(row, &fingerprint) {
+                continue;
+            }
+            // A freed slot keeps its stale row.
+            let Some(entry) = &arena.entries[slot] else {
+                continue;
             };
-            if rank.overlap.0 > 0 || jaccard_estimate(matches) >= SKETCH_THRESHOLD {
+            ranked += 1;
+            let matches = probe.sketch.matching_slots(&entry.summary.sketch);
+            let rank = Rank {
+                overlap: Reverse(overlap[slot]),
+                matches: Reverse(matches as u32),
+                name_head: entry.name_head,
+                name: &entry.name,
+                slot: slot as u32,
+            };
+            if overlap[slot] > 0 || jaccard_estimate(matches) >= SKETCH_THRESHOLD {
                 kept.push(rank);
-            } else {
-                rest.push(rank);
+            } else if matches > 0 {
+                below.push(rank);
             }
         }
-        let total = kept.len() + rest.len();
+        let total = arena.by_name.len();
 
-        // Stage 2: the kept entries lead the rank order, so the survivors
-        // are they plus the best of the rest up to the floor.
+        // Stage 2: the rank order is the kept entries, then `below`, then
+        // every other entry at `(0, 0, name)`; the survivors are the kept
+        // entries plus the order's head up to the floor.
         let floor = k.saturating_mul(OVERSAMPLE).max(MIN_CANDIDATES).min(total);
-        if let Some(fill) = floor.checked_sub(kept.len()).filter(|&n| n > 0) {
-            rest.select_nth_unstable(fill - 1);
-            kept.extend_from_slice(&rest[..fill]);
+        let fill = floor.saturating_sub(kept.len());
+        if below.len() > fill {
+            if fill > 0 {
+                below.select_nth_unstable(fill - 1);
+            }
+            below.truncate(fill);
         }
+        let zeros = fill - below.len();
+        kept.append(&mut below);
         kept.sort_unstable();
-        let survivors: Vec<Survivor> = kept
-            .iter()
-            .map(|r| {
-                let entry = arena.entry(r.slot);
-                Survivor {
-                    name: entry.name.clone(),
-                    pin: Arc::clone(&entry.pin),
-                    maps: Arc::clone(&entry.summary.maps),
-                }
-            })
-            .collect();
+        let survivor = |slot: u32| {
+            let entry = arena.entry(slot);
+            Survivor {
+                name: entry.name.to_string(),
+                pin: Arc::clone(&entry.pin),
+                maps: Arc::clone(&entry.summary.maps),
+            }
+        };
+        let mut survivors: Vec<Survivor> = kept.iter().map(|r| survivor(r.slot)).collect();
+        if zeros > 0 {
+            // `kept` now holds every entry with overlap or a matching
+            // slot, so the zeros are the first of the others by name.
+            let mut taken = vec![false; arena.entries.len()];
+            for r in &kept {
+                taken[r.slot as usize] = true;
+            }
+            survivors.extend(
+                arena
+                    .by_name
+                    .values()
+                    .filter(|&&slot| !taken[slot as usize])
+                    .take(zeros)
+                    .map(|&slot| survivor(slot)),
+            );
+        }
         ic_obs::counter("index.entries", total as u64);
+        ic_obs::counter("index.ranked", ranked as u64);
         ic_obs::counter("index.survivors", survivors.len() as u64);
         Ok(Survivors {
             query_maps: Arc::clone(&probe.maps),
@@ -658,7 +721,7 @@ mod tests {
         for (slot, entry) in arena.entries.iter().enumerate() {
             let Some(entry) = entry else { continue };
             candidates.push(Candidate {
-                name: entry.name.clone(),
+                name: entry.name.to_string(),
                 pin: Arc::clone(&entry.pin),
                 maps: Arc::clone(&entry.summary.maps),
                 overlap: overlap.get(&(slot as u32)).copied().unwrap_or(0),
@@ -832,12 +895,22 @@ mod tests {
 
     /// Checks the arena against its entries: every posting names a live
     /// slot whose entry holds that hash, and names it once; every hash of
-    /// a live entry is posted; `by_name` maps exactly the live slots, each
-    /// under its entry's name; and the free list is exactly the dead slots.
+    /// a live entry is posted; every slot has a fingerprint row, and a live
+    /// slot's row is its entry's sketch fingerprint; `by_name` maps exactly
+    /// the live slots, each under its entry's name; and the free list is
+    /// exactly the dead slots.
     fn assert_arena_consistent(index: &CatalogIndex, case: &str) {
         let arena = index.read();
         let (live, dead): (Vec<u32>, Vec<u32>) =
             (0..arena.entries.len() as u32).partition(|&s| arena.entries[s as usize].is_some());
+        assert_eq!(arena.fingerprints.len(), arena.entries.len(), "{case}");
+        for &slot in &live {
+            assert_eq!(
+                arena.fingerprints[slot as usize],
+                arena.entry(slot).summary.sketch.fingerprint(),
+                "fingerprint row of slot {slot}, {case}"
+            );
+        }
         let mut posted = 0;
         for (h, slots) in &arena.postings {
             let mut unique = slots.clone();
@@ -863,7 +936,7 @@ mod tests {
         named.sort_unstable();
         assert_eq!(named, live, "by_name vs live slots, {case}");
         for (name, &slot) in &arena.by_name {
-            assert_eq!(&arena.entry(slot).name, name, "{case}");
+            assert_eq!(&*arena.entry(slot).name, name.as_str(), "{case}");
         }
         let mut free = arena.free.clone();
         free.sort_unstable();
@@ -958,6 +1031,174 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// How the arena's slots meet `query`, slot by slot and with nothing
+    /// skipped: the live entries that pass the filter, those below it with
+    /// 1 to 31 matching slots, those whose fingerprint meets the query's
+    /// with neither overlap nor a matching slot (16-bit collisions), and
+    /// the freed slots whose stale row meets it.
+    #[derive(Debug, Default)]
+    struct Census {
+        passed: usize,
+        below: usize,
+        collisions: usize,
+        stale: usize,
+    }
+
+    impl Census {
+        fn take(index: &CatalogIndex, query: &Instance, cmp: &Comparator<'_>) -> Self {
+            let hashes = signature_hashes(&cmp.build_maps(query).unwrap());
+            let sketch = Sketch::build(query);
+            let arena = index.read();
+            let mut census = Census::default();
+            for (slot, row) in arena.fingerprints.iter().enumerate() {
+                let meets = fingerprints_meet(row, &sketch.fingerprint());
+                let Some(entry) = &arena.entries[slot] else {
+                    census.stale += usize::from(meets);
+                    continue;
+                };
+                let overlap = entry
+                    .summary
+                    .sig_hashes
+                    .iter()
+                    .filter(|h| hashes.binary_search(h).is_ok())
+                    .count();
+                let matches = sketch.matching_slots(&entry.summary.sketch);
+                assert!(matches == 0 || meets, "a matching slot missed the scan");
+                if overlap > 0 || jaccard_estimate(matches) >= SKETCH_THRESHOLD {
+                    census.passed += 1;
+                } else if matches > 0 {
+                    census.below += 1;
+                } else if meets {
+                    census.collisions += 1;
+                }
+            }
+            census
+        }
+
+        /// The entries whose exact rank the prefilter computes.
+        fn ranked(&self) -> usize {
+            self.passed + self.below + self.collisions
+        }
+    }
+
+    /// The `index.ranked` count of one top-`k` prefilter of `query`.
+    fn ranked_count(index: &CatalogIndex, query: &Instance, k: usize, cmp: &Comparator<'_>) -> u64 {
+        let sink = Arc::new(ic_obs::MemorySink::new());
+        {
+            let _obs = ic_obs::observe("search", Arc::clone(&sink) as Arc<dyn ic_obs::Sink>);
+            index.prefilter(query, k, cmp).unwrap();
+        }
+        sink.last().unwrap().counter("index.ranked").unwrap_or(0)
+    }
+
+    /// The work bound of the fingerprint scan: on 4,000 entries whose
+    /// clusters share no constant, a top-10 search ranks only the query's
+    /// cluster and the 16-bit collisions, fewer than 40 entries. The lake
+    /// is large enough that collisions (a fingerprint hit with no matching
+    /// slot) occur, and the selection still equals the reference.
+    #[test]
+    fn prefilter_ranks_only_entries_that_share_something_with_the_query() {
+        let lake = generate_lake(&LakeParams {
+            clusters: 1000,
+            versions_per_cluster: 4,
+            rows: 3,
+            arity: 3,
+            ..LakeParams::default()
+        });
+        let pins: Vec<Arc<Instance>> = lake.instances.iter().cloned().map(Arc::new).collect();
+        let index = CatalogIndex::default();
+        for pin in &pins {
+            index.insert(pin.name(), pin, maps(pin));
+        }
+        let cmp = Comparator::new(&lake.catalog).build().unwrap();
+        let mut collisions = 0;
+        for c in [0, 333, 999] {
+            let query = &pins[lake.index_of(c, c % 4)];
+            let census = Census::take(&index, query, &cmp);
+            let ranked = ranked_count(&index, query, 10, &cmp);
+            assert_eq!(ranked, census.ranked() as u64, "query {}", query.name());
+            assert!(ranked < 40, "query {} ranked {ranked}", query.name());
+            collisions += census.collisions;
+            assert_matches_reference(&index, query, &cmp);
+        }
+        assert!(collisions > 0, "no fingerprint hit without a matching slot");
+    }
+
+    /// More entries below the filter than the floor has room for: every
+    /// entry shares some pool constants with every other but no tuple
+    /// (each row holds a constant of its own), so all rank with 0 overlap
+    /// and the fill picks among them by partial selection.
+    #[test]
+    fn selection_fills_the_floor_from_more_ranked_entries_than_it_needs() {
+        let mut cat = Catalog::new(Schema::single("R", &["a", "b", "c"]));
+        let pool: Vec<_> = (0..8).map(|i| cat.konst(&format!("p{i}"))).collect();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut pins = Vec::new();
+        for i in 0..64usize {
+            let mut inst = Instance::new(format!("m{:02}", (i * 29) % 64), &cat);
+            for r in 0..3 {
+                let own = cat.konst(&format!("own{i}-{r}"));
+                let row = vec![
+                    pool[rng.random_range(0..8usize)],
+                    pool[rng.random_range(0..8usize)],
+                    own,
+                ];
+                inst.insert(RelId(0), row);
+            }
+            pins.push(Arc::new(inst));
+        }
+        let index = CatalogIndex::default();
+        for pin in pins.iter().rev() {
+            index.insert(pin.name(), pin, maps(pin));
+        }
+        let cmp = Comparator::new(&cat).build().unwrap();
+        let mut crowded = 0;
+        for query in queries(&pins) {
+            let census = Census::take(&index, &query, &cmp);
+            // The floor at k = 1.
+            let fill = MIN_CANDIDATES.saturating_sub(census.passed);
+            crowded += usize::from(census.below > fill);
+            assert_matches_reference(&index, &query, &cmp);
+        }
+        assert!(
+            crowded > 0,
+            "no query had more ranked entries than the fill"
+        );
+    }
+
+    /// A freed slot keeps its fingerprint row until reused: a search must
+    /// skip the stale row even when it meets the query's, and must not
+    /// count it as ranked.
+    #[test]
+    fn a_freed_slot_whose_stale_row_meets_the_query_is_skipped() {
+        let lake = generate_lake(&LakeParams {
+            clusters: 12,
+            versions_per_cluster: 4,
+            rows: 5,
+            arity: 3,
+            ..LakeParams::default()
+        });
+        let pins: Vec<Arc<Instance>> = lake.instances.iter().cloned().map(Arc::new).collect();
+        let index = CatalogIndex::default();
+        for pin in &pins {
+            index.insert(pin.name(), pin, maps(pin));
+        }
+        // Free the query's cluster siblings: they share its constants.
+        let query = &pins[lake.index_of(3, 0)];
+        for v in 1..4 {
+            assert!(index.remove(pins[lake.index_of(3, v)].name()));
+        }
+        assert_arena_consistent(&index, "after removals");
+        let cmp = Comparator::new(&lake.catalog).build().unwrap();
+        let census = Census::take(&index, query, &cmp);
+        assert!(census.stale > 0, "no stale row meets the query");
+        assert_eq!(
+            ranked_count(&index, query, 10, &cmp),
+            census.ranked() as u64
+        );
+        assert_matches_reference(&index, query, &cmp);
     }
 
     #[test]

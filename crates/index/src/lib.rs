@@ -24,15 +24,23 @@
 //! [`CatalogIndex::topk`] prefilters by signature overlap + sketch
 //! estimate, then scores **only the survivors**. The survivors are every
 //! entry with overlap or a sketch estimate ≥ 0.5, padded by rank to at
-//! least `max(4·k, 32)`; those three numbers are fixed. A survivor none of
-//! whose tuples is c-compatible with a tuple of the query (no attribute
+//! least `max(4·k, 32)`; those three numbers are fixed. The prefilter
+//! computes the exact rank of only the entries that share a signature
+//! bucket or a sketch fingerprint slot with the query: the index keeps
+//! the low 16 bits of every entry's minhash slots in one contiguous row
+//! per entry (128 bytes), and a flat scan of those rows finds every entry
+//! that may share a slot, since equal slots have equal low bits. Every
+//! other entry has no matching slot and so estimates 0, and the padding
+//! takes the entries with neither overlap nor a matching slot in name
+//! order. A survivor none of whose tuples is c-compatible with a tuple of
+//! the query (no attribute
 //! with two distinct constants) can match nothing under the complete-match
 //! semantics searches use, so it is certified and gets the empty match's
 //! score; every other survivor runs the full comparison, seeded with the
 //! entries' maps. The only per-search input besides the query, `k` and the
 //! comparator is an optional deadline, checked before every survivor. A
 //! search is two calls, so a caller can end its hold on the index between
-//! them: [`CatalogIndex::prefilter`] ranks every entry under one read lock
+//! them: [`CatalogIndex::prefilter`] picks the survivors under one read lock
 //! and returns [`Survivors`] that own their pins and maps, and
 //! [`Survivors::compare`] scores them.
 //! The prefilter chooses *which* entries are scored and the certificate

@@ -107,8 +107,9 @@ test -f target/ic-bench/BENCH_discovery.json
 echo "    wrote target/ic-bench/BENCH_discovery.json"
 
 # The index's point: recall@10 of 1.0 on a 10k-instance lake while
-# passing <20% of the catalog through the prefilter, with query throughput
-# as a JSON artifact.
+# passing <20% of the catalog through the prefilter and ranking <1% of it
+# (`index.ranked`), with the prefilter's span time and query throughput as
+# a JSON artifact.
 echo "==> bench_search (recall@k vs brute force + prefilter rate + queries/s)"
 cargo run -q --offline --release -p ic-bench --bin bench_search
 test -f target/ic-bench/BENCH_search.json
