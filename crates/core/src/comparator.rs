@@ -45,18 +45,16 @@ use std::sync::Arc;
 /// Builder for a [`Comparator`]; created by [`Comparator::new`].
 ///
 /// Defaults mirror the free-function configs: 1-1 matching, `λ = 0.5`,
-/// complete matches, unbounded budget, warm-started exact search, the
-/// process-wide thread count, and no observer.
+/// complete matches, unbounded budget, the process-wide thread count, and
+/// no observer.
 pub struct ComparatorBuilder<'c> {
     catalog: &'c Catalog,
     mode: MatchMode,
     score: ScoreConfig,
     partial: bool,
     max_signatures_per_tuple: usize,
-    literal_subset_enumeration: bool,
     budget: Option<Duration>,
     max_nodes: Option<u64>,
-    no_warm_start: bool,
     threads: Option<usize>,
     #[cfg(feature = "obs")]
     observer: Option<(String, Arc<dyn ic_obs::Sink>)>,
@@ -83,10 +81,8 @@ impl<'c> ComparatorBuilder<'c> {
             score: sig.score,
             partial: sig.partial,
             max_signatures_per_tuple: sig.max_signatures_per_tuple,
-            literal_subset_enumeration: sig.literal_subset_enumeration,
             budget: None,
             max_nodes: None,
-            no_warm_start: false,
             threads: None,
             #[cfg(feature = "obs")]
             observer: None,
@@ -125,12 +121,6 @@ impl<'c> ComparatorBuilder<'c> {
         self
     }
 
-    /// Ablation switch: probe with the paper's literal subset enumeration.
-    pub fn literal_subset_enumeration(mut self, literal: bool) -> Self {
-        self.literal_subset_enumeration = literal;
-        self
-    }
-
     /// Sets the wall-clock budget for both algorithms. On exhaustion the
     /// non-strict methods return the best partial result (flagged via
     /// `timed_out` / `optimal`); the `_strict` variants return
@@ -143,13 +133,6 @@ impl<'c> ComparatorBuilder<'c> {
     /// Caps the number of search nodes the exact algorithm may explore.
     pub fn max_nodes(mut self, max_nodes: u64) -> Self {
         self.max_nodes = Some(max_nodes);
-        self
-    }
-
-    /// Disables the signature warm start of the exact search (benchmarking
-    /// the raw branch-and-bound only; the optimum is unchanged).
-    pub fn no_warm_start(mut self, no_warm_start: bool) -> Self {
-        self.no_warm_start = no_warm_start;
         self
     }
 
@@ -184,7 +167,6 @@ impl<'c> ComparatorBuilder<'c> {
                 score: self.score,
                 partial: self.partial,
                 max_signatures_per_tuple: self.max_signatures_per_tuple,
-                literal_subset_enumeration: self.literal_subset_enumeration,
                 budget: self.budget,
             },
             exact_cfg: ExactConfig {
@@ -192,7 +174,6 @@ impl<'c> ComparatorBuilder<'c> {
                 score: self.score,
                 budget: self.budget,
                 max_nodes: self.max_nodes,
-                no_warm_start: self.no_warm_start,
             },
             threads: self.threads,
             #[cfg(feature = "obs")]

@@ -1,9 +1,9 @@
 //! The crate-wide error type.
 //!
-//! Earlier revisions exposed only [`ConfigError`] and forced every fallible
-//! entry point to grow its own `_checked` twin. The [`Comparator`] facade
-//! consolidates validation behind one constructor, and this module gives it
-//! (and the deprecated `_checked` wrappers) a single error enum to return.
+//! The [`Comparator`] facade validates its configuration once, at
+//! construction, and this module gives it a single error enum to return.
+//! Fallible entry points of other crates (constraint discovery, the
+//! cleaning FD constructor) return the same enum.
 //!
 //! [`Comparator`]: crate::comparator::Comparator
 

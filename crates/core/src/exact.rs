@@ -39,11 +39,6 @@ pub struct ExactConfig {
     pub budget: Option<Duration>,
     /// Maximum number of explored search nodes; `None` means unbounded.
     pub max_nodes: Option<u64>,
-    /// Seed the incumbent with the signature algorithm's greedy match
-    /// before searching (pure optimization: the optimum is unchanged, but
-    /// pruning improves dramatically). Disabled only for benchmarking the
-    /// raw search.
-    pub no_warm_start: bool,
 }
 
 /// Result of an exact run.
@@ -330,7 +325,7 @@ pub fn exact_match(
     search.consider_incumbent();
     // Warm start: the signature match is feasible for the same mode, so its
     // score is a valid incumbent and tightens the bound from the start.
-    if !cfg.no_warm_start {
+    {
         let _span = crate::obs::span("exact.warm_start");
         let sig_cfg = SignatureConfig {
             mode: cfg.mode,
@@ -470,23 +465,6 @@ mod tests {
         let out = exact_match(&l, &r, &cat, &cfg);
         assert!(out.meets_totality);
         assert_eq!(out.best.pairs.len(), 1);
-    }
-
-    #[test]
-    fn warm_start_can_be_disabled() {
-        let mut cat = Catalog::new(Schema::single("R", &["A"]));
-        let rel = RelId(0);
-        let a = cat.konst("a");
-        let mut l = Instance::new("I", &cat);
-        l.insert(rel, vec![a]);
-        let r = l.clone();
-        let cfg = ExactConfig {
-            no_warm_start: true,
-            ..Default::default()
-        };
-        let out = exact_match(&l, &r, &cat, &cfg);
-        assert!(out.optimal);
-        assert!((out.best.score() - 1.0).abs() < EPS);
     }
 
     const EPS: f64 = 1e-9;

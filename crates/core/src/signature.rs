@@ -56,14 +56,10 @@ pub struct SignatureConfig {
     /// *all* signatures and pairs may leave conflicting cells misaligned.
     pub partial: bool,
     /// In partial mode, at most this many signatures are indexed per tuple
-    /// (largest first); bounds the combinatorial factor in the arity.
+    /// (largest first); bounds the combinatorial factor in the arity. It
+    /// shapes partial-mode maps only: complete mode indexes one signature
+    /// per tuple, and the probe visits only the masks present in the map.
     pub max_signatures_per_tuple: usize,
-    /// Ablation switch: probe with the paper's literal enumeration of *all*
-    /// subsets of a tuple's ground attributes (Alg. 4 line 6) instead of
-    /// only the attribute sets present in the signature map. Semantically
-    /// equivalent — every subset absent from the map misses by construction
-    /// — but combinatorial in the arity; kept for the ablation benchmarks.
-    pub literal_subset_enumeration: bool,
     /// Wall-clock budget, mirroring [`crate::ExactConfig::budget`]: checked
     /// between phases, per probe/left tuple in the matching loops, and per
     /// tuple during the (combinatorial) partial-mode signature indexing.
@@ -79,7 +75,6 @@ impl Default for SignatureConfig {
             score: ScoreConfig::default(),
             partial: false,
             max_signatures_per_tuple: 4096,
-            literal_subset_enumeration: false,
             budget: None,
         }
     }
@@ -145,14 +140,17 @@ fn signature_key(t: &Tuple, mask: u128) -> Box<[Sym]> {
 /// Tuples of one bucket keyed by their signature on the bucket's mask.
 type KeyedTuples = FxHashMap<Box<[Sym]>, Vec<TupleId>>;
 
+/// The order of a signature map's buckets: decreasing mask size, then mask.
+fn bucket_key(mask: u128) -> (Reverse<u32>, u128) {
+    (Reverse(mask.count_ones()), mask)
+}
+
 /// Signature map of one side of one relation: for each distinct attribute
 /// set (mask), the tuples keyed by their signature on that set.
 #[derive(Debug, Clone, PartialEq)]
 struct SigMap {
-    /// `(mask, key → tuples)` sorted by decreasing mask size.
+    /// `(mask, key → tuples)` sorted by [`bucket_key`].
     buckets: Vec<(u128, KeyedTuples)>,
-    /// Bucket index by mask (for the literal-enumeration ablation).
-    by_mask: FxHashMap<u128, usize>,
 }
 
 impl SigMap {
@@ -224,41 +222,26 @@ impl SigMap {
         // Secondary mask key: equal-popcount buckets would otherwise probe
         // in hash-map iteration order, making the greedy result depend on
         // insertion history.
-        buckets.sort_by_key(|(mask, _)| (Reverse(mask.count_ones()), *mask));
-        let by_mask = buckets
-            .iter()
-            .enumerate()
-            .map(|(i, (mask, _))| (*mask, i))
-            .collect();
-        (Self { buckets, by_mask }, expired)
+        buckets.sort_by_key(|(mask, _)| bucket_key(*mask));
+        (Self { buckets }, expired)
     }
 
-    /// Recomputes [`SigMap::by_mask`] after a bucket insertion or removal
-    /// shifted the bucket indices.
-    fn reindex_masks(&mut self) {
-        self.by_mask = self
-            .buckets
-            .iter()
-            .enumerate()
-            .map(|(i, (mask, _))| (*mask, i))
-            .collect();
+    /// Binary search for the bucket of `mask`: `Ok(index)` if present,
+    /// otherwise `Err(position)` where it belongs in [`bucket_key`] order.
+    fn find_bucket(&self, mask: u128) -> Result<usize, usize> {
+        self.buckets
+            .binary_search_by_key(&bucket_key(mask), |(m, _)| bucket_key(*m))
     }
 
     /// Index of the bucket for `mask`, inserting an empty bucket at its
-    /// sorted position (decreasing popcount, then mask) if absent — the
-    /// same total order [`SigMap::build`] establishes, so a repaired map
-    /// probes buckets in exactly the order a fresh build would.
+    /// sorted position if absent — the same total order [`SigMap::build`]
+    /// establishes, so a repaired map probes buckets in exactly the order a
+    /// fresh build would.
     fn bucket_index_or_insert(&mut self, mask: u128) -> usize {
-        if let Some(&i) = self.by_mask.get(&mask) {
-            return i;
-        }
-        let key = (Reverse(mask.count_ones()), mask);
-        let pos = self
-            .buckets
-            .partition_point(|(m, _)| (Reverse(m.count_ones()), *m) < key);
-        self.buckets.insert(pos, (mask, KeyedTuples::default()));
-        self.reindex_masks();
-        pos
+        self.find_bucket(mask).unwrap_or_else(|pos| {
+            self.buckets.insert(pos, (mask, KeyedTuples::default()));
+            pos
+        })
     }
 
     /// Removes every index entry of `t`. Empty keys and buckets are dropped
@@ -269,7 +252,7 @@ impl SigMap {
             return 0;
         }
         for mask in tuple_masks(t, partial, max_per_tuple) {
-            let Some(&bi) = self.by_mask.get(&mask) else {
+            let Ok(bi) = self.find_bucket(mask) else {
                 continue;
             };
             let keyed = &mut self.buckets[bi].1;
@@ -282,7 +265,6 @@ impl SigMap {
             }
             if keyed.is_empty() {
                 self.buckets.remove(bi);
-                self.reindex_masks();
             }
         }
         1
@@ -503,11 +485,8 @@ fn subsets_desc(mask: u128, cap: usize) -> Vec<u128> {
 struct Run<'b> {
     state: MatchState<'b>,
     cfg: SignatureConfig,
-    /// Matched flags per side (dense by tuple id).
-    left_matched: Vec<bool>,
-    right_matched: Vec<bool>,
     /// Already-recorded pairs, kept only in n-to-m mode, which may revisit
-    /// a candidate. With an injective side, that side's matched flag
+    /// a candidate. With an injective side, that side's matched degree
     /// already rejects a repeated pair.
     seen: Option<FxHashSet<(TupleId, TupleId)>>,
     /// Wall-clock cutoff derived from [`SignatureConfig::budget`].
@@ -531,13 +510,22 @@ impl Run<'_> {
         }
     }
 
+    /// Whether a pair already holds `t` of `side`. A signature run never
+    /// pops a pair, so this only grows.
+    fn matched(&self, side: Side, t: TupleId) -> bool {
+        match side {
+            Side::Left => self.state.left_degree(t) > 0,
+            Side::Right => self.state.right_degree(t) > 0,
+        }
+    }
+
     /// Attempts to record pair `(lt, rt)`; returns whether it was added.
     fn try_match(&mut self, rel: RelId, lt: TupleId, rt: TupleId) -> bool {
         let mode = self.cfg.mode;
-        if mode.left_injective && self.left_matched[lt.0 as usize] {
+        if mode.left_injective && self.matched(Side::Left, lt) {
             return false;
         }
-        if mode.right_injective && self.right_matched[rt.0 as usize] {
+        if mode.right_injective && self.matched(Side::Right, rt) {
             return false;
         }
         if self
@@ -557,8 +545,6 @@ impl Run<'_> {
         if let Some(seen) = &mut self.seen {
             seen.insert((lt, rt));
         }
-        self.left_matched[lt.0 as usize] = true;
-        self.right_matched[rt.0 as usize] = true;
         true
     }
 
@@ -611,7 +597,6 @@ impl Run<'_> {
         };
         crate::obs::counter("sig.sigmap.buckets", sigmap.buckets.len() as u64);
         let _span = crate::obs::span("signature.probe");
-        let cfg = self.cfg;
         // Budget check inside the parallel discovery: the closures never
         // touch `self`, so expiry is latched through a shared flag and
         // folded into `timed_out` after the fan-out. Remaining probes
@@ -630,26 +615,14 @@ impl Run<'_> {
                     }
                 }
                 let probe_mask = ground_mask(t);
-                // Masks to probe, largest first. The default enumerates only
-                // the attribute sets present in the map; the ablation variant
-                // enumerates every subset of the probe's ground attributes
-                // and filters to those present (identical hits, more work).
-                let bucket_order: Vec<usize> = if cfg.literal_subset_enumeration {
-                    subsets_desc(probe_mask, cfg.max_signatures_per_tuple)
-                        .into_iter()
-                        .filter_map(|m| sigmap.by_mask.get(&m).copied())
-                        .collect()
-                } else {
-                    (0..sigmap.buckets.len())
-                        .filter(|&bi| {
-                            let mask = sigmap.buckets[bi].0;
-                            mask & probe_mask == mask
-                        })
-                        .collect()
-                };
+                // Only the map's masks that are subsets of the probe's ground
+                // attributes, largest first: every other subset of Alg. 4's
+                // enumeration misses the map by construction.
                 let mut cands = Vec::new();
-                for bi in bucket_order {
-                    let (mask, keyed) = &sigmap.buckets[bi];
+                for (mask, keyed) in &sigmap.buckets {
+                    if mask & probe_mask != *mask {
+                        continue;
+                    }
                     if let Some(hits) = keyed.get(&signature_key(t, *mask)) {
                         cands.extend_from_slice(hits);
                     }
@@ -676,11 +649,7 @@ impl Run<'_> {
             if self.out_of_budget() {
                 break;
             }
-            let probe_matched = match sig_side {
-                Side::Left => self.right_matched[probe_id.0 as usize],
-                Side::Right => self.left_matched[probe_id.0 as usize],
-            };
-            if probe_injective && probe_matched {
+            if probe_injective && self.matched(sig_side.flip(), probe_id) {
                 continue;
             }
             for (k, cand) in cands.into_iter().enumerate() {
@@ -713,8 +682,8 @@ impl Run<'_> {
     ///
     /// Only *open* tuples take part: under an injective side, a tuple the
     /// signature passes matched is left out, since consumption would
-    /// reject it anyway. Matched flags only grow, so this drops exactly the
-    /// pairs consumption would reject, and the ranking key below is total,
+    /// reject it anyway. Matched tuples stay matched, so this drops exactly
+    /// the pairs consumption would reject, and the ranking key below is total,
     /// so each remaining list keeps its order: the match is unchanged.
     ///
     /// Like the signature passes, candidate discovery fans out across
@@ -730,10 +699,10 @@ impl Run<'_> {
         let mode = self.cfg.mode;
         let (left, right) = (self.state.left(), self.state.right());
         let open_left: Vec<&Tuple> = (left.tuples(rel).iter())
-            .filter(|t| !(mode.left_injective && self.left_matched[t.id().0 as usize]))
+            .filter(|t| !(mode.left_injective && self.matched(Side::Left, t.id())))
             .collect();
         let open_right: Vec<&Tuple> = (right.tuples(rel).iter())
-            .filter(|t| !(mode.right_injective && self.right_matched[t.id().0 as usize]))
+            .filter(|t| !(mode.right_injective && self.matched(Side::Right, t.id())))
             .collect();
         let partial = self.cfg.partial;
         let lambda = self.cfg.score.lambda;
@@ -858,8 +827,6 @@ pub fn signature_match_seeded(
     let mut run = Run {
         state: MatchState::new(left, right),
         cfg: *cfg,
-        left_matched: vec![false; left.id_bound()],
-        right_matched: vec![false; right.id_bound()],
         seen: (!cfg.mode.left_injective && !cfg.mode.right_injective).then(FxHashSet::default),
         deadline: cfg.budget.map(|b| start + b),
         timed_out: false,
@@ -1269,6 +1236,19 @@ mod tests {
         ]);
         let mut new = old.clone();
         delta.apply(&mut new).unwrap();
+        // Then empty buckets: tuples 1 and 7 are the last with constants at
+        // both A and B, and tuple 8 the last with a constant at B only.
+        let emptying = Delta::new(vec![
+            DeltaOp::Delete { id: TupleId(1) },
+            DeltaOp::Modify {
+                id: TupleId(7),
+                attr: ic_model::AttrId(1),
+                value: n,
+            },
+            DeltaOp::Delete { id: TupleId(8) },
+        ]);
+        let mut newer = new.clone();
+        emptying.apply(&mut newer).unwrap();
         for partial in [false, true] {
             let cfg = SignatureConfig {
                 partial,
@@ -1278,6 +1258,11 @@ mod tests {
             // Delete 1, modify 2 (unindex + index), insert 1.
             assert_eq!(maps.repair(&old, &new, &delta), 4);
             assert_eq!(maps, InstanceSigMaps::build(&new, &cfg));
+            // Buckets {A, B}, {A} and {B}; only {A} survives the deletes.
+            assert_eq!(maps.rels[0].buckets.len(), 3);
+            assert_eq!(maps.repair(&new, &newer, &emptying), 4);
+            assert_eq!(maps.rels[0].buckets.len(), 1);
+            assert_eq!(maps, InstanceSigMaps::build(&newer, &cfg));
         }
     }
 }
@@ -1338,62 +1323,6 @@ mod wide_u128_tests {
         assert_eq!(out.stats.sig_matches, 4, "signature pass must fire");
         assert_eq!(out.best.pairs.len(), 4);
         assert!(out.best.score() > 0.9);
-    }
-}
-
-#[cfg(test)]
-mod ablation_tests {
-    use super::*;
-    use ic_model::Schema;
-
-    /// The literal subset enumeration must find the same matches as the
-    /// mask-grouped default on representative inputs.
-    #[test]
-    fn literal_enumeration_is_equivalent() {
-        let mut cat = Catalog::new(Schema::single("R", &["A", "B", "C"]));
-        let rel = ic_model::RelId(0);
-        let mut left = Instance::new("I", &cat);
-        let mut right = Instance::new("J", &cat);
-        for i in 0..30 {
-            let a = cat.konst(&format!("a{}", i % 7));
-            let b = cat.konst(&format!("b{}", i % 5));
-            let c = cat.konst(&format!("c{i}"));
-            let n = cat.fresh_null();
-            let m = cat.fresh_null();
-            left.insert(rel, vec![a, if i % 3 == 0 { n } else { b }, c]);
-            right.insert(rel, vec![if i % 4 == 0 { m } else { a }, b, c]);
-        }
-        let default_cfg = SignatureConfig::default();
-        let literal_cfg = SignatureConfig {
-            literal_subset_enumeration: true,
-            ..Default::default()
-        };
-        let d = signature_match(&left, &right, &cat, &default_cfg);
-        let l = signature_match(&left, &right, &cat, &literal_cfg);
-        assert_eq!(d.best.pairs.len(), l.best.pairs.len());
-        assert!((d.best.score() - l.best.score()).abs() < 1e-12);
-        assert_eq!(d.stats.sig_matches, l.stats.sig_matches);
-    }
-
-    /// Same equivalence in partial mode (Property 2 probing).
-    #[test]
-    fn literal_enumeration_equivalent_in_partial_mode() {
-        let mut cat = Catalog::new(Schema::single("R", &["A", "B"]));
-        let rel = ic_model::RelId(0);
-        let (a, x, y) = (cat.konst("a"), cat.konst("x"), cat.konst("y"));
-        let mut left = Instance::new("I", &cat);
-        left.insert(rel, vec![a, x]);
-        let mut right = Instance::new("J", &cat);
-        right.insert(rel, vec![a, y]);
-        for literal in [false, true] {
-            let cfg = SignatureConfig {
-                partial: true,
-                literal_subset_enumeration: literal,
-                ..Default::default()
-            };
-            let out = signature_match(&left, &right, &cat, &cfg);
-            assert_eq!(out.best.pairs.len(), 1, "literal={literal}");
-        }
     }
 }
 

@@ -25,6 +25,12 @@ cargo build --release --offline
 echo "==> cargo test -q --offline (default thread pool)"
 cargo test -q --offline
 
+# perf_guard's two timing guards (signature matching and gold scoring on
+# 5k rows, each under 2 s) are ignored in debug builds, so run the suite
+# once more in release, where they are armed.
+echo "==> cargo test -q --offline --release --test perf_guard (timing guards armed)"
+cargo test -q --offline --release --test perf_guard
+
 # Every other crate's own tests, once each; ic-serve has a step of its own
 # below. This covers the ic-store format/WAL unit tests of catalog
 # durability (DESIGN.md §11).

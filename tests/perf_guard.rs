@@ -109,8 +109,8 @@ fn signature_smoke_deterministic() {
 
 /// Golden outcomes: `(label, sig_matches, exhaustive_matches, digest)` for
 /// each datagen scenario × [`MatchMode`] constructor × complete/partial
-/// mode, plus one row under the literal subset enumeration. The digest is
-/// [`outcome_digest`]; it is the same at any pool thread count.
+/// mode. The digest is [`outcome_digest`]; it is the same at any pool
+/// thread count.
 const GOLDEN: &[(&str, usize, usize, u64)] = &[
     ("doct/one_to_one/complete", 32, 1, 0xc01160a0dff55780),
     ("doct/one_to_one/partial", 40, 0, 0x7e2e8dfeb520a41f),
@@ -144,7 +144,6 @@ const GOLDEN: &[(&str, usize, usize, u64)] = &[
     ("conf/left_functional/partial", 32, 0, 0x892a65e0ed6f7ce5),
     ("conf/bijective/complete", 32, 0, 0x7764fdc2de68d4d1),
     ("conf/bijective/partial", 32, 0, 0x7764fdc2de68d4d1),
-    ("doct/one_to_one/literal", 32, 1, 0xc01160a0dff55780),
 ];
 
 /// Runs every row of [`GOLDEN`] and returns what it observed.
@@ -166,15 +165,6 @@ fn golden_rows() -> Vec<(String, usize, usize, u64)> {
         ("bijective", MatchMode::bijective()),
     ];
     let mut rows = Vec::new();
-    let mut run = |label: String, (catalog, left, right): (&Catalog, &Instance, &Instance), cfg| {
-        let out = signature_match(left, right, catalog, &cfg);
-        rows.push((
-            label,
-            out.stats.sig_matches,
-            out.stats.exhaustive_matches,
-            outcome_digest(&out),
-        ));
-    };
     for (name, catalog, left, right) in scenarios {
         for (mode_name, mode) in modes {
             for partial in [false, true] {
@@ -184,23 +174,16 @@ fn golden_rows() -> Vec<(String, usize, usize, u64)> {
                     partial,
                     ..Default::default()
                 };
-                run(
+                let out = signature_match(left, right, catalog, &cfg);
+                rows.push((
                     format!("{name}/{mode_name}/{kind}"),
-                    (catalog, left, right),
-                    cfg,
-                );
+                    out.stats.sig_matches,
+                    out.stats.exhaustive_matches,
+                    outcome_digest(&out),
+                ));
             }
         }
     }
-    let literal = SignatureConfig {
-        literal_subset_enumeration: true,
-        ..Default::default()
-    };
-    run(
-        "doct/one_to_one/literal".into(),
-        (&doct.catalog, &doct.source, &doct.target),
-        literal,
-    );
     rows
 }
 
