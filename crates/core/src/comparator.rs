@@ -37,10 +37,8 @@ use crate::signature::{
 };
 use crate::similarity::Comparison;
 use ic_model::{Catalog, Instance};
-use std::time::Duration;
-
-#[cfg(feature = "obs")]
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Builder for a [`Comparator`]; created by [`Comparator::new`].
 ///
@@ -56,7 +54,6 @@ pub struct ComparatorBuilder<'c> {
     budget: Option<Duration>,
     max_nodes: Option<u64>,
     threads: Option<usize>,
-    #[cfg(feature = "obs")]
     observer: Option<(String, Arc<dyn ic_obs::Sink>)>,
 }
 
@@ -84,7 +81,6 @@ impl<'c> ComparatorBuilder<'c> {
             budget: None,
             max_nodes: None,
             threads: None,
-            #[cfg(feature = "obs")]
             observer: None,
         }
     }
@@ -147,9 +143,6 @@ impl<'c> ComparatorBuilder<'c> {
     /// Installs an observer: every comparison method runs inside an
     /// `ic-obs` observation labeled `label`, and the finished report (span
     /// tree + metrics) is emitted to `sink`.
-    ///
-    /// Only available with the `obs` feature (on by default).
-    #[cfg(feature = "obs")]
     pub fn observer(mut self, label: impl Into<String>, sink: Arc<dyn ic_obs::Sink>) -> Self {
         self.observer = Some((label.into(), sink));
         self
@@ -176,7 +169,6 @@ impl<'c> ComparatorBuilder<'c> {
                 max_nodes: self.max_nodes,
             },
             threads: self.threads,
-            #[cfg(feature = "obs")]
             observer: self.observer,
         })
     }
@@ -190,7 +182,6 @@ pub struct Comparator<'c> {
     sig_cfg: SignatureConfig,
     exact_cfg: ExactConfig,
     threads: Option<usize>,
-    #[cfg(feature = "obs")]
     observer: Option<(String, Arc<dyn ic_obs::Sink>)>,
 }
 
@@ -248,7 +239,6 @@ impl<'c> Comparator<'c> {
             Some(n) => ic_pool::with_threads(n, f),
             None => f(),
         };
-        #[cfg(feature = "obs")]
         if let Some((label, sink)) = &self.observer {
             let _obs = ic_obs::observe(label.clone(), Arc::clone(sink));
             return with_pool();
@@ -517,7 +507,6 @@ mod tests {
         assert_eq!(a.outcome.best.pairs, b.outcome.best.pairs);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn observer_captures_span_tree() {
         let mut cat = Catalog::new(Schema::single("R", &["A", "B"]));

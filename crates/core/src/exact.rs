@@ -24,7 +24,6 @@ use crate::mapping::{InstanceMatch, MatchMode, Pair};
 use crate::score::{optimistic_pair_score, score_state, ScoreConfig};
 use crate::signature::{signature_match, SignatureConfig};
 use crate::state::MatchState;
-use crate::universe::Side;
 use ic_model::{Catalog, Instance, RelId, TupleId};
 use std::time::{Duration, Instant};
 
@@ -67,6 +66,21 @@ struct CandPair {
     left: TupleId,
     right: TupleId,
     optimistic: f64,
+}
+
+/// Whether `state` matches every tuple that `mode`'s totality flags require.
+fn meets_totality(state: &MatchState<'_>, mode: MatchMode) -> bool {
+    let left_ok = !mode.left_total
+        || state
+            .left()
+            .iter_all()
+            .all(|(_, t)| state.left_degree(t.id()) > 0);
+    let right_ok = !mode.right_total
+        || state
+            .right()
+            .iter_all()
+            .all(|(_, t)| state.right_degree(t.id()) > 0);
+    left_ok && right_ok
 }
 
 struct Search<'a, 'c> {
@@ -119,33 +133,8 @@ impl<'a, 'c> Search<'a, 'c> {
         false
     }
 
-    fn meets_totality(&self) -> bool {
-        let mode = self.cfg.mode;
-        if mode.left_total {
-            let all = self
-                .state
-                .left()
-                .iter_all()
-                .all(|(_, t)| self.state.left_degree(t.id()) > 0);
-            if !all {
-                return false;
-            }
-        }
-        if mode.right_total {
-            let all = self
-                .state
-                .right()
-                .iter_all()
-                .all(|(_, t)| self.state.right_degree(t.id()) > 0);
-            if !all {
-                return false;
-            }
-        }
-        true
-    }
-
     fn consider_incumbent(&mut self) {
-        let meets = self.meets_totality();
+        let meets = meets_totality(&self.state, self.cfg.mode);
         // A totality-respecting match always beats one that is not, at equal
         // or lower score; otherwise compare scores.
         let details = score_state(&self.state, &self.cfg.score, self.catalog);
@@ -334,17 +323,8 @@ pub fn exact_match(
         };
         let sig = signature_match(left, right, catalog, &sig_cfg);
         crate::obs::gauge("exact.warm_start.pairs", sig.best.pairs.len() as u64);
-        let mut warm = MatchState::new(left, right);
-        for p in &sig.best.pairs {
-            let _ = warm.try_push_pair(p.rel, p.left, p.right, false);
-        }
-        let meets = {
-            let lt_ok =
-                !cfg.mode.left_total || left.iter_all().all(|(_, t)| warm.left_degree(t.id()) > 0);
-            let rt_ok = !cfg.mode.right_total
-                || right.iter_all().all(|(_, t)| warm.right_degree(t.id()) > 0);
-            lt_ok && rt_ok
-        };
+        let warm = MatchState::replay(left, right, sig.best.pairs.iter().copied(), false);
+        let meets = meets_totality(&warm, cfg.mode);
         let warm_score = score_state(&warm, &cfg.score, catalog).score;
         let better = match (meets, search.best_meets_totality) {
             (true, false) => true,
@@ -365,21 +345,15 @@ pub fn exact_match(
     crate::obs::counter("exact.bound_cuts", search.bound_cuts);
     crate::obs::counter("exact.infeasible_pushes", search.infeasible_pushes);
 
-    // Replay the best pair set to realize mappings and detailed scores.
+    // Replay the best pair set to score it in detail.
     let _replay_span = crate::obs::span("exact.replay");
-    let mut final_state = MatchState::new(left, right);
-    for p in &search.best_pairs {
-        final_state
-            .try_push_pair(p.rel, p.left, p.right, false)
-            .expect("best pair set must be feasible");
-    }
-    let details = score_state(&final_state, &cfg.score, catalog);
-    let best = InstanceMatch {
-        pairs: search.best_pairs.clone(),
-        left_mapping: final_state.value_mapping(Side::Left),
-        right_mapping: final_state.value_mapping(Side::Right),
-        details,
-    };
+    let final_state = MatchState::replay(left, right, search.best_pairs.iter().copied(), false);
+    assert_eq!(
+        final_state.len(),
+        search.best_pairs.len(),
+        "best pair set must be feasible"
+    );
+    let best = final_state.to_match(&cfg.score, catalog);
     ExactOutcome {
         best,
         optimal: !search.stopped,

@@ -87,10 +87,11 @@ fn classify(a: Value, b: Value, aligned: bool) -> CellChange {
 
 /// Builds the difference report for `m` between `left` and `right`.
 ///
-/// Cell alignment is read from the realized value mappings of the match, so
-/// the report is consistent with the score (misaligned cells of partial
-/// matches show up as conflicts).
+/// Cell alignment is read from the match's replayed partition
+/// ([`InstanceMatch::replay`]), so the report is consistent with the score
+/// (misaligned cells of partial matches show up as conflicts).
 pub fn explain(m: &InstanceMatch, left: &Instance, right: &Instance) -> InstanceDiff {
+    let state = m.replay(left, right);
     let mut diff = InstanceDiff::default();
     for pair in &m.pairs {
         let lt = left.tuple(pair.left).expect("left tuple exists");
@@ -99,13 +100,7 @@ pub fn explain(m: &InstanceMatch, left: &Instance, right: &Instance) -> Instance
             .values()
             .iter()
             .zip(rt.values())
-            .map(|(&a, &b)| {
-                let aligned = match (m.left_mapping.get(&a), m.right_mapping.get(&b)) {
-                    (Some(x), Some(y)) => x == y,
-                    _ => false,
-                };
-                classify(a, b, aligned)
-            })
+            .map(|(&a, &b)| classify(a, b, state.aligned(a, b)))
             .collect();
         let exp = PairExplanation {
             rel: pair.rel,
@@ -214,6 +209,7 @@ pub fn render_diff(
 mod tests {
     use super::*;
     use crate::signature::{signature_match, SignatureConfig};
+    use crate::universe::Side;
     use ic_model::{Catalog, Schema};
 
     fn setup() -> (Catalog, Instance, Instance) {
@@ -281,9 +277,28 @@ mod tests {
         let k = cat.fresh_null();
         r.insert(rel, vec![c, k]);
         let out = signature_match(&l, &r, &cat, &SignatureConfig::default());
-        let text = render_value_mapping(&out.best.left_mapping, &cat);
+        let h_l = out.best.replay(&l, &r).value_mapping(Side::Left);
+        let text = render_value_mapping(&h_l, &cat);
         assert!(text.contains("-> c"), "{text}");
         assert!(text.contains("-> V"), "{text}");
+    }
+
+    #[test]
+    fn ground_self_match_reports_every_pair_unchanged() {
+        let mut cat = Catalog::new(Schema::single("R", &["A", "B"]));
+        let rel = RelId(0);
+        let mut i = Instance::new("I", &cat);
+        for row in [["a", "b"], ["c", "d"], ["a", "b"]] {
+            let values = row.iter().map(|s| cat.konst(s)).collect();
+            i.insert(rel, values);
+        }
+        let m = crate::ground::ground_match(&i, &i, &cat);
+        assert_eq!(m.score(), 1.0);
+        let diff = explain(&m, &i, &i);
+        assert_eq!((diff.unchanged.len(), diff.num_changes()), (3, 0));
+        for p in &diff.unchanged {
+            assert_eq!(p.cells, [CellChange::SameConstant; 2]);
+        }
     }
 
     #[test]

@@ -71,8 +71,6 @@ pub fn ground_match(left: &Instance, right: &Instance, catalog: &Catalog) -> Ins
     let matched_pairs = pairs.len();
     InstanceMatch {
         pairs,
-        left_mapping: Default::default(),
-        right_mapping: Default::default(),
         details: ScoreDetails {
             score: if norm == 0.0 { 1.0 } else { total / norm },
             pair_scores,

@@ -6,7 +6,8 @@
 //! injective mappings, universal-solution comparison wants total
 //! non-injective ones, repair evaluation wants complete fully-injective ones.
 
-use ic_model::{FxHashMap, RelId, TupleId, Value};
+use crate::state::MatchState;
+use ic_model::{FxHashMap, Instance, RelId, TupleId, Value};
 
 /// Restrictions on tuple mappings (paper Sec. 4.2–4.3).
 ///
@@ -101,8 +102,9 @@ pub enum Mapped {
 }
 
 /// A realized value mapping `adom(I) → Consts ∪ Vars` (Def. 4.1), rendered
-/// from the canonical unification classes. Constants always map to
-/// themselves and are omitted unless a null shares their class.
+/// from the canonical unification classes by
+/// [`MatchState::value_mapping`]. Every value of the side's active domain
+/// has an entry; a constant maps to itself.
 pub type ValueMapping = FxHashMap<Value, Mapped>;
 
 /// Detailed scoring output for an instance match (Sec. 5).
@@ -125,16 +127,16 @@ pub struct ScoreDetails {
     pub unmatched_right: Vec<TupleId>,
 }
 
-/// A complete instance match `M = (h_l, h_r, m)` with its score — the output
-/// of the exact and signature algorithms.
+/// An instance match `M = (h_l, h_r, m)` with its score — the output of
+/// the exact and signature algorithms.
+///
+/// The match stores `m` only: the pairs fix the value mappings (Def. 4.3),
+/// and [`replay`](Self::replay) rebuilds their partition, from which
+/// [`MatchState::value_mapping`] renders `h_l` or `h_r`.
 #[derive(Debug, Clone, Default)]
 pub struct InstanceMatch {
-    /// The tuple mapping `m`.
+    /// The tuple mapping `m`, in the order its pairs were pushed.
     pub pairs: Vec<Pair>,
-    /// Realized left value mapping `h_l`.
-    pub left_mapping: ValueMapping,
-    /// Realized right value mapping `h_r`.
-    pub right_mapping: ValueMapping,
     /// Scoring details; `details.score` is the similarity contributed by
     /// this match.
     pub details: ScoreDetails,
@@ -144,6 +146,17 @@ impl InstanceMatch {
     /// The similarity score of this match.
     pub fn score(&self) -> f64 {
         self.details.score
+    }
+
+    /// Rebuilds this match's partition over the instances it was computed
+    /// on, with the canonical-null ids of the run that produced it.
+    ///
+    /// The replay runs in the partial regime, so a pair of a partial match
+    /// keeps its conflicting cells misaligned; a pair of a complete match
+    /// has no conflicting cell, so its unions are the same in either
+    /// regime. Every pair is kept.
+    pub fn replay<'a>(&self, left: &'a Instance, right: &'a Instance) -> MatchState<'a> {
+        MatchState::replay(left, right, self.pairs.iter().copied(), true)
     }
 
     /// Whether the tuple mapping is left-injective.

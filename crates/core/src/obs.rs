@@ -1,53 +1,8 @@
-//! Observability shim: `ic-obs` when the `obs` feature is enabled (the
-//! default), inline no-ops when it is not.
+//! The observability layer: a re-export of the full [`ic_obs`] API
+//! (observations, sinks, reports).
 //!
-//! All instrumentation in this crate goes through this module, so a build
-//! with `--no-default-features` compiles the observability layer out
-//! entirely — the no-op bodies below are `#[inline]` empties the optimizer
-//! erases, and `ic-obs` leaves the dependency graph.
-//!
-//! With the feature on, this is a re-export of the full [`ic_obs`] API
-//! (observations, sinks, reports), so downstream code can write
-//! `ic_core::obs::observe(..)` without depending on `ic-obs` directly.
+//! All instrumentation in this crate goes through this module, and
+//! downstream code can write `ic_core::obs::observe(..)` without depending
+//! on `ic-obs` directly.
 
-#[cfg(feature = "obs")]
 pub use ic_obs::*;
-
-#[cfg(not(feature = "obs"))]
-mod noop {
-    /// Inert stand-in for `ic_obs::Span` (feature `obs` disabled).
-    #[must_use = "a span measures the scope it lives in; bind it to a variable"]
-    pub struct Span;
-
-    /// Always `false`: no observation can be active without the `obs`
-    /// feature.
-    #[inline]
-    pub fn active() -> bool {
-        false
-    }
-
-    /// No-op span (feature `obs` disabled).
-    #[inline]
-    pub fn span(_name: &'static str) -> Span {
-        Span
-    }
-
-    /// No-op counter (feature `obs` disabled).
-    #[inline]
-    pub fn counter(_name: &'static str, _delta: u64) {}
-
-    /// No-op gauge (feature `obs` disabled).
-    #[inline]
-    pub fn gauge(_name: &'static str, _value: u64) {}
-
-    /// No-op histogram (feature `obs` disabled).
-    #[inline]
-    pub fn histogram(_name: &'static str, _value: u64) {}
-
-    /// No-op bulk histogram (feature `obs` disabled).
-    #[inline]
-    pub fn histogram_n(_name: &'static str, _value: u64, _n: u64) {}
-}
-
-#[cfg(not(feature = "obs"))]
-pub use noop::*;

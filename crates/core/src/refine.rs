@@ -20,7 +20,6 @@ use crate::compat::CandidateIndex;
 use crate::mapping::{InstanceMatch, MatchMode, Pair};
 use crate::score::{score_state, ScoreConfig};
 use crate::state::MatchState;
-use crate::universe::Side;
 use ic_model::{Catalog, FxHashSet, Instance, TupleId};
 
 /// Configuration of the refinement pass.
@@ -53,11 +52,8 @@ fn eval(
     cfg: &ScoreConfig,
     pairs: &[Pair],
 ) -> Option<f64> {
-    let mut st = MatchState::new(left, right);
-    for p in pairs {
-        st.try_push_pair(p.rel, p.left, p.right, false).ok()?;
-    }
-    Some(score_state(&st, cfg, catalog).score)
+    let st = MatchState::replay(left, right, pairs.iter().copied(), false);
+    (st.len() == pairs.len()).then(|| score_state(&st, cfg, catalog).score)
 }
 
 /// Refines `initial` by bounded hill climbing; returns a match whose score
@@ -159,18 +155,9 @@ pub fn refine_match(
     }
 
     // Realize the final match.
-    let mut st = MatchState::new(left, right);
-    for p in &pairs {
-        st.try_push_pair(p.rel, p.left, p.right, false)
-            .expect("refined pairs are feasible");
-    }
-    let details = score_state(&st, &cfg.score, catalog);
-    InstanceMatch {
-        pairs,
-        left_mapping: st.value_mapping(Side::Left),
-        right_mapping: st.value_mapping(Side::Right),
-        details,
-    }
+    let st = MatchState::replay(left, right, pairs.iter().copied(), false);
+    assert_eq!(st.len(), pairs.len(), "refined pairs are feasible");
+    st.to_match(&cfg.score, catalog)
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@
 
 use crate::compat::CandidateIndex;
 use crate::delta::{Delta, DeltaOp};
-use crate::mapping::{InstanceMatch, MatchMode, Pair};
+use crate::mapping::{InstanceMatch, MatchMode};
 use crate::score::{optimistic_pair_score, score_state, ScoreConfig};
 use crate::state::MatchState;
 use crate::universe::Side;
@@ -855,9 +855,7 @@ pub fn signature_match_seeded(
     let final_score = details.score;
 
     let best = InstanceMatch {
-        pairs: run.state.pairs().collect::<Vec<Pair>>(),
-        left_mapping: run.state.value_mapping(Side::Left),
-        right_mapping: run.state.value_mapping(Side::Right),
+        pairs: run.state.pairs().collect(),
         details,
     };
     crate::obs::counter("sig.matches.signature", sig_matches as u64);
@@ -1156,7 +1154,6 @@ mod tests {
     /// completion finds no candidate and the run scores once. Under
     /// `MatchMode::general()` no tuple is ever decided, so completion still
     /// ranks the one compatible candidate of every left tuple.
-    #[cfg(feature = "obs")]
     #[test]
     fn completion_and_scoring_skip_decided_tuples() {
         use crate::obs::{observe, MemorySink, Report};

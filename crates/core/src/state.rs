@@ -6,11 +6,16 @@
 //! Pairs can be pushed tentatively and popped in LIFO order, which is
 //! exactly what the exact algorithm's backtracking and the signature
 //! algorithm's `IsCompatible` check need.
+//!
+//! The tuple mapping fixes the partition: [`MatchState::replay`] rebuilds
+//! it from a pair list, and [`MatchState::value_mapping`] renders `h_l` or
+//! `h_r` from it for the callers that ask.
 
-use crate::mapping::{Mapped, Pair, ValueMapping};
+use crate::mapping::{InstanceMatch, Mapped, Pair, ValueMapping};
+use crate::score::{score_state, ScoreConfig};
 use crate::unionfind::{Checkpoint, ConstConflict, RollbackUf};
 use crate::universe::{Side, Universe};
-use ic_model::{Instance, RelId, Tuple, TupleId, Value};
+use ic_model::{Catalog, Instance, RelId, Tuple, TupleId, Value};
 
 /// Why a tuple pair could not be added to the match.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,6 +65,36 @@ impl<'a> MatchState<'a> {
             pairs: Vec::new(),
             left_deg: vec![0; left.id_bound()],
             right_deg: vec![0; right.id_bound()],
+        }
+    }
+
+    /// Pushes `pairs` in order onto the empty match, skipping any pair that
+    /// is infeasible after the ones kept (only the complete regime,
+    /// `partial = false`, rejects a pair).
+    ///
+    /// Node numbering depends on the instances alone, and a rejected push
+    /// or a [`check_pair`](Self::check_pair) leaves the partition exactly
+    /// as it was. So replaying the pairs a run kept, in its push order,
+    /// rebuilds the run's partition: the same classes with the same roots,
+    /// and so the same canonical-null ids.
+    pub fn replay(
+        left: &'a Instance,
+        right: &'a Instance,
+        pairs: impl IntoIterator<Item = Pair>,
+        partial: bool,
+    ) -> Self {
+        let mut state = Self::new(left, right);
+        for p in pairs {
+            let _ = state.try_push_pair(p.rel, p.left, p.right, partial);
+        }
+        state
+    }
+
+    /// The match this state holds: its pairs in push order, scored.
+    pub fn to_match(&self, cfg: &ScoreConfig, catalog: &Catalog) -> InstanceMatch {
+        InstanceMatch {
+            pairs: self.pairs().collect(),
+            details: score_state(self, cfg, catalog),
         }
     }
 

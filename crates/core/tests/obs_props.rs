@@ -9,8 +9,6 @@
 //!     `signature_match` / `exact_match` on random `ic-datagen` instances —
 //!     observed or not.
 
-#![cfg(feature = "obs")]
-
 use ic_core::obs::{MemorySink, Report, SpanNode};
 use ic_core::{exact_match, signature_match, Comparator, ExactConfig, MatchMode, SignatureConfig};
 use ic_datagen::{build_scenario, Dataset, Scenario, ScenarioParams};

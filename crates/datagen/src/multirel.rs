@@ -4,7 +4,7 @@
 //! relation it occurs in — the dimension single-relation scenarios cannot
 //! exercise.
 
-use ic_core::{score_state, InstanceMatch, MatchState, Pair, ScoreConfig, Side};
+use ic_core::{InstanceMatch, MatchState, Pair, ScoreConfig};
 use ic_model::{Catalog, Instance, RelId, RelationSchema, Schema, TupleId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -31,25 +31,12 @@ pub struct MultiRelScenario {
 impl MultiRelScenario {
     /// Realizes the gold mapping as a feasible match and scores it.
     pub fn gold_match(&self, cfg: &ScoreConfig) -> InstanceMatch {
-        let mut state = MatchState::new(&self.exchanged, &self.ground);
-        let mut pairs = Vec::new();
-        for &(l, r) in &self.gold {
-            let rel = self.exchanged.rel_of(l).expect("tuple exists");
-            if state.try_push_pair(rel, l, r, false).is_ok() {
-                pairs.push(Pair {
-                    rel,
-                    left: l,
-                    right: r,
-                });
-            }
-        }
-        let details = score_state(&state, cfg, &self.catalog);
-        InstanceMatch {
-            pairs,
-            left_mapping: state.value_mapping(Side::Left),
-            right_mapping: state.value_mapping(Side::Right),
-            details,
-        }
+        let pairs = self.gold.iter().map(|&(left, right)| Pair {
+            rel: self.exchanged.rel_of(left).expect("tuple exists"),
+            left,
+            right,
+        });
+        MatchState::replay(&self.exchanged, &self.ground, pairs, false).to_match(cfg, &self.catalog)
     }
 }
 
@@ -138,7 +125,7 @@ pub fn conference_scenario(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ic_core::{signature_match, Mapped, SignatureConfig};
+    use ic_core::{signature_match, Mapped, Side, SignatureConfig};
 
     #[test]
     fn gold_mapping_is_fully_feasible() {
@@ -161,9 +148,8 @@ mod tests {
         // All tuples matched.
         assert_eq!(out.best.pairs.len(), 60 * 4);
         // Every left surrogate null maps to a constant (a ground id).
-        let surrogate_images: Vec<Mapped> = out
-            .best
-            .left_mapping
+        let h_l = (out.best.replay(&sc.exchanged, &sc.ground)).value_mapping(Side::Left);
+        let surrogate_images: Vec<Mapped> = h_l
             .iter()
             .filter(|(v, _)| v.is_null())
             .map(|(_, &m)| m)

@@ -19,7 +19,7 @@
 //! Tables 2–3), used where the exact algorithm would time out.
 
 use crate::datasets::{ColumnGen, Dataset, TableSpec};
-use ic_core::{score_state, InstanceMatch, MatchState, Pair, ScoreConfig, Side};
+use ic_core::{InstanceMatch, MatchState, Pair, ScoreConfig};
 use ic_model::{AttrId, Catalog, Instance, RelId, Schema, TupleId, Value};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -46,24 +46,12 @@ impl Scenario {
     /// pushed in order and pairs broken by the injected noise are skipped.
     /// Returns the match with its score — the *score by construction*.
     pub fn gold_match(&self, cfg: &ScoreConfig) -> InstanceMatch {
-        let mut state = MatchState::new(&self.source, &self.target);
-        let mut pairs = Vec::new();
-        for &(s, t) in &self.gold {
-            if state.try_push_pair(self.rel, s, t, false).is_ok() {
-                pairs.push(Pair {
-                    rel: self.rel,
-                    left: s,
-                    right: t,
-                });
-            }
-        }
-        let details = score_state(&state, cfg, &self.catalog);
-        InstanceMatch {
-            pairs,
-            left_mapping: state.value_mapping(Side::Left),
-            right_mapping: state.value_mapping(Side::Right),
-            details,
-        }
+        let pairs = self.gold.iter().map(|&(left, right)| Pair {
+            rel: self.rel,
+            left,
+            right,
+        });
+        MatchState::replay(&self.source, &self.target, pairs, false).to_match(cfg, &self.catalog)
     }
 
     /// The gold score (score of [`Scenario::gold_match`]).

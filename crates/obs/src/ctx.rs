@@ -10,8 +10,8 @@
 //!
 //! When no observation is active the entire API collapses to a single
 //! thread-local flag check per call site (`active()` → `false` → return),
-//! which is what keeps uninstrumented runs within the documented <2%
-//! overhead budget even before `ic-obs` is compiled out.
+//! which is what keeps unobserved runs within the documented <2%
+//! overhead budget.
 
 use crate::report::{Histogram, MetricValue, Report, SpanNode};
 use crate::sink::Sink;

@@ -34,8 +34,8 @@
 //!
 //! With no observation active every entry point returns after a single
 //! thread-local flag check ([`active`]), and hot loops can hoist even that
-//! check out. Downstream crates additionally gate their instrumentation
-//! behind a cargo feature so `ic-obs` can be compiled out entirely.
+//! check out. The instrumentation is always compiled in; `bench_obs_overhead`
+//! holds that cost under 2% of the signature workload.
 
 #![warn(missing_docs)]
 

@@ -26,7 +26,7 @@
 //! running on a pool worker executes nested scopes inline, which bounds the
 //! worker count and cannot deadlock.
 //!
-//! With the `obs` feature (default) the pool cooperates with `ic-obs`:
+//! The pool cooperates with `ic-obs`:
 //! [`Scope::spawn`] captures the caller's observation context and re-enters
 //! it on the executing worker, so spans and metrics recorded inside tasks
 //! land in the caller's report, and each non-sequential scope records
@@ -49,31 +49,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-#[cfg(feature = "obs")]
 use ic_obs as obs;
-
-/// Inline no-op stand-ins for the `ic-obs` entry points the pool uses, so
-/// call sites stay unconditional when the `obs` feature is disabled.
-#[cfg(not(feature = "obs"))]
-mod obs {
-    pub struct TaskCtx;
-    #[inline]
-    pub fn task_ctx() -> TaskCtx {
-        TaskCtx
-    }
-    impl TaskCtx {
-        #[inline]
-        pub fn run<R>(self, f: impl FnOnce() -> R) -> R {
-            f()
-        }
-    }
-    #[inline]
-    pub fn active() -> bool {
-        false
-    }
-    #[inline]
-    pub fn counter(_name: &'static str, _delta: u64) {}
-}
 
 /// Environment variable overriding the worker count. `1` means fully
 /// sequential; `0` or unset means "auto" (`available_parallelism`).
@@ -408,7 +384,7 @@ impl<'scope> Scope<'scope> {
     /// nested inside a pool worker) the closure runs immediately on the
     /// calling thread, preserving program order.
     ///
-    /// With the `obs` feature, the caller's `ic-obs` observation context
+    /// The caller's `ic-obs` observation context
     /// (if any) is captured here and re-entered around `f` on the worker,
     /// so spans and metrics recorded inside the task aggregate into the
     /// caller's report under the spawn site's span path.
@@ -722,7 +698,6 @@ mod tests {
         assert_eq!(total.load(Ordering::Relaxed), 8 * 6);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn obs_context_propagates_into_tasks() {
         let sink = Arc::new(ic_obs::MemorySink::new());

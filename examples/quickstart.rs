@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use instance_comparison::core::{
-    exact_match, render_value_mapping, signature_match, ExactConfig, SignatureConfig,
+    exact_match, render_value_mapping, signature_match, ExactConfig, Side, SignatureConfig,
 };
 use instance_comparison::model::{display, Catalog, Instance, Schema};
 
@@ -81,5 +81,6 @@ fn main() {
 
     // ...and how the labeled nulls were interpreted.
     println!("\nLeft value mapping (h_l) on nulls:");
-    print!("{}", render_value_mapping(&exact.best.left_mapping, &cat));
+    let h_l = exact.best.replay(&left, &right).value_mapping(Side::Left);
+    print!("{}", render_value_mapping(&h_l, &cat));
 }

@@ -7,7 +7,7 @@ use instance_comparison::cleaning::{
 };
 use instance_comparison::core::{
     exact_match, is_homomorphic, signature_match, symmetric_difference_similarity, ExactConfig,
-    MatchMode, SignatureConfig,
+    MatchMode, Side, SignatureConfig,
 };
 use instance_comparison::datagen::{mod_cell, Dataset};
 use instance_comparison::exchange::{core_of, doctors_scenario};
@@ -213,7 +213,8 @@ fn multi_relation_end_to_end() {
     assert_eq!(out.best.pairs.len(), 6);
     assert!(out.best.score() > 0.85, "score {}", out.best.score());
     // k1 must map to "1" consistently across Conference and Paper.
-    let k1_img = out.best.left_mapping.get(&k1).copied().unwrap();
+    let h_l = (out.best.replay(&exchanged, &ground)).value_mapping(Side::Left);
+    let k1_img = h_l.get(&k1).copied().unwrap();
     assert_eq!(
         k1_img,
         instance_comparison::core::Mapped::Const(one.as_const().unwrap())

@@ -3,7 +3,7 @@
 //! ignored there).
 
 use instance_comparison::core::{
-    signature_match, MatchMode, ScoreConfig, SignatureConfig, SignatureOutcome,
+    signature_match, MatchMode, ScoreConfig, Side, SignatureConfig, SignatureOutcome,
 };
 use instance_comparison::datagen::{
     add_random_and_redundant, conference_scenario, mod_cell, Dataset,
@@ -15,9 +15,10 @@ use std::time::{Duration, Instant};
 /// FNV-1a 64 over a canonical rendering of everything a signature run
 /// returns except `elapsed`: the score bits (final, per pair and both
 /// step statistics), the pairs in match order, both value mappings sorted
-/// by value, the matched counts and unmatched lists, the step attribution
-/// and the timeout flag.
-fn outcome_digest(out: &SignatureOutcome) -> u64 {
+/// by value (rendered by replaying the match over `left` and `right`), the
+/// matched counts and unmatched lists, the step attribution and the
+/// timeout flag.
+fn outcome_digest(out: &SignatureOutcome, left: &Instance, right: &Instance) -> u64 {
     let (best, d, s) = (&out.best, &out.best.details, &out.stats);
     let mut text = String::new();
     write!(
@@ -43,7 +44,9 @@ fn outcome_digest(out: &SignatureOutcome) -> u64 {
         d.unmatched_right,
     )
     .unwrap();
-    for mapping in [&best.left_mapping, &best.right_mapping] {
+    let state = best.replay(left, right);
+    for side in [Side::Left, Side::Right] {
+        let mapping = state.value_mapping(side);
         let mut entries: Vec<_> = mapping.iter().collect();
         entries.sort_by_key(|(v, _)| **v);
         write!(text, " mapping={entries:?}").unwrap();
@@ -179,7 +182,7 @@ fn golden_rows() -> Vec<(String, usize, usize, u64)> {
                     format!("{name}/{mode_name}/{kind}"),
                     out.stats.sig_matches,
                     out.stats.exhaustive_matches,
-                    outcome_digest(&out),
+                    outcome_digest(&out, left, right),
                 ));
             }
         }

@@ -439,9 +439,10 @@ fn lambda_penalty_is_monotone() {
     );
 }
 
-/// The signature algorithm always returns a *valid* match: pairs
-/// respect the mode's injectivity, replaying them is feasible, and the
-/// reported score equals the replayed score.
+/// The signature algorithm always returns a *valid* match, complete or
+/// partial: pairs respect the mode's injectivity, replaying the match
+/// keeps every pair and rescores it to the reported score's exact bits,
+/// and a complete match's pairs all push in the complete regime.
 #[test]
 fn signature_output_is_valid() {
     Runner::new("signature_output_is_valid").cases(64).run(
@@ -455,27 +456,32 @@ fn signature_output_is_valid() {
                 MatchMode::left_functional(),
                 MatchMode::general(),
             ] {
-                let cfg = SignatureConfig {
-                    mode,
-                    ..Default::default()
-                };
-                let out = signature_match(&left, &right, &cat, &cfg);
-                if mode.left_injective {
-                    assert!(out.best.is_left_injective());
+                for partial in [false, true] {
+                    let cfg = SignatureConfig {
+                        mode,
+                        partial,
+                        ..Default::default()
+                    };
+                    let out = signature_match(&left, &right, &cat, &cfg);
+                    if mode.left_injective {
+                        assert!(out.best.is_left_injective());
+                    }
+                    if mode.right_injective {
+                        assert!(out.best.is_right_injective());
+                    }
+                    let replayed = out.best.replay(&left, &right);
+                    assert!(replayed.pairs().eq(out.best.pairs.iter().copied()));
+                    let rescored = score_state(&replayed, &cfg.score, &cat).score;
+                    assert_eq!(rescored.to_bits(), out.best.score().to_bits());
+                    if !partial {
+                        let pairs = out.best.pairs.iter().copied();
+                        let complete = MatchState::replay(&left, &right, pairs, false);
+                        assert_eq!(complete.len(), out.best.pairs.len());
+                    }
+                    // Determinism.
+                    let again = signature_match(&left, &right, &cat, &cfg);
+                    assert_eq!(out.best.pairs, again.best.pairs);
                 }
-                if mode.right_injective {
-                    assert!(out.best.is_right_injective());
-                }
-                // Replay: all pairs feasible, same score.
-                let mut st = MatchState::new(&left, &right);
-                for p in &out.best.pairs {
-                    assert!(st.try_push_pair(p.rel, p.left, p.right, false).is_ok());
-                }
-                let replayed = score_state(&st, &ScoreConfig::default(), &cat).score;
-                assert!((replayed - out.best.score()).abs() < EPS);
-                // Determinism.
-                let again = signature_match(&left, &right, &cat, &cfg);
-                assert_eq!(out.best.pairs, again.best.pairs);
             }
         },
     );
