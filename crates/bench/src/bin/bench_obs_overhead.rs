@@ -102,10 +102,12 @@ fn main() {
     if let Ok(path) = std::env::var("IC_OBS_JSONL") {
         let sink = Arc::new(ic_obs::JsonlSink::create(&path).expect("create JSONL sink"));
         let cmp = Comparator::new(&sc.catalog)
-            .observer("bench_obs_overhead", sink)
             .build()
             .expect("default config is valid");
-        cmp.compare(&sc.source, &sc.target).expect("schemas match");
+        {
+            let _obs = ic_obs::observe("bench_obs_overhead", sink);
+            cmp.compare(&sc.source, &sc.target).expect("schemas match");
+        }
         suite.set_meta("jsonl_artifact", &path);
         println!("wrote observed report to {path}");
     }

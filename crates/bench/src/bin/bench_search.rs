@@ -47,7 +47,7 @@ fn main() {
     suite.set_meta("rows", &ROWS.to_string());
     suite.set_meta("k", &K.to_string());
 
-    let index = CatalogIndex::default();
+    let mut index = CatalogIndex::default();
     let t = Instant::now();
     let maps: Vec<Arc<InstanceSigMaps>> = pins
         .iter()

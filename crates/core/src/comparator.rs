@@ -37,24 +37,22 @@ use crate::signature::{
 };
 use crate::similarity::Comparison;
 use ic_model::{Catalog, Instance};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Builder for a [`Comparator`]; created by [`Comparator::new`].
 ///
 /// Defaults mirror the free-function configs: 1-1 matching, `λ = 0.5`,
-/// complete matches, unbounded budget, the process-wide thread count, and
-/// no observer.
+/// complete matches and an unbounded budget. A comparator runs on the
+/// ambient [`ic_pool`] thread count and records into the active `ic-obs`
+/// observation, if any: wrap calls in [`ic_pool::with_threads`] or
+/// [`ic_obs::observe`] to pin or observe them.
 pub struct ComparatorBuilder<'c> {
     catalog: &'c Catalog,
     mode: MatchMode,
     score: ScoreConfig,
     partial: bool,
-    max_signatures_per_tuple: usize,
     budget: Option<Duration>,
     max_nodes: Option<u64>,
-    threads: Option<usize>,
-    observer: Option<(String, Arc<dyn ic_obs::Sink>)>,
 }
 
 impl std::fmt::Debug for ComparatorBuilder<'_> {
@@ -64,7 +62,6 @@ impl std::fmt::Debug for ComparatorBuilder<'_> {
             .field("score", &self.score)
             .field("partial", &self.partial)
             .field("budget", &self.budget)
-            .field("threads", &self.threads)
             .finish_non_exhaustive()
     }
 }
@@ -77,11 +74,8 @@ impl<'c> ComparatorBuilder<'c> {
             mode: sig.mode,
             score: sig.score,
             partial: sig.partial,
-            max_signatures_per_tuple: sig.max_signatures_per_tuple,
             budget: None,
             max_nodes: None,
-            threads: None,
-            observer: None,
         }
     }
 
@@ -111,12 +105,6 @@ impl<'c> ComparatorBuilder<'c> {
         self
     }
 
-    /// Caps the signatures indexed per tuple in partial mode.
-    pub fn max_signatures_per_tuple(mut self, cap: usize) -> Self {
-        self.max_signatures_per_tuple = cap;
-        self
-    }
-
     /// Sets the wall-clock budget for both algorithms. On exhaustion the
     /// non-strict methods return the best partial result (flagged via
     /// `timed_out` / `optimal`); the `_strict` variants return
@@ -132,22 +120,6 @@ impl<'c> ComparatorBuilder<'c> {
         self
     }
 
-    /// Pins the [`ic_pool`] thread count for every call through this
-    /// comparator (`1` forces sequential execution). Results are
-    /// bit-identical at any setting; this knob trades wall-clock for cores.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Installs an observer: every comparison method runs inside an
-    /// `ic-obs` observation labeled `label`, and the finished report (span
-    /// tree + metrics) is emitted to `sink`.
-    pub fn observer(mut self, label: impl Into<String>, sink: Arc<dyn ic_obs::Sink>) -> Self {
-        self.observer = Some((label.into(), sink));
-        self
-    }
-
     /// Validates the configuration and builds the [`Comparator`]. This is
     /// the **only** validation point: every method on the result can trust
     /// the scoring parameters.
@@ -159,8 +131,8 @@ impl<'c> ComparatorBuilder<'c> {
                 mode: self.mode,
                 score: self.score,
                 partial: self.partial,
-                max_signatures_per_tuple: self.max_signatures_per_tuple,
                 budget: self.budget,
+                ..SignatureConfig::default()
             },
             exact_cfg: ExactConfig {
                 mode: self.mode,
@@ -168,8 +140,6 @@ impl<'c> ComparatorBuilder<'c> {
                 budget: self.budget,
                 max_nodes: self.max_nodes,
             },
-            threads: self.threads,
-            observer: self.observer,
         })
     }
 }
@@ -181,8 +151,6 @@ pub struct Comparator<'c> {
     catalog: &'c Catalog,
     sig_cfg: SignatureConfig,
     exact_cfg: ExactConfig,
-    threads: Option<usize>,
-    observer: Option<(String, Arc<dyn ic_obs::Sink>)>,
 }
 
 impl std::fmt::Debug for Comparator<'_> {
@@ -190,7 +158,6 @@ impl std::fmt::Debug for Comparator<'_> {
         f.debug_struct("Comparator")
             .field("sig_cfg", &self.sig_cfg)
             .field("exact_cfg", &self.exact_cfg)
-            .field("threads", &self.threads)
             .finish_non_exhaustive()
     }
 }
@@ -207,11 +174,6 @@ impl<'c> Comparator<'c> {
     /// The signature-algorithm configuration the builder produced.
     pub fn signature_config(&self) -> &SignatureConfig {
         &self.sig_cfg
-    }
-
-    /// The exact-algorithm configuration the builder produced.
-    pub fn exact_config(&self) -> &ExactConfig {
-        &self.exact_cfg
     }
 
     /// The catalog this comparator was built over.
@@ -232,20 +194,6 @@ impl<'c> Comparator<'c> {
         Ok(())
     }
 
-    /// Runs `f` under this comparator's thread-count pin and observer.
-    fn run<R>(&self, f: impl FnOnce() -> R) -> R {
-        let threads = self.threads;
-        let with_pool = move || match threads {
-            Some(n) => ic_pool::with_threads(n, f),
-            None => f(),
-        };
-        if let Some((label, sink)) = &self.observer {
-            let _obs = ic_obs::observe(label.clone(), Arc::clone(sink));
-            return with_pool();
-        }
-        with_pool()
-    }
-
     /// Compares two instances with the signature algorithm and derives the
     /// cell-level diff — the common "what changed and how much?" query.
     pub fn compare(&self, left: &Instance, right: &Instance) -> Result<Comparison, Error> {
@@ -263,13 +211,11 @@ impl<'c> Comparator<'c> {
             self.check_instance(l)?;
             self.check_instance(r)?;
         }
-        Ok(self.run(|| {
-            let _span = crate::obs::span("compare_many");
-            crate::obs::counter("compare_many.pairs", pairs.len() as u64);
-            ic_pool::par_map(pairs, |&(left, right)| {
-                let _span = crate::obs::span("compare.pair");
-                self.explained(left, right, None, None)
-            })
+        let _span = crate::obs::span("compare_many");
+        crate::obs::counter("compare_many.pairs", pairs.len() as u64);
+        Ok(ic_pool::par_map(pairs, |&(left, right)| {
+            let _span = crate::obs::span("compare.pair");
+            self.explained(left, right, None, None)
         }))
     }
 
@@ -285,7 +231,7 @@ impl<'c> Comparator<'c> {
     /// [`compare_with_maps`](Self::compare_with_maps).
     pub fn build_maps(&self, inst: &Instance) -> Result<InstanceSigMaps, Error> {
         self.check_instance(inst)?;
-        Ok(self.run(|| InstanceSigMaps::build(inst, &self.sig_cfg)))
+        Ok(InstanceSigMaps::build(inst, &self.sig_cfg))
     }
 
     /// [`signature`](Self::signature) seeded with prebuilt maps for either
@@ -301,16 +247,14 @@ impl<'c> Comparator<'c> {
     ) -> Result<SignatureOutcome, Error> {
         self.check_instance(left)?;
         self.check_instance(right)?;
-        Ok(self.run(|| {
-            signature_match_seeded(
-                left,
-                right,
-                self.catalog,
-                &self.sig_cfg,
-                left_maps,
-                right_maps,
-            )
-        }))
+        Ok(signature_match_seeded(
+            left,
+            right,
+            self.catalog,
+            &self.sig_cfg,
+            left_maps,
+            right_maps,
+        ))
     }
 
     /// [`compare`](Self::compare) seeded with prebuilt maps for either
@@ -325,11 +269,11 @@ impl<'c> Comparator<'c> {
     ) -> Result<Comparison, Error> {
         self.check_instance(left)?;
         self.check_instance(right)?;
-        Ok(self.run(|| self.explained(left, right, left_maps, right_maps)))
+        Ok(self.explained(left, right, left_maps, right_maps))
     }
 
     /// The signature run and its explanation, under the `compare` span:
-    /// the body of every `compare*` method, run inside [`Self::run`].
+    /// the body of every `compare*` method.
     fn explained(
         &self,
         left: &Instance,
@@ -359,7 +303,7 @@ impl<'c> Comparator<'c> {
     pub fn exact(&self, left: &Instance, right: &Instance) -> Result<ExactOutcome, Error> {
         self.check_instance(left)?;
         self.check_instance(right)?;
-        Ok(self.run(|| exact_match(left, right, self.catalog, &self.exact_cfg)))
+        Ok(exact_match(left, right, self.catalog, &self.exact_cfg))
     }
 
     /// Like [`exact`](Self::exact) but demands a proven optimum: returns
@@ -401,12 +345,10 @@ impl<'c> Comparator<'c> {
     ) -> Result<(ExactOutcome, SignatureOutcome), Error> {
         self.check_instance(left)?;
         self.check_instance(right)?;
-        Ok(self.run(|| {
-            (
-                exact_match(left, right, self.catalog, &self.exact_cfg),
-                signature_match(left, right, self.catalog, &self.sig_cfg),
-            )
-        }))
+        Ok((
+            exact_match(left, right, self.catalog, &self.exact_cfg),
+            signature_match(left, right, self.catalog, &self.sig_cfg),
+        ))
     }
 }
 
@@ -415,6 +357,7 @@ mod tests {
     use super::*;
     use crate::score::ConfigError;
     use ic_model::{RelId, Schema};
+    use std::sync::Arc;
 
     fn small_pair(cat: &mut Catalog) -> (Instance, Instance) {
         let rel = RelId(0);
@@ -496,28 +439,16 @@ mod tests {
     }
 
     #[test]
-    fn threads_pin_is_bit_identical() {
-        let mut cat = Catalog::new(Schema::single("R", &["A", "B"]));
-        let (l, r) = small_pair(&mut cat);
-        let seq = Comparator::new(&cat).threads(1).build().unwrap();
-        let par = Comparator::new(&cat).threads(4).build().unwrap();
-        let a = seq.compare(&l, &r).unwrap();
-        let b = par.compare(&l, &r).unwrap();
-        assert_eq!(a.score().to_bits(), b.score().to_bits());
-        assert_eq!(a.outcome.best.pairs, b.outcome.best.pairs);
-    }
-
-    #[test]
     fn observer_captures_span_tree() {
         let mut cat = Catalog::new(Schema::single("R", &["A", "B"]));
         let (l, r) = small_pair(&mut cat);
         let sink = Arc::new(ic_obs::MemorySink::new());
-        let cmp = Comparator::new(&cat)
-            .observer("unit", sink.clone())
-            .build()
-            .unwrap();
-        cmp.compare(&l, &r).unwrap();
-        let report = sink.last().expect("one report per compare call");
+        let cmp = Comparator::new(&cat).build().unwrap();
+        {
+            let _obs = ic_obs::observe("unit", sink.clone());
+            cmp.compare(&l, &r).unwrap();
+        }
+        let report = sink.last().expect("one report per observation");
         assert_eq!(report.label, "unit");
         // The acceptance-criteria span set: sigmap build, probe, completion
         // and scoring, all under compare > signature.

@@ -323,17 +323,20 @@ pub fn exact_match(
         };
         let sig = signature_match(left, right, catalog, &sig_cfg);
         crate::obs::gauge("exact.warm_start.pairs", sig.best.pairs.len() as u64);
-        let warm = MatchState::replay(left, right, sig.best.pairs.iter().copied(), false);
-        let meets = meets_totality(&warm, cfg.mode);
-        let warm_score = score_state(&warm, &cfg.score, catalog).score;
+        // The run is complete and unbudgeted, so its outcome is the scored
+        // state of its pairs: the score is `score_state`'s, and the tuples
+        // of degree 0 are exactly the unmatched ones it lists.
+        let details = &sig.best.details;
+        let meets = (!cfg.mode.left_total || details.unmatched_left.is_empty())
+            && (!cfg.mode.right_total || details.unmatched_right.is_empty());
         let better = match (meets, search.best_meets_totality) {
             (true, false) => true,
             (false, true) => false,
-            _ => warm_score > search.best_score + 1e-15,
+            _ => details.score > search.best_score + 1e-15,
         };
         if better {
-            search.best_score = warm_score;
-            search.best_pairs = warm.pairs().collect();
+            search.best_score = details.score;
+            search.best_pairs = sig.best.pairs;
             search.best_meets_totality = meets;
         }
     }

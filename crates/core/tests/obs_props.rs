@@ -9,7 +9,7 @@
 //!     `signature_match` / `exact_match` on random `ic-datagen` instances —
 //!     observed or not.
 
-use ic_core::obs::{MemorySink, Report, SpanNode};
+use ic_core::obs::{observe, MemorySink, Report, SpanNode};
 use ic_core::{exact_match, signature_match, Comparator, ExactConfig, MatchMode, SignatureConfig};
 use ic_datagen::{build_scenario, Dataset, Scenario, ScenarioParams};
 use std::sync::Arc;
@@ -34,11 +34,13 @@ fn observed_compare(sc: &Scenario, threads: usize) -> Report {
     let sink = Arc::new(MemorySink::new());
     let cmp = Comparator::new(&sc.catalog)
         .mode(MatchMode::general())
-        .threads(threads)
-        .observer("obs-props", sink.clone())
         .build()
         .expect("default scoring config is valid");
-    cmp.compare(&sc.source, &sc.target).expect("schemas match");
+    {
+        let _obs = observe("obs-props", sink.clone());
+        ic_pool::with_threads(threads, || cmp.compare(&sc.source, &sc.target))
+            .expect("schemas match");
+    }
     sink.last().expect("one report per observation")
 }
 
@@ -87,7 +89,7 @@ fn assert_parent_dominates(node: &SpanNode, path: &str) {
 /// all of its children combined (children are nested strictly inside the
 /// parent's enter/exit window). With workers the property would not hold —
 /// pool tasks run concurrently, so merged child totals can exceed the
-/// parent's wall time — which is why this pins `threads(1)`.
+/// parent's wall time — which is why this pins one pool thread.
 #[test]
 fn span_totals_dominate_children_when_sequential() {
     let sc = scenario(100, 7);
@@ -98,10 +100,10 @@ fn span_totals_dominate_children_when_sequential() {
     }
 }
 
-/// (c) The facade adds validation, thread pinning and observation but must
-/// never change a result: `Comparator` outputs, single and batched, are
-/// bit-identical to the low-level `signature_match` / `exact_match` on
-/// random instances, with and without a sink.
+/// (c) The facade adds validation but must never change a result:
+/// `Comparator` outputs, single and batched, run under an observation, are
+/// bit-identical to the unobserved low-level `signature_match` /
+/// `exact_match` on random instances.
 #[test]
 fn comparator_is_bit_identical_to_low_level_matchers() {
     for seed in [5u64, 23, 71] {
@@ -115,15 +117,22 @@ fn comparator_is_bit_identical_to_low_level_matchers() {
             max_nodes: Some(20_000),
             ..Default::default()
         };
-        let sink = Arc::new(MemorySink::new());
         let cmp = Comparator::new(&sc.catalog)
             .mode(MatchMode::general())
             .max_nodes(20_000)
-            .observer("parity", sink)
             .build()
             .unwrap();
+        let pairs = [(&sc.source, &sc.target), (&sc.target, &sc.source)];
+        // The facade runs observed, the free functions unobserved.
+        let (facade_sig, facade_exact, facade_many) = {
+            let _obs = observe("parity", Arc::new(MemorySink::new()));
+            (
+                cmp.signature(&sc.source, &sc.target).unwrap(),
+                cmp.exact(&sc.source, &sc.target).unwrap(),
+                cmp.compare_many(&pairs).unwrap(),
+            )
+        };
 
-        let facade_sig = cmp.signature(&sc.source, &sc.target).unwrap();
         let free_sig = signature_match(&sc.source, &sc.target, &sc.catalog, &sig_cfg);
         assert_eq!(
             facade_sig.best.score().to_bits(),
@@ -132,7 +141,6 @@ fn comparator_is_bit_identical_to_low_level_matchers() {
         );
         assert_eq!(facade_sig.best.pairs, free_sig.best.pairs);
 
-        let facade_exact = cmp.exact(&sc.source, &sc.target).unwrap();
         let free_exact = exact_match(&sc.source, &sc.target, &sc.catalog, &exact_cfg);
         assert_eq!(
             facade_exact.best.score().to_bits(),
@@ -141,8 +149,6 @@ fn comparator_is_bit_identical_to_low_level_matchers() {
         );
         assert_eq!(facade_exact.optimal, free_exact.optimal);
 
-        let pairs = [(&sc.source, &sc.target), (&sc.target, &sc.source)];
-        let facade_many = cmp.compare_many(&pairs).unwrap();
         assert_eq!(facade_many.len(), pairs.len());
         for (f, &(l, r)) in facade_many.iter().zip(&pairs) {
             let g = signature_match(l, r, &sc.catalog, &sig_cfg);

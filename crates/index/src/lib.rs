@@ -12,14 +12,15 @@
 //! 2. **Signature inverted index** ([`CatalogIndex`]): the per-tuple
 //!    `(relation, mask, key)` signature buckets that
 //!    [`ic_core::InstanceSigMaps`] already computes, hashed into posting
-//!    lists of one slot arena behind one `RwLock`. The caller passes each
-//!    entry's maps in (ic-serve passes the maps its catalog pin carries,
-//!    so compares and searches share one build), and the entry's sketch
-//!    and posting hashes are built outside the lock, so index
-//!    build/lookup stays concurrent with catalog load/replace. Entries are
-//!    pinned by `Arc<Instance>` pointer identity, and
-//!    [`CatalogIndex::insert`] rebuilds an entry whole when its pin
-//!    changes; there is no other way to update one.
+//!    lists of one slot arena. The caller passes each entry's maps in
+//!    (ic-serve passes the maps its catalog pin carries, so compares and
+//!    searches share one build). The index is a plain value that takes no
+//!    lock: it changes through `&mut self` and searches read it through
+//!    `&self`, so a caller that shares it guards it (ic-serve keeps it
+//!    under one `RwLock` with the catalog version it reflects). Entries
+//!    pin an `Arc<Instance>`, and [`CatalogIndex::insert`] rebuilds an
+//!    entry whole, replacing whatever its name held; there is no other
+//!    way to update one.
 //!
 //! [`CatalogIndex::topk`] prefilters by signature overlap + sketch
 //! estimate, then scores **only the survivors**. The survivors are every
@@ -40,9 +41,9 @@
 //! entries' maps. The only per-search input besides the query, `k` and the
 //! comparator is an optional deadline, checked before every survivor. A
 //! search is two calls, so a caller can end its hold on the index between
-//! them: [`CatalogIndex::prefilter`] picks the survivors under one read lock
-//! and returns [`Survivors`] that own their pins and maps, and
-//! [`Survivors::compare`] scores them.
+//! them: [`CatalogIndex::prefilter`] picks the survivors and returns
+//! [`Survivors`] that own their pins and maps, and [`Survivors::compare`]
+//! scores them.
 //! The prefilter chooses *which* entries are scored and the certificate
 //! which of those skip the kernel, never *what* they score: every
 //! returned hit is bit-identical to a direct
@@ -52,7 +53,7 @@
 mod catalog_index;
 mod sketch;
 
-pub use catalog_index::{CatalogIndex, IndexStats, SearchHit, SearchOutcome, Survivors};
+pub use catalog_index::{CatalogIndex, SearchHit, SearchOutcome, Survivors};
 pub use sketch::{Sketch, SKETCH_SLOTS};
 
 #[cfg(test)]
@@ -103,7 +104,7 @@ mod tests {
     }
 
     fn indexed(entries: &[(String, Arc<Instance>)]) -> CatalogIndex {
-        let index = CatalogIndex::default();
+        let mut index = CatalogIndex::default();
         for (name, pin) in entries {
             index.insert(name, pin, maps(pin));
         }
@@ -116,7 +117,6 @@ mod tests {
         // 48 entries: more than the prefilter's floor of 32 at k = 4.
         let entries = clustered(&mut cat, 12, 4);
         let index = indexed(&entries);
-        assert_eq!(index.stats().inserts, 48);
         assert_eq!(index.len(), 48);
 
         let cmp = Comparator::new(&cat).build().unwrap();
@@ -161,9 +161,9 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_remove_follow_pointer_identity() {
+    fn insert_replaces_and_remove_drops() {
         let mut cat = catalog();
-        let a = cat.konst("a");
+        let (a, b) = (cat.konst("a"), cat.konst("b"));
         let mk = |cat: &Catalog, name: &str, v: Value| {
             let mut i = Instance::new(name, cat);
             i.insert(REL, vec![v, v, v]);
@@ -171,25 +171,24 @@ mod tests {
         };
         let x1 = mk(&cat, "x", a);
         let y = mk(&cat, "y", a);
-        let index = CatalogIndex::default();
-        assert!(index.insert("x", &x1, maps(&x1)));
-        assert!(index.insert("y", &y, maps(&y)));
-        // Unchanged pins are no-ops.
-        assert!(!index.insert("x", &x1, maps(&x1)));
-        assert!(!index.insert("y", &y, maps(&y)));
-        // Same content, new Arc → replacement.
-        let x2 = mk(&cat, "x", a);
-        assert!(index.insert("x", &x2, maps(&x2)));
-        let stats = index.stats();
-        assert_eq!(
-            (stats.inserts, stats.unchanged, stats.replacements),
-            (2, 2, 1)
-        );
-        // Dropped name → removal.
+        let mut index = CatalogIndex::default();
+        index.insert("x", &x1, maps(&x1));
+        index.insert("y", &y, maps(&y));
+        // Another pin of other content under the same name replaces it.
+        let x2 = mk(&cat, "x", b);
+        index.insert("x", &x2, maps(&x2));
+        assert_eq!(index.len(), 2);
+        let cmp = Comparator::new(&cat).build().unwrap();
+        let hits = |query: &Instance| -> Vec<(String, f64)> {
+            let out = index.topk(query, 2, &cmp, None).unwrap();
+            assert_eq!(out.total, 2);
+            out.hits.into_iter().map(|h| (h.name, h.score)).collect()
+        };
+        let want = |first: &str, second: &str| vec![(first.into(), 1.0), (second.into(), 0.0)];
+        assert_eq!(hits(&x2), want("x", "y"));
+        assert_eq!(hits(&x1), want("y", "x"), "x answers with the new pin");
         assert!(index.remove("x"));
         assert!(!index.remove("x"));
-        assert_eq!(index.stats().removals, 1);
         assert_eq!(index.len(), 1);
-        assert!(!index.insert("y", &y, maps(&y)), "y stays under its pin");
     }
 }

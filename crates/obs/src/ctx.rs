@@ -279,7 +279,11 @@ fn record(name: &'static str, value: MetricValue) {
     });
 }
 
-/// Adds `delta` to the counter `name`.
+/// Adds `delta` to the counter `name`. A zero delta records nothing, so a
+/// counter that only ever counted 0 is absent from the [`Report`], and a
+/// reader takes an absent counter as 0. Recording zeros would cost the
+/// always-observed serve path an add per zero, up to three per scored
+/// pair.
 #[inline]
 pub fn counter(name: &'static str, delta: u64) {
     if !active() || delta == 0 {
@@ -500,6 +504,21 @@ mod tests {
         assert_eq!(inner.count, 2);
         // Parent wall time covers its children (same thread, strict nesting).
         assert!(outer.total >= inner.total);
+    }
+
+    #[test]
+    fn a_zero_delta_leaves_no_key() {
+        let sink = Arc::new(MemorySink::new());
+        {
+            let _obs = observe("unit", sink.clone());
+            counter("zero", 0);
+            counter("later", 0);
+            counter("later", 2);
+        }
+        let report = sink.last().unwrap();
+        assert!(!report.metrics.contains_key("zero"));
+        assert_eq!(report.counter("zero"), None);
+        assert_eq!(report.counter("later"), Some(2));
     }
 
     #[test]

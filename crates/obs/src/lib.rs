@@ -48,4 +48,4 @@ pub use ctx::{
     Span, TaskCtx,
 };
 pub use report::{Histogram, MetricValue, Report, SpanNode};
-pub use sink::{JsonlSink, LabelStats, MemorySink, NoopSink, Sink, StatsSink, TreeSink};
+pub use sink::{JsonlSink, LabelStats, MemorySink, NoopSink, Sink, StatsSink};

@@ -212,6 +212,8 @@ pub struct Report {
 
 impl Report {
     /// The value of a counter metric (`None` if absent or not a counter).
+    /// [`counter`](crate::counter) drops zero deltas, so an absent counter
+    /// means 0: read it with `unwrap_or(0)`.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.metrics.get(name).and_then(MetricValue::as_counter)
     }

@@ -1,7 +1,7 @@
 //! Pluggable report consumers.
 //!
 //! A [`Sink`] receives the finished [`Report`] of every observation it is
-//! installed on. Five implementations cover the common cases:
+//! installed on. Four implementations cover the common cases:
 //!
 //! * [`NoopSink`] — discards reports; used to measure instrumentation
 //!   overhead with the recording machinery fully engaged.
@@ -11,8 +11,8 @@
 //!   behind `ic-serve`'s `stats` endpoint.
 //! * [`JsonlSink`] — appends one JSON line per report to a file; produces
 //!   `BENCH_*.jsonl`-style artifacts.
-//! * [`TreeSink`] — pretty-prints the span tree and metrics to a writer
-//!   (stderr by default); the human debugging sink.
+//!
+//! To print a report for humans, render it with [`Report::render_tree`].
 
 use crate::report::Report;
 use std::fs::File;
@@ -131,42 +131,6 @@ impl Sink for JsonlSink {
         // Observability must never take the computation down with it.
         let _ = writeln!(w, "{}", report.to_json());
         let _ = w.flush();
-    }
-}
-
-/// Pretty-prints each report's span tree and metrics to a writer.
-pub struct TreeSink {
-    out: Mutex<Box<dyn Write + Send>>,
-}
-
-impl TreeSink {
-    /// A sink printing to stderr.
-    pub fn stderr() -> Self {
-        Self::writer(Box::new(io::stderr()))
-    }
-
-    /// A sink printing to stdout.
-    pub fn stdout() -> Self {
-        Self::writer(Box::new(io::stdout()))
-    }
-
-    /// A sink printing to an arbitrary writer.
-    pub fn writer(w: Box<dyn Write + Send>) -> Self {
-        Self { out: Mutex::new(w) }
-    }
-}
-
-impl std::fmt::Debug for TreeSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("TreeSink")
-    }
-}
-
-impl Sink for TreeSink {
-    fn on_report(&self, report: &Report) {
-        let mut out = self.out.lock().unwrap();
-        let _ = out.write_all(report.render_tree().as_bytes());
-        let _ = out.flush();
     }
 }
 

@@ -277,6 +277,15 @@ pub struct SigCacheStats {
     pub misses: u64,
 }
 
+/// The sketch + signature prefilter index behind `search` requests, and
+/// the catalog version and pin list it reflects.
+#[derive(Default)]
+struct Indexed {
+    version: u64,
+    pins: PinList,
+    index: CatalogIndex,
+}
+
 /// State shared by every server thread.
 pub(crate) struct Shared {
     pub(crate) catalog: Arc<ServeCatalog>,
@@ -287,14 +296,11 @@ pub(crate) struct Shared {
     pub(crate) queue: Mutex<Option<SyncSender<Job>>>,
     stats_sink: Arc<StatsSink>,
     sig_cache: SigCacheCounters,
-    /// The sketch + signature prefilter index behind `search` requests,
-    /// synchronised lazily by [`index_view`].
-    index: Arc<CatalogIndex>,
-    /// The version and pin list the index reflects. Searches hold it
-    /// shared for their prefilter, so no sync changes an entry while a
-    /// search picks its survivors; a sync holds it exclusively (see
-    /// [`index_view`]).
-    indexed: RwLock<(u64, PinList)>,
+    /// The search index and the version it reflects, synchronised lazily
+    /// by [`index_view`]. Searches hold it shared for their prefilter, so
+    /// no sync changes an entry while a search picks its survivors; a sync
+    /// holds it exclusively.
+    indexed: RwLock<Indexed>,
     pub(crate) requests: AtomicU64,
     completed: AtomicU64,
     pub(crate) overloaded: AtomicU64,
@@ -359,7 +365,6 @@ impl Server {
             queue: Mutex::new(Some(tx)),
             stats_sink: Arc::new(StatsSink::new()),
             sig_cache: SigCacheCounters::default(),
-            index: Arc::new(CatalogIndex::default()),
             indexed: RwLock::default(),
             requests: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -1154,7 +1159,10 @@ fn seed<'p>(shared: &Shared, pin: &'p Pin, budgeted: bool) -> Option<&'p Instanc
 /// compare or patch filled it, so compares and searches share one build.
 /// Syncs are exclusive, so concurrent searches build each entry once, and
 /// searches over an unchanged index share the lock. Only the pin list is
-/// kept, not the snapshot, so no old interner stays alive.
+/// kept, not the snapshot, so no old interner stays alive. A sync that
+/// panics leaves the version and pin list as they were, so the next one
+/// redoes its names: an insert replaces whatever a name holds, and a
+/// removal of a dropped name does nothing.
 ///
 /// The index never rolls back. A search admitted under an older snapshot
 /// than the index already reflects (a later search synced first) runs
@@ -1162,16 +1170,16 @@ fn seed<'p>(shared: &Shared, pin: &'p Pin, budgeted: bool) -> Option<&'p Instanc
 fn index_view<'a>(
     shared: &'a Shared,
     admitted: &Arc<Snapshot>,
-) -> (Arc<Snapshot>, RwLockReadGuard<'a, (u64, PinList)>) {
+) -> (Arc<Snapshot>, RwLockReadGuard<'a, Indexed>) {
     let mut snap = Arc::clone(admitted);
     loop {
         // One version is one pin list: mutations bump the version, and
         // version 0 means an empty catalog on both sides.
         let view = read_recover(&shared.indexed);
-        if view.0 == snap.version {
+        if view.version == snap.version {
             return (snap, view);
         }
-        let behind = view.0 < snap.version;
+        let behind = view.version < snap.version;
         drop(view);
         if !behind {
             // Every synced version was published, so the current snapshot
@@ -1180,18 +1188,20 @@ fn index_view<'a>(
             continue;
         }
         let mut synced = write_recover(&shared.indexed);
-        let (version, pins) = &*synced;
+        let Indexed {
+            version,
+            pins,
+            index,
+        } = &mut *synced;
         if *version < snap.version {
-            diff_pins(pins, snap.pins(), |name, pin| {
-                match pin {
-                    Some(pin) => {
-                        let maps = Arc::clone(pin.maps_or_build());
-                        shared.index.insert(name, pin.instance(), maps)
-                    }
-                    None => shared.index.remove(name),
-                };
+            diff_pins(pins, snap.pins(), |name, pin| match pin {
+                Some(pin) => index.insert(name, pin.instance(), Arc::clone(pin.maps_or_build())),
+                None => {
+                    index.remove(name);
+                }
             });
-            *synced = (snap.version, Arc::clone(snap.pins()));
+            *version = snap.version;
+            *pins = Arc::clone(snap.pins());
         }
     }
 }
@@ -1229,7 +1239,7 @@ fn run_search(
     };
 
     let start = Instant::now();
-    let survivors = shared.index.prefilter(query, k, &cmp);
+    let survivors = view.index.prefilter(query, k, &cmp);
     // The survivors own their pins and maps: a sync after a patch waits
     // for prefilters only, not for full compares.
     drop(view);
@@ -1456,15 +1466,15 @@ mod tests {
         drop(view);
 
         let (used, view) = index_view(shared, &admitted);
-        assert_eq!((used.version, view.0), (newer.version, newer.version));
+        assert_eq!((used.version, view.version), (newer.version, newer.version));
         let query = used.get("a").unwrap();
         assert!(Arc::ptr_eq(query, newer.get("a").unwrap()));
         let cmp = Comparator::new(&used.catalog).build().unwrap();
-        let top = shared.index.topk(query, 1, &cmp, None).unwrap();
+        let top = view.index.topk(query, 1, &cmp, None).unwrap();
         assert_eq!((top.hits[0].name.as_str(), top.hits[0].score), ("a", 1.0));
         // The skew the fallback avoids: the admitted query misses itself.
         let stale = admitted.get("a").unwrap();
-        let top = shared.index.topk(stale, 3, &cmp, None).unwrap();
+        let top = view.index.topk(stale, 3, &cmp, None).unwrap();
         assert!(top.hits.iter().all(|h| h.name != "a" || h.score < 1.0));
         drop(view);
         server.shutdown();
@@ -1484,7 +1494,7 @@ mod tests {
         let (used, view) = index_view(shared, &old);
         let query = used.get("a").unwrap();
         let cmp = Comparator::new(&used.catalog).build().unwrap();
-        let survivors = shared.index.prefilter(query, 1, &cmp).unwrap();
+        let survivors = view.index.prefilter(query, 1, &cmp).unwrap();
         drop(view);
 
         catalog

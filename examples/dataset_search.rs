@@ -33,7 +33,7 @@ fn main() {
     let pins: Vec<Arc<Instance>> = lake.instances.iter().cloned().map(Arc::new).collect();
 
     let cmp = Comparator::new(&lake.catalog).build().unwrap();
-    let index = CatalogIndex::default();
+    let mut index = CatalogIndex::default();
     for p in &pins {
         index.insert(p.name(), p, Arc::new(cmp.build_maps(p).unwrap()));
     }

@@ -2,17 +2,17 @@
 //! score a sweep of instance versions with `.compare_many`, demonstrate
 //! config validation at `.build()` (an `Error` instead of a mid-search
 //! panic on NaN λ), the signature algorithm's wall-clock budget
-//! (`timed_out` / `Error::Budget` from the strict variant), and an
-//! observed run whose span tree and counters print at the end.
+//! (`timed_out` / `Error::Budget` from the strict variant), and a run
+//! under `obs::observe` whose span tree and counters print at the end.
 //!
 //! Run with: `cargo run --release --example parallel_batch`
-//! Vary the worker count with `IC_POOL_THREADS=n` (or `.threads(n)` on the
-//! builder) — scores and all non-`pool.*` counters are bit-identical at
-//! any setting.
+//! Vary the worker count with `IC_POOL_THREADS=n` (or wrap calls in
+//! `pool::with_threads(n, ..)`) — scores and all non-`pool.*` counters are
+//! bit-identical at any setting.
 
 use instance_comparison::core::{Comparator, Error};
 use instance_comparison::model::{Catalog, Instance, RelId, Schema};
-use instance_comparison::obs::MemorySink;
+use instance_comparison::obs::{observe, MemorySink};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -91,16 +91,14 @@ fn main() {
         other => unreachable!("expected a budget error, got {other:?}"),
     }
 
-    // Observability: rerun one comparison with an in-memory sink installed
-    // and print where the time went.
+    // Observability: rerun one comparison under an observation with an
+    // in-memory sink and print where the time went.
     let sink = Arc::new(MemorySink::new());
-    let observed = Comparator::new(&cat)
-        .observer("parallel_batch", sink.clone())
-        .build()
-        .expect("default config is valid");
-    observed
-        .compare(&versions[0], &versions[1])
-        .expect("schemas match");
+    {
+        let _obs = observe("parallel_batch", sink.clone());
+        cmp.compare(&versions[0], &versions[1])
+            .expect("schemas match");
+    }
     let report = sink.last().expect("one report per observation");
     println!("\nspan tree of v0 -> v1:\n{}", report.render_tree());
     for name in [

@@ -15,12 +15,12 @@ cargo build --release --offline
 # - signature-map repair under tuple-level deltas: repaired maps equal a
 #   fresh build, and compares seeded with them are bit-identical to
 #   from-scratch comparison (incremental_props also pins this internally
-#   at 1 and 4 comparator threads);
+#   at 1 and 4 pool threads);
 # - constraint discovery (DESIGN.md §12): possible-world g3 intervals,
 #   classical-g3 collapse on null-free data, and bit-identical lattice
 #   output (discovery_props);
 # - the search path, which must stay exact: topk over the whole catalog
-#   reproduces the brute-force ranking bit-for-bit at 1 and 4 comparator
+#   reproduces the brute-force ranking bit-for-bit at 1 and 4 pool
 #   threads (search_props).
 echo "==> cargo test -q --offline (default thread pool)"
 cargo test -q --offline
@@ -65,7 +65,7 @@ cargo test -q --offline -p ic-serve
 # Catalog durability (DESIGN.md §11): the recovery property suite — a WAL
 # truncated at every byte boundary of its final record must recover the
 # pre-crash catalog minus at most the torn op, with bit-identical compare
-# scores — at 1 and 4 comparator threads. The durability e2e in the same
+# scores — at 1 and 4 pool threads. The durability e2e in the same
 # file also runs the serve binary twice over one --data-dir (load + wire
 # patch + restart + bit-identical re-compare).
 echo "==> durability property + restart e2e suite (IC_POOL_THREADS=1)"
@@ -116,18 +116,25 @@ CARGO_TARGET_DIR=target/icbench cargo test -q --offline \
 echo "==> cargo doc --workspace --no-deps --offline (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --offline
 
+# icbench is a package of its own, outside the workspace, so it gets a
+# format check and a lint step of its own in the two steps below.
 if rustfmt --version >/dev/null 2>&1; then
     echo "==> cargo fmt --check"
     cargo fmt --check
+    echo "==> cargo fmt --check (icbench)"
+    cargo fmt --check --manifest-path crates/bench/src/bin/icbench/Cargo.toml
 else
     echo "==> rustfmt not installed; skipping format check"
 fi
 
-# Lints over every workspace target, tests included, with warnings denied.
-# The icbench package is outside the workspace and not linted here.
+# Lints over every workspace target and icbench's, tests included, with
+# warnings denied.
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
     cargo clippy --offline --workspace --all-targets -- -D warnings
+    echo "==> cargo clippy (icbench) --all-targets -- -D warnings"
+    CARGO_TARGET_DIR=target/icbench cargo clippy -q --offline \
+        --manifest-path crates/bench/src/bin/icbench/Cargo.toml --all-targets -- -D warnings
 else
     echo "==> clippy not installed; skipping lint check"
 fi

@@ -3,14 +3,15 @@
 //! tuple-level deltas (inserts, deletes, cell modifications — null-introducing
 //! edits included), the repaired maps must equal a fresh build, and a
 //! compare seeded with them must be **bit-for-bit identical** to comparing
-//! from scratch, in complete and partial signature modes, at 1 and 4
-//! comparator threads, with zero-budget compares in between. Runs on
+//! from scratch, in complete and partial signature modes, at 1 and 4 pool
+//! threads, with zero-budget compares in between. Runs on
 //! `ic-testkit`: seeded, reproducible via `IC_TESTKIT_SEED`, shrinking on
 //! failure.
 
 use ic_testkit::{Gen, Runner};
 use instance_comparison::core::{Comparator, Delta, DeltaOp, InstanceSigMaps, Side};
 use instance_comparison::model::{AttrId, Catalog, Instance, RelId, Schema, TupleId, Value};
+use instance_comparison::pool::with_threads;
 use rand::RngExt;
 use std::time::Duration;
 
@@ -135,25 +136,18 @@ fn materialize(case: &Case) -> (Catalog, Instance, Instance, Vec<(Delta, Instanc
 
 /// The core assertion: walk the delta chain repairing the right side's
 /// maps, and at every step demand that (a) the repaired maps equal a fresh
-/// build, and (b) compares seeded with them at 1 and 4 comparator threads
-/// are bit-identical to a from-scratch compare. A zero-budget compare runs
+/// build, and (b) compares seeded with them at 1 and 4 pool threads are
+/// bit-identical to a from-scratch compare. A zero-budget compare runs
 /// on the maps before each repair; the next repair and compare must not
 /// notice it.
 fn assert_chain_bit_identical(case: &Case, partial: bool) {
     let (cat, left, base, steps) = materialize(case);
-    let cmps = [1, 4].map(|threads| {
-        Comparator::new(&cat)
-            .partial(partial)
-            .threads(threads)
-            .build()
-            .unwrap()
-    });
+    let cmp = Comparator::new(&cat).partial(partial).build().unwrap();
     let strained = Comparator::new(&cat)
         .partial(partial)
         .budget(Duration::ZERO)
         .build()
         .unwrap();
-    let cmp = &cmps[0];
     let left_maps = cmp.build_maps(&left).unwrap();
     let mut maps = cmp.build_maps(&base).unwrap();
     let mut cur = &base;
@@ -168,10 +162,11 @@ fn assert_chain_bit_identical(case: &Case, partial: bool) {
             "step {step} (partial={partial}): repaired maps differ from a fresh build"
         );
         let fresh = cmp.compare(&left, next).unwrap();
-        for (threads, c) in [1, 4].iter().zip(&cmps) {
-            let seeded = c
-                .compare_with_maps(&left, next, Some(&left_maps), Some(&maps))
-                .unwrap();
+        for threads in [1, 4] {
+            let seeded = with_threads(threads, || {
+                cmp.compare_with_maps(&left, next, Some(&left_maps), Some(&maps))
+            })
+            .unwrap();
             assert_eq!(
                 seeded.score().to_bits(),
                 fresh.score().to_bits(),
@@ -262,23 +257,26 @@ fn cached_chain_is_thread_count_invariant() {
         .run(gen_case, |case| {
             let (cat, left, base, steps) = materialize(case);
             let mut per_thread_scores: Vec<Vec<u64>> = Vec::new();
+            let cmp = Comparator::new(&cat).build().unwrap();
             for threads in [1, 4] {
-                let cmp = Comparator::new(&cat).threads(threads).build().unwrap();
-                let left_maps = cmp.build_maps(&left).unwrap();
-                let mut maps = cmp.build_maps(&base).unwrap();
-                let seed = |right: &Instance, maps: &InstanceSigMaps| {
-                    cmp.compare_with_maps(&left, right, Some(&left_maps), Some(maps))
-                        .unwrap()
-                        .score()
-                        .to_bits()
-                };
-                let mut scores = vec![seed(&base, &maps)];
-                let mut cur = &base;
-                for (delta, next) in &steps {
-                    maps.repair(cur, next, delta);
-                    scores.push(seed(next, &maps));
-                    cur = next;
-                }
+                let scores = with_threads(threads, || {
+                    let left_maps = cmp.build_maps(&left).unwrap();
+                    let mut maps = cmp.build_maps(&base).unwrap();
+                    let seed = |right: &Instance, maps: &InstanceSigMaps| {
+                        cmp.compare_with_maps(&left, right, Some(&left_maps), Some(maps))
+                            .unwrap()
+                            .score()
+                            .to_bits()
+                    };
+                    let mut scores = vec![seed(&base, &maps)];
+                    let mut cur = &base;
+                    for (delta, next) in &steps {
+                        maps.repair(cur, next, delta);
+                        scores.push(seed(next, &maps));
+                        cur = next;
+                    }
+                    scores
+                });
                 per_thread_scores.push(scores);
             }
             assert_eq!(

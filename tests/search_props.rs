@@ -4,7 +4,7 @@
 //! must pass every entry through the prefilter and reproduce the
 //! brute-force ranking **bit-for-bit** — same names in the same `(score
 //! desc, name asc)` order, same score bits, same pair counts — in every
-//! match mode and at any comparator thread count. Entries certified to
+//! match mode and at any pool thread count. Entries certified to
 //! match nothing skip the full comparison, so the brute-force scan pins
 //! their hits too. Runs on `ic-testkit`: seeded, reproducible via
 //! `IC_TESTKIT_SEED`, shrinking on failure.
@@ -13,6 +13,7 @@ use ic_testkit::{Gen, Runner, SEED_ENV};
 use instance_comparison::core::{Comparator, InstanceSigMaps, MatchMode, SignatureConfig};
 use instance_comparison::index::CatalogIndex;
 use instance_comparison::model::{Catalog, Instance, RelId, Schema};
+use instance_comparison::pool::with_threads;
 use rand::RngExt;
 use std::cell::Cell as Tally;
 use std::sync::Arc;
@@ -87,17 +88,13 @@ const MODES: [fn() -> MatchMode; 4] = [
 /// bit-identically. Returns the outcome's `(compared, certified)`.
 fn assert_topk_is_brute_force(case: &Case, mode: MatchMode, threads: usize) -> (usize, usize) {
     let (cat, pins) = materialize(case);
-    let index = CatalogIndex::default();
+    let mut index = CatalogIndex::default();
     for p in &pins {
         let maps = InstanceSigMaps::build(p, &SignatureConfig::default());
         index.insert(p.name(), p, Arc::new(maps));
     }
 
-    let cmp = Comparator::new(&cat)
-        .mode(mode)
-        .threads(threads)
-        .build()
-        .unwrap();
+    let cmp = Comparator::new(&cat).mode(mode).build().unwrap();
     let query = &pins[case.1 as usize % pins.len()];
     let k = pins.len();
     let out = index.topk(query, k, &cmp, None).unwrap();
@@ -144,7 +141,9 @@ fn run_every_mode(name: &str, cases: u32, threads: usize) {
     let (compared, certified) = (Tally::new(0), Tally::new(0));
     Runner::new(name).cases(cases).run(gen_case, |case| {
         for mode in MODES {
-            let (c, z) = assert_topk_is_brute_force(case, mode(), threads);
+            let (c, z) = with_threads(threads, || {
+                assert_topk_is_brute_force(case, mode(), threads)
+            });
             compared.set(compared.get() + c);
             certified.set(certified.get() + z);
         }
